@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -33,12 +32,16 @@ from .serialize import (
 from .subquotient import classify as classify_set
 
 
-def _window(args, fallback: int) -> int:
-    if getattr(args, "window", None) is not None:
-        return args.window
-    if getattr(args, "global_window", None) is not None:
-        return args.global_window
-    return fallback
+def _window(args, fallback):
+    """The subcommand's --window, else the global one, else the fallback."""
+    r = getattr(args, "window", None)
+    if r is None:
+        r = getattr(args, "global_window", None)
+    if r is None:
+        return fallback
+    if r < 0:
+        raise ValueError(f"window radius must be >= 0, got {r}")
+    return r
 
 
 def _params_from_args(args) -> Params:
@@ -69,6 +72,8 @@ def _load_element(args) -> ModuleElement:
     if payload == "-":
         payload = sys.stdin.read()
     obj = json.loads(payload)
+    if not isinstance(obj, dict):
+        return element_from_json(obj)  # rejects the payload
     basis_flag = getattr(args, "basis", None)
     if basis_flag:
         if obj.get("basis", basis_flag) != basis_flag:
@@ -224,12 +229,7 @@ def cmd_classify(args) -> int:
 
 def cmd_verify_paper(args) -> int:
     names = None if args.check in (None, "all") else [args.check]
-    threads = int(os.environ.get("GT_SL3_THREADS", "1") or "1")
-    overrides = {}
-    w = args.window if args.window is not None else args.global_window
-    if w is not None:
-        overrides["window"] = w
-    reports = registry.run_all(names, max_threads=threads, **overrides)
+    reports = registry.run_all(names, window=_window(args, None))
     failed = 0
     for rep in reports:
         _emit(rep)

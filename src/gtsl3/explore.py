@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .hom import ModuleDescriptor, solve_intertwiner
-from .module import Box, ModuleElement, Params, gt_eigenvalue
+from .module import OFF_DIAGONAL, Box, ModuleElement, Params, gt_eigenvalue
 from .scalars import scalar_is_zero
 from .subquotient import LBarSet, act_truncated
 
-GENS = ("e1", "e2", "f1", "f2", "e12", "f12", "h1", "h2")
+GENS = OFF_DIAGONAL + ("h1", "h2")
 
 
 def split_eigencomponents(v: ModuleElement):
@@ -89,7 +89,11 @@ class GenerationCertificate:
 
 
 def generate(start, desc: ModuleDescriptor, box: Box) -> GenerationCertificate:
-    """Transitive closure of the action at basis-index granularity."""
+    """Transitive closure of the action at basis-index granularity.
+
+    Only the raising and lowering generators are applied: h1 and h2 map
+    every basis vector to a multiple of itself, so they reach nothing new.
+    """
     start = [tuple(i) for i in start]
     if not start:
         raise ValueError("empty start set")
@@ -103,7 +107,7 @@ def generate(start, desc: ModuleDescriptor, box: Box) -> GenerationCertificate:
     while frontier:
         nxt = []
         for idx in frontier:
-            for gen in GENS:
+            for gen in OFF_DIAGONAL:
                 for jdx, c in desc.action(gen, idx).items():
                     if jdx in allowed and jdx not in reached and not scalar_is_zero(c):
                         reached.add(jdx)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ObstructionAtIndex
-from .module import BASIS_ACTIONS, Box, ModuleElement, Params
+from .module import BASIS_ACTIONS, OFF_DIAGONAL, Box, ModuleElement, Params
 from .scalars import falling_factorial, raising_factorial, scalar_is_zero
 from .solver import nullspace
 from .subquotient import LBarSet
@@ -112,7 +112,7 @@ def intertwiner_equations(source, target, box: Box):
     inside = set(indices)
     rows = []
     for a in indices:
-        for gen in ("e1", "e2", "f1", "f2", "e12", "f12"):
+        for gen in OFF_DIAGONAL:
             src = source.action(gen, a)
             tgt = target.action(gen, a)
             for j in set(src) | set(tgt):

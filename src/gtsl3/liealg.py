@@ -14,6 +14,7 @@ on all 64 basis pairs.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .scalars import scalar_is_zero
 
@@ -123,12 +124,6 @@ def lie_add(x: dict, y: dict) -> dict:
     return out
 
 
-def lie_scale(c, x: dict) -> dict:
-    if scalar_is_zero(c):
-        return {}
-    return {g: c * v for g, v in x.items()}
-
-
 def bracket(x: dict, y: dict) -> dict:
     """Bilinear extension of the structure-constant table."""
     out = {}
@@ -192,15 +187,17 @@ def _dual_basis():
     return duals
 
 
+@cache
 def casimir_word():
-    """Quadratic Casimir as a list of (coefficient, word) pairs.
+    """Quadratic Casimir as a tuple of (coefficient, word) pairs.
 
     Words are generator tuples, leftmost applied last.  Built from dual
     bases for the trace form, so it commutes with every generator; the
-    module layer checks that it acts by one common scalar.
+    module layer checks that it acts by one common scalar.  The terms are
+    built on the first call and shared by every later one.
     """
-    terms = []
-    for g, dual in zip(GENERATORS, _dual_basis()):
-        for h, c in dual.items():
-            terms.append((c, (g, h)))
-    return terms
+    return tuple(
+        (c, (g, h))
+        for g, dual in zip(GENERATORS, _dual_basis())
+        for h, c in dual.items()
+    )

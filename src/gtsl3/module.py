@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import liealg
-from .errors import BasisMismatch, NonGenericParameters
+from .errors import BasisMismatch, NonGenericParameters, RequiresIntegralMu2
 from .scalars import (
     MU1,
     MU2,
@@ -25,6 +25,11 @@ from .scalars import (
     scalar_is_zero,
 )
 
+_UNKNOWN = object()  # a Params fact not yet worked out
+
+# the raising and lowering generators: the ones that move an index
+OFF_DIAGONAL = ("e1", "e2", "f1", "f2", "e12", "f12")
+
 
 class Params:
     """The two module parameters plus decidable genericity predicates.
@@ -32,14 +37,18 @@ class Params:
     Either both parameters are exact rationals (specialized mode) or at
     least one is a rational function (symbolic mode).  A symbolic parameter
     may still be an integer constant -- e.g. mu2 = 0 with mu1 left symbolic
-    -- and the predicates see through that exactly.
+    -- and the predicates see through that exactly.  The two facts the
+    per-vector actions consult, whether mu1 + mu2 is integral and the
+    integer value of mu2, are worked out on first use and then kept.
     """
 
-    __slots__ = ("mu1", "mu2")
+    __slots__ = ("mu1", "mu2", "_sum_integral", "_mu2_int")
 
     def __init__(self, mu1, mu2):
         self.mu1 = mu1 if isinstance(mu1, RatFunc) else Fraction(mu1)
         self.mu2 = mu2 if isinstance(mu2, RatFunc) else Fraction(mu2)
+        self._sum_integral = _UNKNOWN
+        self._mu2_int = _UNKNOWN
 
     @classmethod
     def symbolic(cls) -> "Params":
@@ -56,21 +65,25 @@ class Params:
         return scalar_is_integer(self.mu2)
 
     def sum_integral(self) -> bool:
-        return scalar_is_integer(self.mu1 + self.mu2)
+        if self._sum_integral is _UNKNOWN:
+            self._sum_integral = scalar_is_integer(self.mu1 + self.mu2)
+        return self._sum_integral
 
     def require_generic_sum(self):
         if self.sum_integral():
             raise NonGenericParameters("mu1 + mu2 must not be an integer")
 
     def mu2_int(self) -> int:
-        from .errors import RequiresIntegralMu2
-
-        if not self.mu2_integral():
+        if self._mu2_int is _UNKNOWN:
+            self._mu2_int = None  # stays None when mu2 is not an integer
+            if self.mu2_integral():
+                mu2 = self.mu2
+                if isinstance(mu2, RatFunc):
+                    mu2 = mu2.as_constant()
+                self._mu2_int = int(mu2)
+        if self._mu2_int is None:
             raise RequiresIntegralMu2("operation needs mu2 in Z")
-        if isinstance(self.mu2, RatFunc):
-            c = self.mu2.as_constant()
-            return int(c)
-        return int(self.mu2)
+        return self._mu2_int
 
     def kbar(self, k: int):
         return k - self.mu1

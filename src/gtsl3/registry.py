@@ -480,12 +480,5 @@ def run_check(name: str, **overrides) -> dict:
     return CHECKS[name](**kwargs)
 
 
-def run_all(names=None, max_threads: int = 1, **overrides):
-    names = list(names) if names else list(CHECKS)
-    if max_threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_threads) as pool:
-            futures = [(n, pool.submit(run_check, n, **overrides)) for n in names]
-            return [f.result() for _, f in futures]
-    return [run_check(n, **overrides) for n in names]
+def run_all(names=None, **overrides):
+    return [run_check(n, **overrides) for n in (names or CHECKS)]

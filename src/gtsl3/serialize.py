@@ -22,6 +22,8 @@ def param_to_json(value, which: int) -> str:
 
 
 def param_from_json(text: str, which: int):
+    if not isinstance(text, str):
+        raise ValueError(f"a parameter must be a string, got {text!r}")
     if text == "symbolic":
         return MU1 if which == 1 else MU2
     return parse_scalar(text)
@@ -46,10 +48,20 @@ def element_to_json(v: ModuleElement) -> dict:
 
 
 def element_from_json(obj) -> ModuleElement:
+    if not isinstance(obj, dict):
+        raise ValueError(f"an element must be a JSON object, got {obj!r}")
+    listed = obj.get("terms", [])
+    if not isinstance(listed, list):
+        raise ValueError(f"element terms must be a list, got {listed!r}")
     params = params_from_json(obj)
     terms = {}
-    for t in obj.get("terms", []):
-        idx = (int(t["k"]), int(t["l"]), int(t["m"]))
+    for t in listed:
+        if not isinstance(t, dict):
+            raise ValueError(f"an element term must be a JSON object, got {t!r}")
+        try:
+            idx = (int(t["k"]), int(t["l"]), int(t["m"]))
+        except TypeError:
+            raise ValueError(f"term {t!r} has a non-integer index") from None
         c = parse_scalar(str(t["c"]))
         terms[idx] = terms.get(idx, 0) + c
     return ModuleElement(params, obj["basis"], terms)

@@ -4,10 +4,12 @@ The only index predicates the structure theory needs constrain
 lbar = l - mu2: half-lines, finite intervals, and finite unions of these.
 A subquotient's action is the ambient w- or eta-action with every term
 whose index leaves the set dropped.  Closure of a set under the ambient
-action is checked exactly on a finite window; since the predicates only
-involve lbar and no generator moves l by more than one, escapes in the k
-or m direction cannot change membership and the window only bounds which
-source indices get inspected.
+action is checked exactly on a finite window.  The predicates only involve
+lbar, and no action term in the u-, w- or eta-basis moves l by more than
+one, so escapes in the k or m direction cannot change membership, and only
+a boundary level of J -- a level in J with a neighbouring level (lbar +- 1)
+outside J -- can send a vector out of J.  The window bounds which source
+indices on those levels get inspected.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BasisMismatch
-from .module import BASIS_ACTIONS, Box, ModuleElement, Params
+from .module import BASIS_ACTIONS, OFF_DIAGONAL, Box, ModuleElement, Params
 from .scalars import scalar_is_zero
 from . import dual as _dual  # noqa: F401  (registers the eta-basis action)
 
@@ -64,9 +66,6 @@ class LBarSet:
             if (lo is _INF or lbar >= lo) and (hi is _INF or lbar <= hi):
                 return True
         return False
-
-    def contains_index(self, idx, p: Params) -> bool:
-        return self.contains(idx[1] - p.mu2_int())
 
     def shift(self, dl: int) -> "LBarSet":
         return LBarSet(
@@ -170,9 +169,6 @@ def _normalize(intervals):
     return tuple(merged)
 
 
-LBAR_01 = LBarSet.between(0, 1)
-
-
 # ---------------------------------------------------------------------------
 # truncated actions
 
@@ -220,12 +216,26 @@ class ClosureVerdict:
 
 
 def is_closed(J: LBarSet, basis: str, box: Box, p: Params) -> ClosureVerdict:
-    """Does the ambient action keep every J-supported vector inside J?"""
+    """Does the ambient action keep every J-supported vector inside J?
+
+    Only window indices on a boundary level of J are inspected: a level in
+    J whose neighbour lbar - 1 or lbar + 1 lies outside J.  An action term
+    moves l by at most one, so a vector on any other level of J cannot
+    leave J.  The witnesses are (source, generator, target) triples in
+    window order, exactly those a sweep over every index of J would find.
+    """
     action = BASIS_ACTIONS[basis]
     t = p.mu2_int()
+    boundary = {
+        l
+        for l in range(box.lmin, box.lmax + 1)
+        if J.contains(l - t) and not (J.contains(l - t - 1) and J.contains(l - t + 1))
+    }
     witnesses = []
-    for idx in subquot_indices(J, box, p):
-        for gen in ("e1", "e2", "f1", "f2", "e12", "f12"):
+    for idx in box:
+        if idx[1] not in boundary:
+            continue
+        for gen in OFF_DIAGONAL:
             for jdx, c in action(gen, p, idx):
                 if scalar_is_zero(c):
                     continue

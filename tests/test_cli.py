@@ -194,3 +194,30 @@ def test_symbolic_element_roundtrip(capsys):
     again = json.dumps(lines[0])
     code, lines = run_cli(capsys, "act", "--word", "", "--element", again)
     assert lines[0]["terms"] == [{"k": -1, "l": 0, "m": 0, "c": "(mu1)"}]
+
+
+def _rejected(code, lines):
+    return code == 2 and set(lines[-1]) == {"error", "message"}
+
+
+def test_non_object_element_payloads_are_rejected(capsys):
+    assert _rejected(*run_cli(capsys, "act", "--gen", "e1", "--element", "[1]"))
+    assert _rejected(*run_cli(capsys, "act", "--basis", "w", "--gen", "e1",
+                              "--element", "[1]"))
+    bad_terms = json.dumps({"basis": "eta", "mu1": "1/3", "mu2": "1/5", "terms": 3})
+    assert _rejected(*run_cli(capsys, "pair", "--eta", bad_terms, "--w", W000))
+    bad_term = json.dumps({"basis": "w", "mu1": "1/3", "mu2": "1/5", "terms": [1]})
+    assert _rejected(*run_cli(capsys, "act", "--gen", "e1", "--element", bad_term))
+    null_index = json.dumps({"basis": "w", "mu1": "1/3", "mu2": "1/5",
+                             "terms": [{"k": None, "l": 0, "m": 0, "c": "1"}]})
+    assert _rejected(*run_cli(capsys, "act", "--gen", "e1", "--element", null_index))
+    number_param = json.dumps({"basis": "w", "mu1": 1, "mu2": "1/5", "terms": []})
+    assert _rejected(*run_cli(capsys, "act", "--gen", "e1", "--element", number_param))
+
+
+def test_negative_window_is_rejected(capsys):
+    assert _rejected(*run_cli(capsys, "--mu2", "0", "character", "--window", "-3"))
+    assert _rejected(*run_cli(capsys, "--window", "-1", "classify", "--set", "lbar=1"))
+    assert _rejected(*run_cli(capsys, "generate", "--start", "0,0,0", "--window", "-2"))
+    assert _rejected(*run_cli(capsys, "verify-paper", "--check", "casimir",
+                              "--window", "-1"))

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from gtsl3 import liealg
 from gtsl3.explore import (
     character_table,
     characters_agree,
@@ -90,6 +91,43 @@ class TestGeneration:
     def test_empty_start_is_an_error(self):
         with pytest.raises(ValueError):
             generate([], ModuleDescriptor(PG, dual=False), Box.radius(2))
+
+
+def bfs_over_all_generators(start, desc, box):
+    """(reached, paths) of a breadth-first search that applies all eight
+    generators, diagonal ones included."""
+    allowed = set(desc.indices(box))
+    reached, paths, frontier = set(start), {}, list(start)
+    while frontier:
+        nxt = []
+        for idx in frontier:
+            for gen in liealg.GENERATORS:
+                for jdx in desc.action(gen, idx):
+                    if jdx in allowed and jdx not in reached:
+                        reached.add(jdx)
+                        paths[jdx] = (idx, gen)
+                        nxt.append(jdx)
+        frontier = nxt
+    return reached, paths
+
+
+@pytest.mark.parametrize(
+    "params, J",
+    [(PG, None), (P0, None), (P0, LBarSet.ge(0)), (P0, LBarSet.eq(1)),
+     (P0, LBarSet.between(0, 1)), (P0, LBarSet.le(-1))],
+)
+def test_generation_certificate_equals_search_over_all_generators(params, J):
+    for dual in (False, True):
+        desc = ModuleDescriptor(params, dual=dual, J=J)
+        for r in (2, 3):
+            box = desc.window(r)
+            indices = desc.indices(box)
+            for start in (indices[0], indices[len(indices) // 2], indices[-1]):
+                cert = generate([start], desc, box)
+                reached, paths = bfs_over_all_generators([start], desc, box)
+                assert cert.reached == sorted(reached)
+                assert cert.missing == sorted(set(indices) - reached)
+                assert cert.paths == paths
 
 
 class TestDualCyclicity:

@@ -72,6 +72,7 @@ def test_casimir_word_shape():
     assert words[("h1", "h1")] == Fraction(2, 3)
     assert words[("h1", "h2")] == Fraction(1, 3)
     assert len(terms) == 10
+    assert liealg.casimir_word() is terms  # built once, then shared
 
 
 def test_trace_form_pairs_opposite_roots():

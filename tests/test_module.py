@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from gtsl3 import liealg
-from gtsl3.errors import BasisMismatch, NonGenericParameters
+from gtsl3.errors import BasisMismatch, NonGenericParameters, RequiresIntegralMu2
+from gtsl3.hom import ModuleDescriptor, solve_intertwiner
 from gtsl3.module import (
     Box,
     ModuleElement,
@@ -215,6 +216,27 @@ def test_nongeneric_parameters_rejected_for_w():
         u_to_w(u_vector(bad, 0, 0, 0))
     # the u-basis action needs no genericity at all
     act("f1", u_vector(bad, 0, 0, 0))
+
+
+def test_genericity_is_enforced_on_every_call():
+    bad = Params(Fraction(1, 3), Fraction(2, 3))
+    w = ModuleElement(bad, "w", {(0, 0, 0): Fraction(1)})
+    for _ in range(2):  # the first call works the fact out, the second reads it
+        with pytest.raises(NonGenericParameters):
+            act("e1", w)
+        with pytest.raises(NonGenericParameters):
+            w_to_u(w)
+        with pytest.raises(NonGenericParameters):
+            solve_intertwiner(ModuleDescriptor(bad, dual=True),
+                              ModuleDescriptor(bad), Box.radius(2))
+
+
+def test_mu2_int_raises_on_every_call_for_non_integral_mu2():
+    p = Params(Fraction(1, 3), Fraction(1, 5))
+    for _ in range(3):
+        with pytest.raises(RequiresIntegralMu2):
+            p.mu2_int()
+    assert Params(Fraction(1, 3), Fraction(-2)).mu2_int() == -2
 
 
 def test_basis_mismatch_and_m_guard():

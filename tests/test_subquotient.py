@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
 from gtsl3 import liealg
 from gtsl3.errors import RequiresIntegralMu2
-from gtsl3.module import Box, ModuleElement, Params, basis_vector
+from gtsl3.module import BASIS_ACTIONS, Box, ModuleElement, Params, basis_vector
 from gtsl3.subquotient import (
     LBarSet,
     act_l01_fastpath,
@@ -172,3 +173,55 @@ def test_indices_iteration_respects_the_set():
     idxs = list(subquot_indices(LBarSet.between(0, 1), Box.radius(2), P0))
     assert all(0 <= l <= 1 for _, l, _ in idxs)
     assert len(idxs) == 5 * 2 * 3
+
+
+NINE_SETS = (
+    LBarSet.ge(0),
+    LBarSet.eq(0),
+    LBarSet.between(0, 1),
+    LBarSet.le(1),
+    LBarSet.le(0),
+    LBarSet.ge(1),
+    LBarSet.ge(2),
+    LBarSet.le(-1),
+    LBarSet.eq(1),
+)
+RAISING_LOWERING = ("e1", "e2", "f1", "f2", "e12", "f12")
+
+
+def full_sweep_witnesses(J, action, box, t):
+    """The closure sweep over every window index of J: the oracle for the
+    boundary-level rule of is_closed."""
+    witnesses = []
+    for idx in box:
+        if not J.contains(idx[1] - t):
+            continue
+        for gen in RAISING_LOWERING:
+            for jdx, c in action(gen, idx):
+                if c != 0 and not J.contains(jdx[1] - t):
+                    witnesses.append((idx, gen, jdx))
+    return witnesses
+
+
+@pytest.mark.parametrize("mu2", [0, 2])
+@pytest.mark.parametrize("basis", ["u", "w", "eta"])
+def test_boundary_level_closure_equals_the_full_sweep(basis, mu2):
+    p = Params(Fraction(1, 3), Fraction(mu2))
+    action = cache(lambda gen, idx: BASIS_ACTIONS[basis](gen, p, idx))
+    sets = NINE_SETS + tuple(J.complement() for J in NINE_SETS)
+    for r in range(2, 7):
+        box = Box.radius(r, mu2)
+        for J in sets:
+            expected = full_sweep_witnesses(J, action, box, mu2)
+            verdict = is_closed(J, basis, box, p)
+            assert verdict.witnesses == expected, (repr(J), r)
+            assert verdict.closed is not expected
+
+
+@pytest.mark.parametrize("basis", ["u", "w", "eta"])
+def test_no_action_term_moves_l_by_more_than_one(basis):
+    for p in (P0, Params(Fraction(1, 3), Fraction(1, 5))):
+        for idx in Box.radius(4):
+            for gen in liealg.GENERATORS:
+                for jdx, _ in BASIS_ACTIONS[basis](gen, p, idx):
+                    assert abs(jdx[1] - idx[1]) <= 1, (gen, idx, jdx)
