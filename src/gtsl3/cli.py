@@ -3,7 +3,8 @@
 Subcommands: act, change-basis, pair, hom, generate, character, classify,
 verify-paper.  All payloads and results are JSON with exact scalar strings;
 output ordering is deterministic.  Exit codes: 0 success / all checks pass,
-1 a verification check failed, 2 invalid input.
+1 a verification check failed, 2 invalid input -- a malformed flag or
+payload -- reported as an {"error", "message"} JSON object.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 from . import registry
 from .errors import ObstructionAtIndex
-from .explore import character_table, dual_generate, generate
+from .explore import character_table, generate
 from .hom import ModuleDescriptor, image_kernel, solve_by_recurrence, solve_intertwiner
 from .module import Box, ModuleElement, Params, act_word, u_to_w, w_to_u
 from .dual import pairing
@@ -30,6 +31,23 @@ from .serialize import (
     parse_set_expr,
 )
 from .subquotient import classify as classify_set
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises on a malformed command line, so that it reaches main's error
+    JSON and exit code 2 like any other invalid input."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _index_triple(text: str):
+    """Parse 'k,l,m' into an index triple of integers."""
+    try:
+        k, l, m = (int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"expected k,l,m (three integers), got {text!r}") from None
+    return k, l, m
 
 
 def _window(args, fallback):
@@ -81,6 +99,10 @@ def _load_element(args) -> ModuleElement:
                 f"--basis {basis_flag} conflicts with element basis {obj['basis']}"
             )
         obj["basis"] = basis_flag
+    elif "basis" not in obj:
+        raise ValueError(
+            'the element has no basis: give "basis" in its JSON, or pass --basis to act'
+        )
     # parameters may come from the global flags instead of the payload
     if "mu1" not in obj:
         obj["mu1"] = "symbolic" if args.symbolic else (args.mu1 or "1/3")
@@ -135,7 +157,7 @@ def cmd_hom(args) -> int:
         "obstructions": [],
     }
     if args.recurrence:
-        seed = tuple(int(x) for x in args.seed.split(","))
+        seed = _index_triple(args.seed)
         try:
             sol = solve_by_recurrence(source, target, seed, Fraction(1), box)
             sols = [sol]
@@ -166,12 +188,8 @@ def cmd_generate(args) -> int:
     params = _params_from_args(args)
     desc = _descriptor(args.set if not args.dual else f"dual:{args.set}", params)
     box = desc.window(_window(args, 3))
-    start = []
-    for chunk in args.start.split(";"):
-        k, l, m = (int(x) for x in chunk.split(","))
-        start.append((k, l, m))
-    cert = (dual_generate(start, params, box) if (args.dual and desc.J is None)
-            else generate(start, desc, box))
+    start = [_index_triple(chunk) for chunk in args.start.split(";")]
+    cert = generate(start, desc, box)
     _emit(
         {
             "descriptor": cert.descriptor,
@@ -239,7 +257,7 @@ def cmd_verify_paper(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="gtsl3",
         description="Exact engine for a two-parameter family of "
         "Gelfand-Tsetlin sl3-modules",
@@ -250,8 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="run over the rational-function field")
     ap.add_argument("--window", type=int, dest="global_window",
                     help="default window radius for subcommands that take one")
-    ap.add_argument("--json", action="store_true",
-                    help="accepted for compatibility; output is always JSON")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("act", help="apply a generator or word to an element")
@@ -308,9 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, KeyError, ZeroDivisionError, json.JSONDecodeError) as e:
         _emit({"error": type(e).__name__, "message": str(e)})

@@ -1,6 +1,9 @@
-"""Structural verification: generation certificates by graph search,
-eigencomponent splitting, formal characters, and the identification of the
-lbar-half-line subquotients with relaxed Verma modules.
+"""Structural verification: generation certificates by graph search (for
+the module, its dual and their subquotients alike, each named by a
+ModuleDescriptor), eigencomponent splitting, formal characters, the
+identification of the lbar-half-line subquotients with relaxed Verma
+modules, and the non-split extension of the lbar in {0,1} band, whose
+closure statements are read off subquotient.is_closed.
 
 The reduction that makes all of this graph search: any vector generates,
 inside any submodule containing it, every basis vector appearing in its
@@ -19,9 +22,7 @@ from fractions import Fraction
 from .hom import ModuleDescriptor, solve_intertwiner
 from .module import OFF_DIAGONAL, Box, ModuleElement, Params, gt_eigenvalue
 from .scalars import scalar_is_zero
-from .subquotient import LBarSet, act_truncated
-
-GENS = OFF_DIAGONAL + ("h1", "h2")
+from .subquotient import LBarSet, act_truncated, is_closed
 
 
 def split_eigencomponents(v: ModuleElement):
@@ -118,11 +119,6 @@ def generate(start, desc: ModuleDescriptor, box: Box) -> GenerationCertificate:
     return GenerationCertificate(
         desc.describe(), box, sorted(start), sorted(reached), missing, paths
     )
-
-
-def dual_generate(start, params: Params, box: Box) -> GenerationCertificate:
-    """Generation certificate for the full dual module."""
-    return generate(start, ModuleDescriptor(params, dual=True), box)
 
 
 # ---------------------------------------------------------------------------
@@ -306,37 +302,26 @@ def relaxed_verma_check(case: int, params: Params, r: int = 6) -> dict:
 def exact_sequence_check(params: Params, r: int = 3) -> dict:
     """The band lbar in {0,1} sits in a non-split extension: lbar = 0 is
     closed inside it, the quotient is the lbar = 1 layer, and lbar = 1 is
-    not closed (witnessed), so the extension cannot split."""
+    not closed (witnessed), so the extension cannot split.
+
+    Both closure statements are read off is_closed on the radius-r window:
+    lbar = 0 is closed in the band when each of its escapes leaves the
+    band, and the escapes of lbar = 1 that land on lbar = 0 witness
+    non-splitness."""
     t0 = params.mu2_int()
-    band = LBarSet.between(0, 1)
     box = Box.radius(r, t0)
     checks = {}
-    witnesses = []
     # lbar = 0 is closed inside the band
-    sub_ok = True
-    for k in range(-r, r + 1):
-        for m in range(r + 1):
-            v = ModuleElement(params, "w", {(k, t0, m): Fraction(1)})
-            for gen in GENS:
-                out = act_truncated(gen, v, band)
-                if any(j[1] != t0 for j in out.terms):
-                    sub_ok = False
-    checks["lbar0-closed-in-band"] = sub_ok
+    out0 = is_closed(LBarSet.eq(0), "w", box, params).witnesses
+    checks["lbar0-closed-in-band"] = all(j[1] != t0 + 1 for _, _, j in out0)
     # lbar = 1 escapes into lbar = 0 (non-splitness witness)
-    escape = []
-    for k in range(-r, r + 1):
-        for m in range(r + 1):
-            v = ModuleElement(params, "w", {(k, t0 + 1, m): Fraction(1)})
-            for gen in GENS:
-                out = act_truncated(gen, v, band)
-                for j, c in out.terms.items():
-                    if j[1] == t0:
-                        escape.append(((k, t0 + 1, m), gen, j))
+    out1 = is_closed(LBarSet.eq(1), "w", box, params).witnesses
+    escape = [w for w in out1 if w[2][1] == t0]
     checks["lbar1-not-closed-in-band"] = bool(escape)
     checks["witness-is-f1-to-m-plus-1"] = any(
         gen == "f1" and j == (k, t0, m + 1) for (k, _, m), gen, j in escape
     )
-    witnesses = [w for w in escape[:5]]
+    witnesses = escape[:5]
     # quotient action on the lbar = 1 layer agrees with its displayed module
     layer = LBarSet.eq(1)
     quot_ok = True

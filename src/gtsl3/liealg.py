@@ -98,19 +98,6 @@ CARTAN_MATRIX = {
 
 ALPHA1 = (CARTAN_MATRIX[(1, 1)], CARTAN_MATRIX[(1, 2)])  # values on (h1, h2)
 ALPHA2 = (CARTAN_MATRIX[(2, 1)], CARTAN_MATRIX[(2, 2)])
-RHO = (ALPHA1[0] + ALPHA2[0], ALPHA1[1] + ALPHA2[1])
-
-
-def lie(coeffs=None) -> dict:
-    """A Lie algebra element as {generator: coefficient}, zeros dropped."""
-    out = {}
-    if coeffs:
-        for g, c in coeffs.items():
-            if g not in GENERATORS:
-                raise ValueError(f"unknown generator {g!r}")
-            if not scalar_is_zero(c):
-                out[g] = c
-    return out
 
 
 def lie_add(x: dict, y: dict) -> dict:

@@ -306,18 +306,25 @@ def act_w_basis(gen: str, p: Params, idx):
 BASIS_ACTIONS = {"u": act_u_basis, "w": act_w_basis}
 
 
-def act(gen: str, v: ModuleElement) -> ModuleElement:
-    """Apply one generator symbol to an element, in the element's basis."""
-    action = BASIS_ACTIONS[v.basis]
+def _accumulate(v: ModuleElement, expand, basis: str) -> ModuleElement:
+    """Sum c * a over the (target, a) pairs expand(idx) lists for each term
+    c of v at idx, dropping zero sums; the result is read in `basis`."""
     terms = {}
     for idx, c in v.terms.items():
-        for jdx, a in action(gen, v.params, idx):
+        for jdx, a in expand(idx):
             s = terms.get(jdx, 0) + c * a
             if scalar_is_zero(s):
                 terms.pop(jdx, None)
             else:
                 terms[jdx] = s
-    return ModuleElement(v.params, v.basis, terms)
+    return ModuleElement(v.params, basis, terms)
+
+
+def act(gen: str, v: ModuleElement) -> ModuleElement:
+    """Apply one generator symbol to an element, in the element's basis."""
+    action = BASIS_ACTIONS[v.basis]
+    p = v.params
+    return _accumulate(v, lambda idx: action(gen, p, idx), v.basis)
 
 
 def act_lie(x: dict, v: ModuleElement) -> ModuleElement:
@@ -369,67 +376,42 @@ def gt_eigenvalue(idx, p: Params):
     return (-2 * kb + lb - m, kb - 2 * lb - m, -m * (kb + lb + m - 1))
 
 
-def weight_of(idx, p: Params):
-    """Cartan weight as its values on (h1, h2)."""
-    ev = gt_eigenvalue(idx, p)
-    return (ev[0], ev[1])
-
-
 # ---------------------------------------------------------------------------
 # change of basis
 
-def w_to_u(v: ModuleElement) -> ModuleElement:
-    """Expand w-vectors in the u-basis via the raising-factorial sum."""
-    if v.basis != "w":
-        raise BasisMismatch("w_to_u needs a w-basis element")
+def _change_basis(v: ModuleElement, source: str, target: str, sign: int, shift: bool):
+    """Expand source-vectors over the target basis:
+    x_{k,l,m} = sum_n sign^n C(m,n) (lbar)^(n) / (s_n)^(n) y_{k+n,l+n,m-n},
+    with ^(n) the raising factorial and s_n = kbar + lbar, or
+    kbar + lbar + n - 1 when `shift` is set."""
+    if v.basis != source:
+        raise BasisMismatch(f"{source}_to_{target} needs a {source}-basis element")
     p = v.params
     p.require_generic_sum()
-    terms = {}
-    for (k, l, m), c in v.terms.items():
-        kb = p.kbar(k)
+
+    def expand(idx):
+        k, l, m = idx
         lb = p.lbar(l)
+        base = p.kbar(k) + lb
         for n in range(m + 1):
-            coeff = (
-                c
+            s_n = base + (n - 1) if shift else base
+            a = (
+                sign**n
                 * binomial(m, n)
                 * raising_factorial(lb, n)
-                / raising_factorial(kb + lb, n)
+                / raising_factorial(s_n, n)
             )
-            if scalar_is_zero(coeff):
-                continue
-            jdx = (k + n, l + n, m - n)
-            s = terms.get(jdx, 0) + coeff
-            if scalar_is_zero(s):
-                terms.pop(jdx, None)
-            else:
-                terms[jdx] = s
-    return ModuleElement(p, "u", terms)
+            if not scalar_is_zero(a):
+                yield (k + n, l + n, m - n), a
+
+    return _accumulate(v, expand, target)
+
+
+def w_to_u(v: ModuleElement) -> ModuleElement:
+    """Expand w-vectors in the u-basis via the raising-factorial sum."""
+    return _change_basis(v, "w", "u", 1, False)
 
 
 def u_to_w(v: ModuleElement) -> ModuleElement:
     """Inverse change of basis, u-vectors expanded over w-vectors."""
-    if v.basis != "u":
-        raise BasisMismatch("u_to_w needs a u-basis element")
-    p = v.params
-    p.require_generic_sum()
-    terms = {}
-    for (k, l, m), c in v.terms.items():
-        kb = p.kbar(k)
-        lb = p.lbar(l)
-        for n in range(m + 1):
-            coeff = (
-                c
-                * (-1) ** n
-                * binomial(m, n)
-                * raising_factorial(lb, n)
-                / raising_factorial(kb + lb + n - 1, n)
-            )
-            if scalar_is_zero(coeff):
-                continue
-            jdx = (k + n, l + n, m - n)
-            s = terms.get(jdx, 0) + coeff
-            if scalar_is_zero(s):
-                terms.pop(jdx, None)
-            else:
-                terms[jdx] = s
-    return ModuleElement(p, "w", terms)
+    return _change_basis(v, "u", "w", -1, True)

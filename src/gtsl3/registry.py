@@ -17,7 +17,6 @@ from .errors import ObstructionAtIndex
 from .explore import (
     character_table,
     characters_agree,
-    dual_generate,
     exact_sequence_check,
     generate,
     product_formula_character,
@@ -265,13 +264,14 @@ def check_closure_integral(window=3, **_):
 def check_dual_cyclicity(window=3, **_):
     params = Params(*INTEGRAL_MU2)
     box = Box.radius(window, params.mu2_int())
+    dual = ModuleDescriptor(params, dual=True)
     bad = []
     for k0 in (-2, 0, 2):
-        cert = dual_generate([(k0, params.mu2_int(), 0)], params, box)
+        cert = generate([(k0, params.mu2_int(), 0)], dual, box)
         if not cert.covers:
             bad.append((k0, cert.missing[:3]))
-    generic = Params(*GENERIC)
-    cert = dual_generate([(1, 0, 2)], generic, Box.radius(window))
+    generic = ModuleDescriptor(Params(*GENERIC), dual=True)
+    cert = generate([(1, 0, 2)], generic, Box.radius(window))
     if not cert.covers:
         bad.append(("generic", cert.missing[:3]))
     return _report("dual-cyclicity", not bad, params=params, window=window,

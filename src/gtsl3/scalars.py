@@ -14,8 +14,6 @@ import math
 import re
 from fractions import Fraction
 
-Rational = Fraction
-
 
 def binomial(m: int, n: int) -> int:
     if not 0 <= n <= m:

@@ -85,35 +85,6 @@ def indexset_to_json(J: LBarSet) -> dict:
     return {"lbar": {"union": parts}}
 
 
-def _interval_from_json(piece) -> LBarSet:
-    if piece == "all":
-        return LBarSet.all()
-    if "ge" in piece:
-        return LBarSet.ge(int(piece["ge"]))
-    if "le" in piece:
-        return LBarSet.le(int(piece["le"]))
-    if "eq" in piece:
-        return LBarSet.eq(int(piece["eq"]))
-    if "in" in piece:
-        a, b = piece["in"]
-        return LBarSet.between(int(a), int(b))
-    raise ValueError(f"cannot parse index set piece {piece!r}")
-
-
-def indexset_from_json(obj) -> LBarSet:
-    body = obj["lbar"]
-    if isinstance(body, dict) and "union" in body:
-        out = LBarSet.empty()
-        for piece in body["union"]:
-            out = out.union(_interval_from_json(piece))
-    else:
-        out = _interval_from_json(body)
-    if "shift" in obj:
-        dk, dl = obj["shift"]
-        out = out.shift(int(dl))
-    return out
-
-
 def parse_set_expr(text: str) -> LBarSet | None:
     """Command-line index set grammar: full | l01 | lbar>=N | lbar<=N |
     lbar=N | lbar in A..B."""

@@ -2,8 +2,11 @@
 
 The only index predicates the structure theory needs constrain
 lbar = l - mu2: half-lines, finite intervals, and finite unions of these.
-A subquotient's action is the ambient w- or eta-action with every term
-whose index leaves the set dropped.  Closure of a set under the ambient
+A subquotient's action is the ambient w- or eta-action (module.act) with
+every term whose index leaves the set dropped; the paper's displayed
+formulas for the lbar in {0,1} band are kept in the test suite as an
+oracle for it.  The indices of a subquotient on a window are
+hom.ModuleDescriptor.indices.  Closure of a set under the ambient
 action is checked exactly on a finite window.  The predicates only involve
 lbar, and no action term in the u-, w- or eta-basis moves l by more than
 one, so escapes in the k or m direction cannot change membership, and only
@@ -15,10 +18,9 @@ indices on those levels get inspected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import BasisMismatch
-from .module import BASIS_ACTIONS, OFF_DIAGONAL, Box, ModuleElement, Params
+from .module import BASIS_ACTIONS, OFF_DIAGONAL, Box, ModuleElement, Params, act
 from .scalars import scalar_is_zero
 from . import dual as _dual  # noqa: F401  (registers the eta-basis action)
 
@@ -110,8 +112,6 @@ class LBarSet:
             if hi is not _INF and (b is _INF or b > hi):
                 bottom = hi + 1 if (a is _INF or a <= hi + 1) else a
                 kept.append((bottom, b))
-            if lo is _INF and hi is _INF:
-                continue
         return LBarSet(kept)
 
     def is_empty(self) -> bool:
@@ -119,9 +119,6 @@ class LBarSet:
 
     def is_subset(self, other: "LBarSet") -> bool:
         return self.difference(other).is_empty()
-
-    def is_bounded(self) -> bool:
-        return all(lo is not _INF and hi is not _INF for lo, hi in self.intervals)
 
     def __eq__(self, other):
         return isinstance(other, LBarSet) and self.intervals == other.intervals
@@ -172,13 +169,6 @@ def _normalize(intervals):
 # ---------------------------------------------------------------------------
 # truncated actions
 
-def subquot_indices(J: LBarSet, box: Box, p: Params):
-    t = p.mu2_int()
-    for idx in box:
-        if J.contains(idx[1] - t):
-            yield idx
-
-
 def act_truncated(gen: str, v: ModuleElement, J: LBarSet) -> ModuleElement:
     """Ambient action followed by projection to J; support must lie in J."""
     if v.basis not in ("w", "eta"):
@@ -188,18 +178,10 @@ def act_truncated(gen: str, v: ModuleElement, J: LBarSet) -> ModuleElement:
     for idx in v.terms:
         if not J.contains(idx[1] - t):
             raise ValueError(f"support index {idx} outside {J!r}")
-    action = BASIS_ACTIONS[v.basis]
-    terms = {}
-    for idx, c in v.terms.items():
-        for jdx, a in action(gen, p, idx):
-            if not J.contains(jdx[1] - t):
-                continue
-            s = terms.get(jdx, 0) + c * a
-            if scalar_is_zero(s):
-                terms.pop(jdx, None)
-            else:
-                terms[jdx] = s
-    return ModuleElement(p, v.basis, terms)
+    out = act(gen, v)
+    return ModuleElement(
+        p, v.basis, {jdx: c for jdx, c in out.terms.items() if J.contains(jdx[1] - t)}
+    )
 
 
 @dataclass
@@ -270,125 +252,3 @@ def classify(J: LBarSet, box: Box, p: Params, basis: str = "w") -> str:
             if closed(cand) and closed(cand.difference(J)):
                 return "subquotient"
     return "none"
-
-
-def shift_isomorphism(J: LBarSet, delta) -> LBarSet:
-    """Translate an index set by an integral shift (dk, dl); only dl matters
-    for lbar-constraints."""
-    dk, dl = delta
-    return J.shift(dl)
-
-
-# ---------------------------------------------------------------------------
-# specialized formulas for the lbar in {0,1} band
-
-def act_l01_w_basis(gen: str, p: Params, idx):
-    t = p.mu2_int()
-    p.require_generic_sum()
-    k, l, m = idx
-    kb = p.kbar(k)
-    lb = l - t
-    if lb == 0:
-        if gen == "e1":
-            return [((k - 1, l, m), -kb)]
-        if gen == "e2":
-            return [((k + 1, l, m - 1), Fraction(m))] if m > 0 else []
-        if gen == "f1":
-            return [((k + 1, l, m), kb + m)]
-        if gen == "f2":
-            return [((k - 1, l, m + 1), kb)]
-        if gen == "e12":
-            return [((k, l, m - 1), Fraction(-m))] if m > 0 else []
-        if gen == "f12":
-            return [((k, l, m + 1), kb + m)]
-    elif lb == 1:
-        if gen == "e1":
-            return [((k - 1, l, m), -kb)]
-        if gen == "e2":
-            out = [((k, l - 1, m), Fraction(-1))]
-            if m > 0:
-                out.append(((k + 1, l, m - 1), m * (kb - 1) / (kb + 1)))
-            return out
-        if gen == "f1":
-            return [
-                ((k + 1, l, m), (kb - 1) * (kb + m + 1) / (kb + 1)),
-                ((k, l - 1, m + 1), Fraction(-1)),
-            ]
-        if gen == "f2":
-            return [((k - 1, l, m + 1), kb)]
-        if gen == "e12":
-            return [((k, l, m - 1), Fraction(-m))] if m > 0 else []
-        if gen == "f12":
-            return [((k, l, m + 1), kb + m + 1)]
-    else:
-        raise ValueError(f"index {idx} outside the lbar in {{0,1}} band")
-    if gen == "h1":
-        return [(idx, -2 * kb + lb - m)]
-    if gen == "h2":
-        return [(idx, kb - 2 * lb - m)]
-    raise ValueError(f"unknown generator {gen!r}")
-
-
-def act_l01_eta_basis(gen: str, p: Params, idx):
-    t = p.mu2_int()
-    p.require_generic_sum()
-    k, l, m = idx
-    kb = p.kbar(k)
-    lb = l - t
-    if lb == 0:
-        if gen == "e1":
-            out = [((k - 1, l, m), -(kb + m - 1))]
-            if m > 0:
-                out.append(((k, l + 1, m - 1), Fraction(1)))
-            return out
-        if gen == "e2":
-            return [((k + 1, l, m - 1), -(kb + 1))] if m > 0 else []
-        if gen == "f1":
-            return [((k + 1, l, m), kb + 1)]
-        if gen == "f2":
-            return [((k, l + 1, m), Fraction(1)), ((k - 1, l, m + 1), Fraction(-(m + 1)))]
-        if gen == "e12":
-            return [((k, l, m - 1), kb + m - 1)] if m > 0 else []
-        if gen == "f12":
-            return [((k, l, m + 1), Fraction(-(m + 1)))]
-    elif lb == 1:
-        if gen == "e1":
-            return [((k - 1, l, m), -(kb - 2) * (kb + m) / kb)]
-        if gen == "e2":
-            return [((k + 1, l, m - 1), -(kb + 1))] if m > 0 else []
-        if gen == "f1":
-            return [((k + 1, l, m), kb + 1)]
-        if gen == "f2":
-            return [((k - 1, l, m + 1), -(m + 1) * (kb - 2) / kb)]
-        if gen == "e12":
-            return [((k, l, m - 1), kb + m)] if m > 0 else []
-        if gen == "f12":
-            return [((k, l, m + 1), Fraction(-(m + 1)))]
-    else:
-        raise ValueError(f"index {idx} outside the lbar in {{0,1}} band")
-    if gen == "h1":
-        return [(idx, -2 * kb + lb - m)]
-    if gen == "h2":
-        return [(idx, kb - 2 * lb - m)]
-    raise ValueError(f"unknown generator {gen!r}")
-
-
-def act_l01_fastpath(gen: str, v: ModuleElement) -> ModuleElement:
-    """Action in the lbar in {0,1} subquotient via its displayed formulas.
-
-    Equal to act_truncated(..., J = {lbar in [0,1]}) on every input; the
-    equality is a test target, not an assumption.
-    """
-    table = act_l01_w_basis if v.basis == "w" else act_l01_eta_basis
-    if v.basis not in ("w", "eta"):
-        raise BasisMismatch("fast path needs a w- or eta-element")
-    p = v.params
-    terms = {}
-    for idx, c in v.terms.items():
-        for jdx, a in table(gen, p, idx):
-            s = terms.get(jdx, 0) + c * a
-            if scalar_is_zero(s):
-                terms.pop(jdx, None)
-            else:
-                terms[jdx] = s
-    return ModuleElement(p, v.basis, terms)

@@ -221,3 +221,52 @@ def test_negative_window_is_rejected(capsys):
     assert _rejected(*run_cli(capsys, "generate", "--start", "0,0,0", "--window", "-2"))
     assert _rejected(*run_cli(capsys, "verify-paper", "--check", "casimir",
                               "--window", "-1"))
+
+
+def test_element_without_a_basis_names_both_ways_to_give_one(capsys):
+    no_basis = json.dumps({"terms": [{"k": 0, "l": 0, "m": 0, "c": "1"}]})
+    for argv in (("act", "--gen", "e1", "--element", no_basis),
+                 ("change-basis", "--to", "u", "--element", no_basis)):
+        code, lines = run_cli(capsys, *argv)
+        assert _rejected(code, lines)
+        assert lines[-1]["error"] == "ValueError"
+        assert '"basis"' in lines[-1]["message"] and "--basis" in lines[-1]["message"]
+
+
+def test_index_triples_that_are_not_k_l_m_are_rejected(capsys):
+    for argv in (("generate", "--start", "0,0"),
+                 ("generate", "--start", "0,0,0;1,x,0"),
+                 ("hom", "--source", "full", "--target", "dual:full",
+                  "--recurrence", "--seed", "0,0"),
+                 ("hom", "--source", "full", "--target", "dual:full",
+                  "--recurrence", "--seed", "0,0,0,0")):
+        code, lines = run_cli(capsys, *argv)
+        assert _rejected(code, lines), argv
+        assert lines[-1]["message"].startswith("expected k,l,m"), argv
+
+
+def test_malformed_flags_exit_2_with_an_error_json(capsys):
+    for argv in (("--json", "classify", "--set", "lbar=1"),
+                 ("classify", "--set", "lbar=1", "--no-such-flag"),
+                 ("classify",),
+                 ("hom", "--source", "full"),
+                 ("classify", "--set", "lbar=1", "--window", "abc"),
+                 ("--window", "abc", "classify", "--set", "lbar=1"),
+                 ("change-basis", "--to", "eta", "--element", W000),
+                 ("no-such-command",),
+                 ()):
+        code, lines = run_cli(capsys, *argv)
+        assert _rejected(code, lines), argv
+        assert lines[-1]["error"] == "ValueError", argv
+    assert capsys.readouterr().err == ""
+
+
+def test_help_still_exits_0(capsys):
+    for argv in (("--help",), ("classify", "--help")):
+        try:
+            main(list(argv))
+        except SystemExit as e:
+            assert e.code == 0
+        else:
+            raise AssertionError(f"{argv} did not exit")
+        assert "usage:" in capsys.readouterr().out

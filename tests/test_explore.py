@@ -6,7 +6,6 @@ from gtsl3 import liealg
 from gtsl3.explore import (
     character_table,
     characters_agree,
-    dual_generate,
     exact_sequence_check,
     generate,
     product_formula_character,
@@ -15,7 +14,7 @@ from gtsl3.explore import (
 )
 from gtsl3.hom import ModuleDescriptor
 from gtsl3.module import Box, ModuleElement, Params, w_vector
-from gtsl3.subquotient import LBarSet
+from gtsl3.subquotient import LBarSet, act_truncated
 
 P0 = Params(Fraction(1, 3), Fraction(0))
 PG = Params(Fraction(1, 3), Fraction(1, 5))
@@ -134,11 +133,11 @@ class TestDualCyclicity:
     def test_integral_mu2_cyclic_vectors(self):
         box = Box.radius(3)
         for k0 in (-2, 0, 2):
-            cert = dual_generate([(k0, 0, 0)], P0, box)
+            cert = generate([(k0, 0, 0)], ModuleDescriptor(P0, dual=True), box)
             assert cert.covers, k0
 
     def test_generic_parameters_any_start(self):
-        cert = dual_generate([(1, 0, 2)], PG, Box.radius(3))
+        cert = generate([(1, 0, 2)], ModuleDescriptor(PG, dual=True), Box.radius(3))
         assert cert.covers
 
 
@@ -183,6 +182,51 @@ class TestRelaxedVerma:
             v = ModuleElement(P0, "eta", {idx: Fraction(1)})
             out = act_truncated("f1", act_truncated("e1", v, J), J)
             assert out.terms == {idx: expected}
+
+
+# the eight generators, raising and lowering first, in witness order
+ALL_EIGHT = ("e1", "e2", "f1", "f2", "e12", "f12", "h1", "h2")
+
+
+def exact_sequence_by_hand(params, r):
+    """Both closure statements of exact_sequence_check as hand loops over
+    all eight generators and every window index of the two band levels:
+    the oracle for reading them off is_closed."""
+    t0 = params.mu2_int()
+    band = LBarSet.between(0, 1)
+    sub_ok = True
+    escape = []
+    for k in range(-r, r + 1):
+        for m in range(r + 1):
+            v = ModuleElement(params, "w", {(k, t0, m): Fraction(1)})
+            for gen in ALL_EIGHT:
+                if any(j[1] != t0 for j in act_truncated(gen, v, band).terms):
+                    sub_ok = False
+    for k in range(-r, r + 1):
+        for m in range(r + 1):
+            v = ModuleElement(params, "w", {(k, t0 + 1, m): Fraction(1)})
+            for gen in ALL_EIGHT:
+                for j in act_truncated(gen, v, band).terms:
+                    if j[1] == t0:
+                        escape.append(((k, t0 + 1, m), gen, j))
+    checks = {
+        "lbar0-closed-in-band": sub_ok,
+        "lbar1-not-closed-in-band": bool(escape),
+        "witness-is-f1-to-m-plus-1": any(
+            gen == "f1" and j == (k, t0, m + 1) for (k, _, m), gen, j in escape
+        ),
+    }
+    return checks, escape[:5]
+
+
+@pytest.mark.parametrize("mu2", [0, 3])
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_exact_sequence_check_equals_the_hand_loops(r, mu2):
+    params = Params(Fraction(1, 3), Fraction(mu2))
+    rep = exact_sequence_check(params, r)
+    checks, witnesses = exact_sequence_by_hand(params, r)
+    assert {name: rep["checks"][name] for name in checks} == checks
+    assert rep["witnesses"] == witnesses
 
 
 def test_exact_sequence_report():

@@ -40,7 +40,6 @@ def test_jacobi_all_triples():
 def test_cartan_matrix():
     assert liealg.ALPHA1 == (2, -1)
     assert liealg.ALPHA2 == (-1, 2)
-    assert liealg.RHO == (1, 1)
 
 
 def test_tau_values_and_involution():

@@ -20,7 +20,6 @@ from gtsl3.module import (
     u_vector,
     w_to_u,
     w_vector,
-    weight_of,
 )
 
 P = Params(Fraction(1, 3), Fraction(1, 5))
@@ -159,12 +158,6 @@ def test_eigenvalue_collision_at_integral_sum():
     pc = Params(Fraction(1, 3), Fraction(2, 3))
     assert gt_eigenvalue((0, 0, 3), pc) == gt_eigenvalue((2, 2, 1), pc)
     assert gt_eigenvalue((0, 0, 3), P) != gt_eigenvalue((2, 2, 1), P)
-
-
-def test_weight_of_matches_cartan_eigenvalues():
-    idx = (2, -1, 3)
-    ev = gt_eigenvalue(idx, P)
-    assert weight_of(idx, P) == (ev[0], ev[1])
 
 
 def test_w_action_is_the_conjugated_u_action():

@@ -4,18 +4,19 @@ from functools import cache
 
 import pytest
 
+from band_tables import act_l01_fastpath
 from gtsl3 import liealg
 from gtsl3.errors import RequiresIntegralMu2
-from gtsl3.module import BASIS_ACTIONS, Box, ModuleElement, Params, basis_vector
-from gtsl3.subquotient import (
-    LBarSet,
-    act_l01_fastpath,
-    act_truncated,
-    classify,
-    is_closed,
-    shift_isomorphism,
-    subquot_indices,
+from gtsl3.hom import ModuleDescriptor
+from gtsl3.module import (
+    BASIS_ACTIONS,
+    Box,
+    ModuleElement,
+    Params,
+    act,
+    basis_vector,
 )
+from gtsl3.subquotient import LBarSet, act_truncated, classify, is_closed
 
 P0 = Params(Fraction(1, 3), Fraction(0))
 BOX = Box.radius(3)
@@ -43,8 +44,7 @@ class TestLBarSet:
         assert not LBarSet.ge(1).is_subset(LBarSet.eq(1))
 
     def test_shift(self):
-        assert shift_isomorphism(LBarSet.eq(1), (0, -1)) == LBarSet.eq(0)
-        assert shift_isomorphism(LBarSet.between(0, 1), (5, 0)) == LBarSet.between(0, 1)
+        assert LBarSet.eq(1).shift(-1) == LBarSet.eq(0)
         assert LBarSet.ge(0).shift(1) == LBarSet.ge(1)
 
 
@@ -170,7 +170,7 @@ def test_bracket_compatibility_inside_closed_sets():
 
 
 def test_indices_iteration_respects_the_set():
-    idxs = list(subquot_indices(LBarSet.between(0, 1), Box.radius(2), P0))
+    idxs = ModuleDescriptor(P0, J=LBarSet.between(0, 1)).indices(Box.radius(2))
     assert all(0 <= l <= 1 for _, l, _ in idxs)
     assert len(idxs) == 5 * 2 * 3
 
@@ -225,3 +225,25 @@ def test_no_action_term_moves_l_by_more_than_one(basis):
             for gen in liealg.GENERATORS:
                 for jdx, _ in BASIS_ACTIONS[basis](gen, p, idx):
                     assert abs(jdx[1] - idx[1]) <= 1, (gen, idx, jdx)
+
+
+@pytest.mark.parametrize("mu2", [0, 3])
+@pytest.mark.parametrize("basis", ["w", "eta"])
+def test_truncated_action_is_the_action_with_out_of_set_terms_dropped(basis, mu2):
+    p = Params(Fraction(1, 3), Fraction(mu2))
+    rnd = random.Random(2024 + mu2)
+    for J in NINE_SETS:
+        levels = [lv for lv in range(-3, 4) if J.contains(lv)]
+        for _ in range(6):
+            terms = {}
+            for _ in range(rnd.randint(1, 4)):
+                idx = (rnd.randint(-3, 3), mu2 + rnd.choice(levels), rnd.randint(0, 3))
+                terms[idx] = Fraction(rnd.randint(-9, 9) or 1, rnd.randint(1, 5))
+            v = ModuleElement(p, basis, terms)
+            for gen in liealg.GENERATORS:
+                kept = {
+                    jdx: c for jdx, c in act(gen, v).terms.items()
+                    if J.contains(jdx[1] - mu2)
+                }
+                assert act_truncated(gen, v, J) == ModuleElement(p, basis, kept), (
+                    repr(J), gen)
