@@ -20,7 +20,7 @@ from .explore import character_table, generate
 from .hom import ModuleDescriptor, image_kernel, solve_by_recurrence, solve_intertwiner
 from .module import Box, ModuleElement, Params, act_word, u_to_w, w_to_u
 from .dual import pairing
-from .scalars import format_scalar, parse_scalar
+from .scalars import format_scalar
 from .serialize import (
     box_to_json,
     element_from_json,
@@ -50,30 +50,25 @@ def _index_triple(text: str):
     return k, l, m
 
 
-def _window(args, fallback):
-    """The subcommand's --window, else the global one, else the fallback."""
-    r = getattr(args, "window", None)
-    if r is None:
-        r = getattr(args, "global_window", None)
-    if r is None:
-        return fallback
-    if r < 0:
-        raise ValueError(f"window radius must be >= 0, got {r}")
-    return r
+def _radius(text: str) -> int:
+    """A --window value: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"window radius must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
+def _param(args, which: int) -> str:
+    """The flag's mu1 or mu2, else 'symbolic' under --symbolic, else the
+    default 1/3 or 1/5.  A payload's own mu1/mu2 wins over all three."""
+    text = getattr(args, f"mu{which}")
+    if text is None:
+        text = "symbolic" if args.symbolic else ("1/3", "1/5")[which - 1]
+    return text
 
 
 def _params_from_args(args) -> Params:
-    if getattr(args, "symbolic", False):
-        mu1 = param_from_json("symbolic", 1)
-        mu2 = param_from_json("symbolic", 2)
-        if args.mu1 is not None and args.mu1 != "symbolic":
-            mu1 = parse_scalar(args.mu1)
-        if args.mu2 is not None and args.mu2 != "symbolic":
-            mu2 = parse_scalar(args.mu2)
-        return Params(mu1, mu2)
-    mu1 = args.mu1 if args.mu1 is not None else "1/3"
-    mu2 = args.mu2 if args.mu2 is not None else "1/5"
-    return Params(param_from_json(mu1, 1), param_from_json(mu2, 2))
+    return Params(*(param_from_json(_param(args, which), which) for which in (1, 2)))
 
 
 def _descriptor(text: str, params: Params) -> ModuleDescriptor:
@@ -85,29 +80,23 @@ def _descriptor(text: str, params: Params) -> ModuleDescriptor:
     return ModuleDescriptor(params, dual=dual, J=parse_set_expr(text))
 
 
-def _load_element(args) -> ModuleElement:
-    payload = args.element
+def _load_element(args, payload: str, basis: str | None = None) -> ModuleElement:
+    """Decode an element payload (JSON text, or - for stdin).  `basis` is
+    the basis the command implies; mu1/mu2 missing from the payload come
+    from the flags."""
     if payload == "-":
         payload = sys.stdin.read()
     obj = json.loads(payload)
-    if not isinstance(obj, dict):
-        return element_from_json(obj)  # rejects the payload
-    basis_flag = getattr(args, "basis", None)
-    if basis_flag:
-        if obj.get("basis", basis_flag) != basis_flag:
+    if isinstance(obj, dict):
+        if basis is not None:
+            if obj.setdefault("basis", basis) != basis:
+                raise ValueError(f"expected a {basis}-element, got {obj['basis']!r}")
+        elif "basis" not in obj:
             raise ValueError(
-                f"--basis {basis_flag} conflicts with element basis {obj['basis']}"
+                'the element has no basis: give "basis" in its JSON, or pass --basis to act'
             )
-        obj["basis"] = basis_flag
-    elif "basis" not in obj:
-        raise ValueError(
-            'the element has no basis: give "basis" in its JSON, or pass --basis to act'
-        )
-    # parameters may come from the global flags instead of the payload
-    if "mu1" not in obj:
-        obj["mu1"] = "symbolic" if args.symbolic else (args.mu1 or "1/3")
-    if "mu2" not in obj:
-        obj["mu2"] = "symbolic" if args.symbolic else (args.mu2 or "1/5")
+        for which in (1, 2):
+            obj.setdefault(f"mu{which}", _param(args, which))
     return element_from_json(obj)
 
 
@@ -116,7 +105,7 @@ def _emit(obj) -> None:
 
 
 def cmd_act(args) -> int:
-    v = _load_element(args)
+    v = _load_element(args, args.element, args.basis)
     word = []
     if args.word:
         word = [g.strip() for g in args.word.split(",") if g.strip()]
@@ -128,7 +117,7 @@ def cmd_act(args) -> int:
 
 
 def cmd_change_basis(args) -> int:
-    v = _load_element(args)
+    v = _load_element(args, args.element)
     if args.to == "u":
         out = w_to_u(v)
     else:
@@ -138,8 +127,8 @@ def cmd_change_basis(args) -> int:
 
 
 def cmd_pair(args) -> int:
-    d = element_from_json(json.loads(args.eta))
-    v = element_from_json(json.loads(args.w))
+    d = _load_element(args, args.eta, "eta")
+    v = _load_element(args, args.w, "w")
     _emit({"value": format_scalar(pairing(d, v))})
     return 0
 
@@ -148,7 +137,7 @@ def cmd_hom(args) -> int:
     params = _params_from_args(args)
     source = _descriptor(args.source, params)
     target = _descriptor(args.target, params)
-    box = source.window(_window(args, 4))
+    box = source.window(args.window)
     result = {
         "source": args.source,
         "target": args.target,
@@ -187,7 +176,7 @@ def cmd_hom(args) -> int:
 def cmd_generate(args) -> int:
     params = _params_from_args(args)
     desc = _descriptor(args.set if not args.dual else f"dual:{args.set}", params)
-    box = desc.window(_window(args, 3))
+    box = desc.window(args.window)
     start = [_index_triple(chunk) for chunk in args.start.split(";")]
     cert = generate(start, desc, box)
     _emit(
@@ -207,7 +196,7 @@ def cmd_generate(args) -> int:
 def cmd_character(args) -> int:
     params = _params_from_args(args)
     desc = _descriptor(args.set if not args.dual else f"dual:{args.set}", params)
-    r = _window(args, 6)
+    r = args.window
     table = character_table(desc, r)
     keys = sorted(
         (s, t)
@@ -231,7 +220,7 @@ def cmd_classify(args) -> int:
     J = parse_set_expr(args.set)
     if J is None:
         raise ValueError("classify needs a proper index set, not 'full'")
-    r = _window(args, 3)
+    r = args.window
     box = Box.radius(r, params.mu2_int())
     kind = classify_set(J, box, params)
     _emit(
@@ -247,7 +236,7 @@ def cmd_classify(args) -> int:
 
 def cmd_verify_paper(args) -> int:
     names = None if args.check in (None, "all") else [args.check]
-    reports = registry.run_all(names, window=_window(args, None))
+    reports = registry.run_all(names, window=args.window)
     failed = 0
     for rep in reports:
         _emit(rep)
@@ -266,8 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--mu2", help="second parameter, e.g. 0 or 'symbolic'")
     ap.add_argument("--symbolic", action="store_true",
                     help="run over the rational-function field")
-    ap.add_argument("--window", type=int, dest="global_window",
-                    help="default window radius for subcommands that take one")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("act", help="apply a generator or word to an element")
@@ -280,18 +267,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("change-basis", help="convert between u- and w-bases")
     p.add_argument("--to", choices=("u", "w"), required=True)
-    p.add_argument("--element", required=True)
+    p.add_argument("--element", required=True, help="element JSON, or - for stdin")
     p.set_defaults(func=cmd_change_basis)
 
     p = sub.add_parser("pair", help="pair an eta-element with a w-element")
-    p.add_argument("--eta", required=True)
-    p.add_argument("--w", required=True)
+    p.add_argument("--eta", required=True, help="eta-element JSON, or - for stdin")
+    p.add_argument("--w", required=True, help="w-element JSON, or - for stdin")
     p.set_defaults(func=cmd_pair)
 
     p = sub.add_parser("hom", help="solve for diagonal intertwiners on a window")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--window", type=int)
+    p.add_argument("--window", type=_radius, default=4)
     p.add_argument("--recurrence", action="store_true",
                    help="propagate ratio recurrences from a seed instead of solving")
     p.add_argument("--seed", default="0,0,0")
@@ -301,24 +288,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", required=True, help="semicolon-separated k,l,m triples")
     p.add_argument("--set", default="full")
     p.add_argument("--dual", action="store_true")
-    p.add_argument("--window", type=int)
+    p.add_argument("--window", type=_radius, default=3)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("character", help="weight multiplicities over a cone")
     p.add_argument("--set", default="lbar>=0")
     p.add_argument("--dual", action="store_true")
-    p.add_argument("--window", type=int)
+    p.add_argument("--window", type=_radius, default=6)
     p.set_defaults(func=cmd_character)
 
     p = sub.add_parser("classify", help="submodule / quotient / subquotient")
     p.add_argument("--set", required=True)
-    p.add_argument("--window", type=int)
+    p.add_argument("--window", type=_radius, default=3)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify-paper",
                        help="re-run the registered structural checks")
-    p.add_argument("--check", help="check id, or 'all'")
-    p.add_argument("--window", type=int)
+    p.add_argument("--check", choices=(*registry.CHECKS, "all"),
+                   help="check id, or 'all'")
+    p.add_argument("--window", type=_radius)
     p.set_defaults(func=cmd_verify_paper)
     return ap
 

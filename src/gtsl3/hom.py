@@ -237,32 +237,15 @@ def image_kernel(sol: HomSolution):
     unbounded_below = any(lo is None for lo, _ in J.intervals)
     unbounded_above = any(hi is None for _, hi in J.intervals)
 
-    def levels_to_set(levels):
-        if not levels:
-            return LBarSet.empty()
-        runs = []
-        start = prev = None
-        for lev in sorted(levels):
-            if start is None:
-                start = prev = lev
-            elif lev == prev + 1:
-                prev = lev
-            else:
-                runs.append((start, prev))
-                start = prev = lev
-        runs.append((start, prev))
-        out = []
-        for lo, hi in runs:
-            if lo == lo_window and unbounded_below:
-                lo = None
-            if hi == hi_window and unbounded_above:
-                hi = None
-            out.append((lo, hi))
-        return LBarSet(out)
+    def levels_to_set(wanted):
+        runs = LBarSet([(lev, lev) for lev, nz in nonzero.items() if nz == wanted])
+        return LBarSet([
+            (None if lo == lo_window and unbounded_below else lo,
+             None if hi == hi_window and unbounded_above else hi)
+            for lo, hi in runs.intervals
+        ])
 
-    image = levels_to_set({lev for lev, nz in nonzero.items() if nz})
-    kernel = levels_to_set({lev for lev, nz in nonzero.items() if not nz})
-    return image, kernel
+    return levels_to_set(True), levels_to_set(False)
 
 
 # ---------------------------------------------------------------------------

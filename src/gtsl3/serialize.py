@@ -33,10 +33,6 @@ def params_to_json(p: Params) -> dict:
     return {"mu1": param_to_json(p.mu1, 1), "mu2": param_to_json(p.mu2, 2)}
 
 
-def params_from_json(obj) -> Params:
-    return Params(param_from_json(obj["mu1"], 1), param_from_json(obj["mu2"], 2))
-
-
 def element_to_json(v: ModuleElement) -> dict:
     out = params_to_json(v.params)
     out["basis"] = v.basis
@@ -47,24 +43,35 @@ def element_to_json(v: ModuleElement) -> dict:
     return out
 
 
+def _fields(obj: dict, keys, what: str):
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        raise ValueError(f"{what} has no {missing[0]!r}: {obj!r}")
+    return [obj[key] for key in keys]
+
+
 def element_from_json(obj) -> ModuleElement:
+    """Decode an element, checking every term: indices are JSON integers,
+    coefficients are exact scalar strings or JSON integers (never floats)."""
     if not isinstance(obj, dict):
         raise ValueError(f"an element must be a JSON object, got {obj!r}")
     listed = obj.get("terms", [])
     if not isinstance(listed, list):
         raise ValueError(f"element terms must be a list, got {listed!r}")
-    params = params_from_json(obj)
+    basis, mu1, mu2 = _fields(obj, ("basis", "mu1", "mu2"), "the element")
+    params = Params(param_from_json(mu1, 1), param_from_json(mu2, 2))
     terms = {}
     for t in listed:
         if not isinstance(t, dict):
             raise ValueError(f"an element term must be a JSON object, got {t!r}")
-        try:
-            idx = (int(t["k"]), int(t["l"]), int(t["m"]))
-        except TypeError:
-            raise ValueError(f"term {t!r} has a non-integer index") from None
-        c = parse_scalar(str(t["c"]))
-        terms[idx] = terms.get(idx, 0) + c
-    return ModuleElement(params, obj["basis"], terms)
+        k, l, m, c = _fields(t, "klmc", "a term")
+        if type(k) is not int or type(l) is not int or type(m) is not int:
+            raise ValueError(f"term {t!r} has an index that is not a JSON integer")
+        if type(c) is not int and not isinstance(c, str):
+            raise ValueError(f"term {t!r} has a coefficient that is neither a string "
+                             "nor a JSON integer")
+        terms[k, l, m] = terms.get((k, l, m), 0) + parse_scalar(str(c))
+    return ModuleElement(params, basis, terms)
 
 
 def indexset_to_json(J: LBarSet) -> dict:

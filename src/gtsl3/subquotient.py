@@ -69,17 +69,6 @@ class LBarSet:
                 return True
         return False
 
-    def shift(self, dl: int) -> "LBarSet":
-        return LBarSet(
-            [
-                (lo if lo is _INF else lo + dl, hi if hi is _INF else hi + dl)
-                for lo, hi in self.intervals
-            ]
-        )
-
-    def union(self, other: "LBarSet") -> "LBarSet":
-        return LBarSet(list(self.intervals) + list(other.intervals))
-
     def complement(self) -> "LBarSet":
         out = []
         cursor = _INF  # lower end of the uncovered region

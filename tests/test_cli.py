@@ -1,5 +1,7 @@
+import io
 import json
 
+from gtsl3 import registry
 from gtsl3.cli import main
 
 
@@ -163,8 +165,10 @@ def test_verify_paper_single_check(capsys):
 
 def test_verify_paper_unknown_check_is_a_usage_error(capsys):
     code, lines = run_cli(capsys, "verify-paper", "--check", "no-such-check")
-    assert code == 2
-    assert "error" in lines[0]
+    assert _rejected(code, lines)
+    assert lines[0]["error"] == "ValueError"
+    for name in (*registry.CHECKS, "all"):
+        assert repr(name) in lines[0]["message"]
 
 
 def test_invalid_element_json_exits_2(capsys):
@@ -217,10 +221,23 @@ def test_non_object_element_payloads_are_rejected(capsys):
 
 def test_negative_window_is_rejected(capsys):
     assert _rejected(*run_cli(capsys, "--mu2", "0", "character", "--window", "-3"))
-    assert _rejected(*run_cli(capsys, "--window", "-1", "classify", "--set", "lbar=1"))
+    assert _rejected(*run_cli(capsys, "classify", "--set", "lbar=1", "--window", "-1"))
     assert _rejected(*run_cli(capsys, "generate", "--start", "0,0,0", "--window", "-2"))
     assert _rejected(*run_cli(capsys, "verify-paper", "--check", "casimir",
                               "--window", "-1"))
+
+
+def test_every_window_flag_takes_only_a_non_negative_integer(capsys):
+    commands = (("hom", "--source", "full", "--target", "dual:full"),
+                ("generate", "--start", "0,0,0"),
+                ("--mu2", "0", "character"),
+                ("classify", "--set", "lbar=1"),
+                ("verify-paper", "--check", "casimir"))
+    for argv in commands:
+        for bad in ("-1", "1.5", "abc", "", "+2"):
+            code, lines = run_cli(capsys, *argv, "--window", bad)
+            assert _rejected(code, lines), (argv, bad)
+            assert lines[-1]["message"].startswith("argument --window"), (argv, bad)
 
 
 def test_element_without_a_basis_names_both_ways_to_give_one(capsys):
@@ -251,7 +268,8 @@ def test_malformed_flags_exit_2_with_an_error_json(capsys):
                  ("classify",),
                  ("hom", "--source", "full"),
                  ("classify", "--set", "lbar=1", "--window", "abc"),
-                 ("--window", "abc", "classify", "--set", "lbar=1"),
+                 ("generate", "--start", "0,0,0", "--window", "abc"),
+                 ("--window", "3", "classify", "--set", "lbar=1"),
                  ("change-basis", "--to", "eta", "--element", W000),
                  ("no-such-command",),
                  ()):
@@ -270,3 +288,69 @@ def test_help_still_exits_0(capsys):
         else:
             raise AssertionError(f"{argv} did not exit")
         assert "usage:" in capsys.readouterr().out
+
+
+ETA000 = json.dumps(
+    {"basis": "eta", "mu1": "1/3", "mu2": "1/5",
+     "terms": [{"k": 0, "l": 0, "m": 0, "c": "2"}]}
+)
+
+
+def test_pair_takes_parameters_from_the_flags_and_reads_stdin(capsys, monkeypatch):
+    bare_eta = '{"terms":[{"k":0,"l":0,"m":0,"c":"2"}]}'
+    bare_w = '{"terms":[{"k":0,"l":0,"m":0,"c":"3"},{"k":1,"l":0,"m":0,"c":"5"}]}'
+    code, lines = run_cli(capsys, "pair", "--eta", bare_eta, "--w", bare_w)
+    assert code == 0 and lines[0]["value"] == "6"
+    code, lines = run_cli(capsys, "--mu1", "1/7", "pair", "--eta", bare_eta, "--w", bare_w)
+    assert code == 0 and lines[0]["value"] == "6"
+    # flag parameters fill only what a payload leaves out
+    code, lines = run_cli(capsys, "--mu1", "1/7", "pair", "--eta", ETA000, "--w", bare_w)
+    assert _rejected(code, lines) and lines[0]["error"] == "BasisMismatch"
+    monkeypatch.setattr("sys.stdin", io.StringIO(bare_w))
+    code, lines = run_cli(capsys, "pair", "--eta", ETA000, "--w", "-")
+    assert code == 0 and lines[0]["value"] == "6"
+    code, lines = run_cli(capsys, "pair", "--eta", W000, "--w", W000)
+    assert _rejected(code, lines) and "eta" in lines[0]["message"]
+
+
+def test_pair_payloads_that_used_to_raise_key_error(capsys):
+    no_params = '{"basis":"eta","terms":[]}'
+    code, lines = run_cli(capsys, "pair", "--eta", no_params, "--w", W000)
+    assert code == 0 and lines[0]["value"] == "0"
+    no_basis = '{"mu1":"1/3","mu2":"1/5","terms":[{"k":0,"l":0,"m":0,"c":"1"}]}'
+    code, lines = run_cli(capsys, "pair", "--eta", no_basis, "--w", W000)
+    assert code == 0 and lines[0]["value"] == "1"
+    no_c = '{"basis":"eta","terms":[{"k":0,"l":0,"m":0}]}'
+    code, lines = run_cli(capsys, "pair", "--eta", no_c, "--w", W000)
+    assert _rejected(code, lines)
+    assert lines[0]["error"] == "ValueError" and "'c'" in lines[0]["message"]
+
+
+def test_symbolic_flag_with_a_specialized_mu2_holds_for_payloads(capsys):
+    bare = '{"basis":"w","terms":[{"k":0,"l":0,"m":1,"c":"1"}]}'
+    code, lines = run_cli(capsys, "--symbolic", "--mu2", "0", "change-basis",
+                          "--to", "u", "--element", bare)
+    assert code == 0
+    assert (lines[0]["mu1"], lines[0]["mu2"]) == ("symbolic", "0")
+    code, lines = run_cli(capsys, "--symbolic", "--mu2", "0", "act", "--gen", "h2",
+                          "--element", bare)
+    assert (lines[0]["mu1"], lines[0]["mu2"]) == ("symbolic", "0")
+    # the payload's own parameter still wins over the flag
+    code, lines = run_cli(capsys, "--symbolic", "--mu2", "0", "act", "--gen", "h2",
+                          "--element", W000)
+    assert (lines[0]["mu1"], lines[0]["mu2"]) == ("1/3", "1/5")
+
+
+def test_indices_are_json_integers_and_coefficients_are_never_floats(capsys):
+    def term(**kw):
+        t = {"k": 0, "l": 0, "m": 0, "c": "1"}
+        t.update(kw)
+        return json.dumps({"basis": "w", "mu1": "1/3", "mu2": "1/5", "terms": [t]})
+
+    for bad in (term(k=1.5), term(l=True), term(m="2"), term(k=1.0),
+                term(c=0.12345678901234567890), term(c=2.0), term(c=None)):
+        code, lines = run_cli(capsys, "act", "--gen", "h1", "--element", bad)
+        assert _rejected(code, lines), bad
+        assert lines[0]["error"] == "ValueError", bad
+    code, lines = run_cli(capsys, "act", "--gen", "h1", "--element", term(c=3))
+    assert code == 0 and lines[0]["terms"][0]["c"] == "7/5"  # 3 * (2/3 - 1/5)

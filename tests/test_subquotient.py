@@ -30,22 +30,19 @@ class TestLBarSet:
         assert LBarSet.eq(1).contains(1) and not LBarSet.eq(1).contains(0)
 
     def test_union_merges_adjacent_intervals(self):
-        assert LBarSet.eq(0).union(LBarSet.eq(1)) == LBarSet.between(0, 1)
-        assert LBarSet.le(0).union(LBarSet.ge(1)) == LBarSet.all()
+        assert LBarSet([(1, 1), (0, 0)]) == LBarSet.between(0, 1)
+        assert LBarSet([(None, 0), (1, None)]) == LBarSet.all()
+        assert LBarSet([(0, 2), (5, 5), (3, 3)]).intervals == ((0, 3), (5, 5))
 
     def test_complement(self):
         assert LBarSet.ge(0).complement() == LBarSet.le(-1)
-        assert LBarSet.between(0, 1).complement() == LBarSet.le(-1).union(LBarSet.ge(2))
+        assert LBarSet.between(0, 1).complement() == LBarSet([(None, -1), (2, None)])
         assert LBarSet.all().complement() == LBarSet.empty()
 
     def test_difference_and_subset(self):
         assert LBarSet.le(1).difference(LBarSet.le(0)) == LBarSet.eq(1)
         assert LBarSet.eq(1).is_subset(LBarSet.ge(1))
         assert not LBarSet.ge(1).is_subset(LBarSet.eq(1))
-
-    def test_shift(self):
-        assert LBarSet.eq(1).shift(-1) == LBarSet.eq(0)
-        assert LBarSet.ge(0).shift(1) == LBarSet.ge(1)
 
 
 def test_truncated_action_frozen_examples():
