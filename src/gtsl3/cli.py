@@ -18,8 +18,7 @@ from . import registry
 from .errors import ObstructionAtIndex
 from .explore import character_table, generate
 from .hom import ModuleDescriptor, image_kernel, solve_by_recurrence, solve_intertwiner
-from .module import Box, ModuleElement, Params, act_word, u_to_w, w_to_u
-from .dual import pairing
+from .module import Box, ModuleElement, Params, act_word, pairing, u_to_w, w_to_u
 from .scalars import format_scalar
 from .serialize import (
     box_to_json,
@@ -127,6 +126,8 @@ def cmd_change_basis(args) -> int:
 
 
 def cmd_pair(args) -> int:
+    if args.eta == args.w == "-":
+        raise ValueError("--eta and --w cannot both be -: stdin holds one payload")
     d = _load_element(args, args.eta, "eta")
     v = _load_element(args, args.w, "w")
     _emit({"value": format_scalar(pairing(d, v))})
@@ -256,6 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--symbolic", action="store_true",
                     help="run over the rational-function field")
     sub = ap.add_subparsers(dest="command", required=True)
+    ap.commands = sub.choices  # subcommand name -> its parser
 
     p = sub.add_parser("act", help="apply a generator or word to an element")
     p.add_argument("--basis", choices=("u", "w", "eta"),
@@ -312,8 +314,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        # argparse would report the value of a leading --window as the subcommand
+        head = next((i for i, a in enumerate(argv) if a in parser.commands), 0)
+        if any(a.split("=")[0] == "--window" for a in argv[:head]):
+            raise ValueError("--window goes after the subcommand, as in "
+                             "gtsl3 classify --set lbar=1 --window 3")
+        args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, KeyError, ZeroDivisionError, json.JSONDecodeError) as e:
         _emit({"error": type(e).__name__, "message": str(e)})

@@ -105,6 +105,32 @@ def _check_problem(source: ModuleDescriptor, target: ModuleDescriptor):
         raise ValueError("source and target must share one index set")
 
 
+def _comparison_rows(source, target, gen: str, a, inside, box: Box) -> dict:
+    """{j: row} from matching the coefficient of b'_j in phi(X b_a) =
+    X phi(b_a) for X = gen: the row reads cs*x_j - ct*x_a, with cs the
+    coefficient of b_j in X b_a and ct that of b'_j in X b'_a.  A row that
+    vanishes or that needs an unknown outside the window is left out."""
+    src = source.action(gen, a)
+    tgt = target.action(gen, a)
+    rows = {}
+    for j in set(src) | set(tgt):
+        if j not in inside:
+            if box.contains(j):
+                raise AssertionError("truncation kept an index outside J")
+            continue  # unknown outside the window: drop the equation
+        row = {}
+        cs = src.get(j)
+        ct = tgt.get(j)
+        if cs is not None:
+            row[j] = cs
+        if ct is not None:
+            row[a] = row.get(a, 0) - ct
+        row = {c: v for c, v in row.items() if not scalar_is_zero(v)}
+        if row:
+            rows[j] = row
+    return rows
+
+
 def intertwiner_equations(source, target, box: Box):
     """All in-window coefficient-matching equations, as sparse rows."""
     _check_problem(source, target)
@@ -113,23 +139,7 @@ def intertwiner_equations(source, target, box: Box):
     rows = []
     for a in indices:
         for gen in OFF_DIAGONAL:
-            src = source.action(gen, a)
-            tgt = target.action(gen, a)
-            for j in set(src) | set(tgt):
-                if j not in inside:
-                    if box.contains(j):
-                        raise AssertionError("truncation kept an index outside J")
-                    continue  # unknown outside the window: drop the equation
-                row = {}
-                cs = src.get(j)
-                ct = tgt.get(j)
-                if cs is not None:
-                    row[j] = cs
-                if ct is not None:
-                    row[a] = row.get(a, 0) - ct
-                row = {c: v for c, v in row.items() if not scalar_is_zero(v)}
-                if row:
-                    rows.append(row)
+            rows += _comparison_rows(source, target, gen, a, inside, box).values()
     return indices, rows
 
 
@@ -159,14 +169,12 @@ def verify_solution(sol: HomSolution):
     return bad
 
 
-_STEP_GENERATOR = {0: "e1", 1: "e2", 2: "e12"}
-
-
 def solve_by_recurrence(source, target, seed_idx, seed_value, box: Box):
     """Propagate the one-step ratio recurrences outward from a seed.
 
-    Steps in the k, l, m directions use the e1, e2, e12 comparison
-    equations.  A vanishing ratio denominator aborts with
+    A step in the k, l or m direction solves the e1, e2 or e12 comparison
+    row at the higher of its two indices for the new unknown.  A row whose
+    only nonzero coefficient is on the already known value aborts with
     ObstructionAtIndex: no invertible intertwiner passes through there.
     """
     _check_problem(source, target)
@@ -178,37 +186,22 @@ def solve_by_recurrence(source, target, seed_idx, seed_value, box: Box):
     inside = set(source.indices(box))
     while queue:
         a = queue.popleft()
-        for axis in (0, 1, 2):
-            gen = _STEP_GENERATOR[axis]
+        for axis, gen in enumerate(("e1", "e2", "e12")):
             for direction in (-1, +1):
                 step = [0, 0, 0]
                 step[axis] = direction
                 nxt = (a[0] + step[0], a[1] + step[1], a[2] + step[2])
                 if nxt in x or nxt not in inside:
                     continue
-                # the comparison equation lives at the higher of the two
                 hi, lo = (a, nxt) if direction < 0 else (nxt, a)
-                cs = source.action(gen, hi).get(lo)
-                ct = target.action(gen, hi).get(lo)
-                cs_zero = cs is None or scalar_is_zero(cs)
-                ct_zero = ct is None or scalar_is_zero(ct)
-                if cs_zero and ct_zero:
+                row = _comparison_rows(source, target, gen, hi, inside, box).get(lo)
+                if row is None:
                     continue  # no information along this edge
-                if direction < 0:
-                    # know x[hi], need x[lo]: cs*x[lo] = ct*x[hi]
-                    if cs_zero:
-                        raise ObstructionAtIndex(
-                            hi, gen, "source coefficient vanishes"
-                        )
-                    value = (0 if ct_zero else ct * x[a]) / cs
-                else:
-                    # know x[lo], need x[hi]: cs*x[lo] = ct*x[hi]
-                    if ct_zero:
-                        raise ObstructionAtIndex(
-                            hi, gen, "target coefficient vanishes"
-                        )
-                    value = (0 if cs_zero else cs * x[a]) / ct
-                x[nxt] = value
+                if nxt not in row:
+                    side = "source" if nxt == lo else "target"
+                    raise ObstructionAtIndex(hi, gen, f"{side} coefficient vanishes")
+                # an int 0, so that a zero value takes the scalar type of row[nxt]
+                x[nxt] = (-row[a] * x[a] if a in row else 0) / row[nxt]
                 queue.append(nxt)
     missing = [i for i in inside if i not in x]
     if missing:

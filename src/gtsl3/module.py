@@ -1,5 +1,6 @@
 """The module M_{mu1,mu2}: finitely supported elements over the index set
-Z^2 x Z_{>=0}, the sl3 action in the u- and w-bases, change of basis, and
+Z^2 x Z_{>=0}, the sl3 action in the u- and w-bases and in the eta-basis of
+the dual, the pairing of the dual with the module, change of basis, and
 Gelfand-Tsetlin eigenvalue data.
 
 Indices are plain tuples (k, l, m).  All action formulas shift indices by
@@ -236,8 +237,20 @@ def w_vector(params, k, l, m) -> ModuleElement:
     return basis_vector(params, "w", (k, l, m))
 
 
+def eta_vector(params, k, l, m) -> ModuleElement:
+    return basis_vector(params, "eta", (k, l, m))
+
+
 # ---------------------------------------------------------------------------
 # single-basis-vector actions; each returns [(index, coefficient), ...]
+
+def _weight(gen: str, kb, lb, m: int):
+    """Eigenvalue of gen, h1 or h2, on the basis vector with these kbar,
+    lbar and m, the same in the u-, w- and eta-bases."""
+    if gen == "h1":
+        return -2 * kb + lb - m
+    return kb - 2 * lb - m
+
 
 def act_u_basis(gen: str, p: Params, idx):
     k, l, m = idx
@@ -250,10 +263,8 @@ def act_u_basis(gen: str, p: Params, idx):
         if m > 0:
             out.append(((k + 1, l, m - 1), Fraction(m)))
         return out
-    if gen == "h1":
-        return [(idx, -2 * kb + lb - m)]
-    if gen == "h2":
-        return [(idx, kb - 2 * lb - m)]
+    if gen in ("h1", "h2"):
+        return [(idx, _weight(gen, kb, lb, m))]
     if gen == "f1":
         return [((k + 1, l, m), kb - lb + m), ((k, l - 1, m + 1), -lb)]
     if gen == "f2":
@@ -281,10 +292,8 @@ def act_w_basis(gen: str, p: Params, idx):
         if m > 0:
             out.append(((k + 1, l, m - 1), m * kb * (kb - 1) / den))
         return out
-    if gen == "h1":
-        return [(idx, -2 * kb + lb - m)]
-    if gen == "h2":
-        return [(idx, kb - 2 * lb - m)]
+    if gen in ("h1", "h2"):
+        return [(idx, _weight(gen, kb, lb, m))]
     if gen == "f1":
         return [
             ((k + 1, l, m), kb * (kb - 1) * (kb + lb + m) / den),
@@ -302,8 +311,44 @@ def act_w_basis(gen: str, p: Params, idx):
     raise ValueError(f"unknown generator {gen!r}")
 
 
-# basis tag -> single-vector action; dual.py registers "eta" on import
-BASIS_ACTIONS = {"u": act_u_basis, "w": act_w_basis}
+def act_eta_basis(gen: str, p: Params, idx):
+    """The dual's action, with eta_{k,l,m}(w_{k,l,m}) = 1 and the twist by
+    the involution tau: (X eta)(v) = -eta(tau(X) v), as ``pairing`` checks."""
+    p.require_generic_sum()
+    k, l, m = idx
+    kb = p.kbar(k)
+    lb = p.lbar(l)
+    den = (kb + lb - 1) * (kb + lb - 2)
+    if gen == "e1":
+        out = [((k - 1, l, m), -(kb - 1) * (kb - 2) * (kb + lb + m - 1) / den)]
+        if m > 0:
+            out.append(((k, l + 1, m - 1), lb + 1))
+        return out
+    if gen == "e2":
+        out = [((k, l - 1, m), -(lb - 1) * (lb - 2) * (kb + lb + m - 1) / den)]
+        if m > 0:
+            out.append(((k + 1, l, m - 1), -(kb + 1)))
+        return out
+    if gen in ("h1", "h2"):
+        return [(idx, _weight(gen, kb, lb, m))]
+    if gen == "f1":
+        return [
+            ((k + 1, l, m), kb + 1),
+            ((k, l - 1, m + 1), (m + 1) * (lb - 1) * (lb - 2) / den),
+        ]
+    if gen == "f2":
+        return [
+            ((k, l + 1, m), lb + 1),
+            ((k - 1, l, m + 1), -(m + 1) * (kb - 1) * (kb - 2) / den),
+        ]
+    if gen == "e12":
+        return [((k, l, m - 1), kb + lb + m - 1)] if m > 0 else []
+    if gen == "f12":
+        return [((k, l, m + 1), Fraction(-(m + 1)))]
+    raise ValueError(f"unknown generator {gen!r}")
+
+
+BASIS_ACTIONS = {"u": act_u_basis, "w": act_w_basis, "eta": act_eta_basis}
 
 
 def _accumulate(v: ModuleElement, expand, basis: str) -> ModuleElement:
@@ -335,24 +380,6 @@ def act_lie(x: dict, v: ModuleElement) -> ModuleElement:
     return out
 
 
-def act_cartan(h: dict, v: ModuleElement) -> ModuleElement:
-    """Action of h = c1*h1 + c2*h2; every basis vector is an eigenvector."""
-    if any(g not in ("h1", "h2") for g in h):
-        raise ValueError("act_cartan needs an element of the Cartan span")
-    c1 = h.get("h1", 0)
-    c2 = h.get("h2", 0)
-    a1h = liealg.ALPHA1[0] * c1 + liealg.ALPHA1[1] * c2
-    a2h = liealg.ALPHA2[0] * c1 + liealg.ALPHA2[1] * c2
-    p = v.params
-    terms = {}
-    for idx, c in v.terms.items():
-        k, l, m = idx
-        ev = -((p.kbar(k) + m) * a1h + (p.lbar(l) + m) * a2h)
-        if not scalar_is_zero(ev):
-            terms[idx] = c * ev
-    return ModuleElement(p, v.basis, terms)
-
-
 def act_word(word, v: ModuleElement) -> ModuleElement:
     """Apply a product of generators; leftmost factor acts last."""
     out = v
@@ -369,11 +396,28 @@ def casimir_apply(v: ModuleElement) -> ModuleElement:
 
 
 def gt_eigenvalue(idx, p: Params):
-    """Eigenvalue triple of (h1, h2, f12*e12) on the w-basis vector at idx."""
+    """Eigenvalue triple of (h1, h2, f12*e12) on the w-basis vector at idx;
+    the eta-vector at idx carries the same triple."""
     k, l, m = idx
     kb = p.kbar(k)
     lb = p.lbar(l)
-    return (-2 * kb + lb - m, kb - 2 * lb - m, -m * (kb + lb + m - 1))
+    return (_weight("h1", kb, lb, m), _weight("h2", kb, lb, m), -m * (kb + lb + m - 1))
+
+
+def pairing(d: ModuleElement, v: ModuleElement):
+    """<d, v> for an eta-element against a w-element with equal parameters."""
+    if d.basis != "eta" or v.basis != "w":
+        raise BasisMismatch("pairing takes an eta-element and a w-element")
+    if d.params != v.params:
+        raise BasisMismatch("pairing needs equal parameters")
+    total = Fraction(0)
+    for idx, c in d.terms.items():
+        other = v.terms.get(idx)
+        if other is not None:
+            total = total + c * other
+    if scalar_is_zero(total):
+        return Fraction(0)
+    return total
 
 
 # ---------------------------------------------------------------------------

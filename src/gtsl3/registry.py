@@ -50,16 +50,16 @@ INTEGRAL_MU2 = (Fraction(1, 3), Fraction(0))
 COLLISION = (Fraction(1, 3), Fraction(2, 3))
 
 _SEED = 987654321
+_BRACKET_ELEMENTS = 50  # random elements per basis in brackets-u/w/eta
+_SECTIONS = 100  # random sections in oracle-equivalence
+_SIMPLICITY_STARTS = 5  # random BFS starts in simplicity-generic
 
 
-def _random_element(rnd, params, basis, radius=4, nterms=3) -> ModuleElement:
+def _random_element(rnd, params, basis) -> ModuleElement:
+    """One to three terms with indices of radius 4."""
     terms = {}
-    for _ in range(rnd.randint(1, nterms)):
-        idx = (
-            rnd.randint(-radius, radius),
-            rnd.randint(-radius, radius),
-            rnd.randint(0, radius),
-        )
+    for _ in range(rnd.randint(1, 3)):
+        idx = (rnd.randint(-4, 4), rnd.randint(-4, 4), rnd.randint(0, 4))
         terms[idx] = Fraction(rnd.randint(-9, 9) or 1, rnd.randint(1, 5))
     return ModuleElement(params, basis, terms)
 
@@ -126,14 +126,13 @@ def _bracket_compat(params, basis, n_elements, rnd):
     return bad
 
 
-def check_brackets(basis="w", mu1=None, mu2=None, count=50, **_):
-    params = Params(mu1 if mu1 is not None else GENERIC[0],
-                    mu2 if mu2 is not None else GENERIC[1])
+def check_brackets(basis="w", **_):
+    params = Params(*GENERIC)
     rnd = random.Random(_SEED)
-    bad = _bracket_compat(params, basis, count, rnd)
+    bad = _bracket_compat(params, basis, _BRACKET_ELEMENTS, rnd)
     return _report(
         f"brackets-{basis}", not bad, params=params, window=4, witnesses=bad[:5],
-        elements=count,
+        elements=_BRACKET_ELEMENTS,
     )
 
 
@@ -147,17 +146,17 @@ def check_brackets_symbolic(**_):
                    witnesses=bad[:5])
 
 
-def check_oracle_equivalence(count=100, **_):
+def check_oracle_equivalence(**_):
     params = Params(*GENERIC)
     rnd = random.Random(_SEED)
     bad = []
-    for _ in range(count):
+    for _ in range(_SECTIONS):
         v = _random_element(rnd, params, "u")
         for gen in liealg.GENERATORS:
             if sections.act_section(gen, v) != act(gen, v):
                 bad.append((gen, v.support()))
     return _report("oracle-equivalence", not bad, params=params,
-                   witnesses=bad[:5], sections=count)
+                   witnesses=bad[:5], sections=_SECTIONS)
 
 
 def check_basis_roundtrip(window=5, **_):
@@ -202,13 +201,13 @@ def check_lemma_collision(**_):
                    witnesses=[(a, b)])
 
 
-def check_simplicity_generic(window=3, starts=5, **_):
+def check_simplicity_generic(window=3, **_):
     params = Params(*GENERIC)
     rnd = random.Random(_SEED)
     box = Box.radius(window)
     desc = ModuleDescriptor(params, dual=False)
     bad = []
-    for _ in range(starts):
+    for _ in range(_SIMPLICITY_STARTS):
         idx = (
             rnd.randint(-window, window),
             rnd.randint(-window, window),
@@ -361,27 +360,23 @@ def check_closed_forms(window=3, **_):
 
 
 def check_obstruction(**_):
+    # (case, params, generator, axis): the generator's comparison blocks
+    # crossing the wall lbar = 0 (axis 1) or kbar = 0 (axis 0)
+    walls = [
+        ("mu2 integral", Params(*INTEGRAL_MU2), "e2", 1),
+        ("mu1 integral", Params(Fraction(0), Fraction(1, 5)), "e1", 0),
+    ]
     bad = []
-    # mu2 integral: the e2-comparison blocks crossing lbar = 0
-    params = Params(*INTEGRAL_MU2)
-    src = ModuleDescriptor(params, dual=False)
-    tgt = ModuleDescriptor(params, dual=True)
-    try:
-        solve_by_recurrence(src, tgt, (0, 0, 0), Fraction(1), Box.radius(3))
-        bad.append(("mu2 integral", "no obstruction raised"))
-    except ObstructionAtIndex as e:
-        if e.generator != "e2" or e.index[1] - params.mu2_int() != 0:
-            bad.append(("mu2 integral", "wrong obstruction", str(e)))
-    # mirrored case, mu1 integral: e1-comparison blocks crossing kbar = 0
-    params = Params(Fraction(0), Fraction(1, 5))
-    src = ModuleDescriptor(params, dual=False)
-    tgt = ModuleDescriptor(params, dual=True)
-    try:
-        solve_by_recurrence(src, tgt, (0, 0, 0), Fraction(1), Box.radius(3))
-        bad.append(("mu1 integral", "no obstruction raised"))
-    except ObstructionAtIndex as e:
-        if e.generator != "e1" or e.index[0] != 0:
-            bad.append(("mu1 integral", "wrong obstruction", str(e)))
+    for case, params, gen, axis in walls:
+        src = ModuleDescriptor(params, dual=False)
+        tgt = ModuleDescriptor(params, dual=True)
+        try:
+            solve_by_recurrence(src, tgt, (0, 0, 0), Fraction(1), Box.radius(3))
+            bad.append((case, "no obstruction raised"))
+        except ObstructionAtIndex as e:
+            mu = (params.mu1, params.mu2)[axis]
+            if e.generator != gen or e.index[axis] - mu != 0:
+                bad.append((case, "wrong obstruction", str(e)))
     return _report("obstruction", not bad, window=3, witnesses=bad)
 
 

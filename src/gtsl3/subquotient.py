@@ -17,12 +17,11 @@ indices on those levels get inspected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BasisMismatch
 from .module import BASIS_ACTIONS, OFF_DIAGONAL, Box, ModuleElement, Params, act
 from .scalars import scalar_is_zero
-from . import dual as _dual  # noqa: F401  (registers the eta-basis action)
 
 _INF = None  # stands for an unbounded interval end
 
@@ -176,11 +175,7 @@ def act_truncated(gen: str, v: ModuleElement, J: LBarSet) -> ModuleElement:
 @dataclass
 class ClosureVerdict:
     closed: bool
-    witnesses: list = field(default_factory=list)
-    note: str = (
-        "window bounds only the inspected source indices; k- and m-escapes "
-        "cannot change lbar-membership"
-    )
+    witnesses: list
 
     def __bool__(self):
         return self.closed
@@ -215,13 +210,14 @@ def is_closed(J: LBarSet, basis: str, box: Box, p: Params) -> ClosureVerdict:
     return ClosureVerdict(not witnesses, witnesses)
 
 
-def classify(J: LBarSet, box: Box, p: Params, basis: str = "w") -> str:
-    """submodule / quotient / subquotient / none, verified on the window."""
+def classify(J: LBarSet, box: Box, p: Params) -> str:
+    """submodule / quotient / subquotient / none in the w-basis, verified on
+    the window."""
     cache = {}
 
     def closed(S: LBarSet) -> bool:
         if S not in cache:
-            cache[S] = bool(is_closed(S, basis, box, p))
+            cache[S] = bool(is_closed(S, "w", box, p))
         return cache[S]
 
     if closed(J):

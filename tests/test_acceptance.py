@@ -34,18 +34,20 @@ def test_criterion_01_structure_constants():
 
 def test_criterion_02_bracket_compatibility():
     reports = [
-        check("brackets-u", count=50),
-        check("brackets-w", count=50),
-        check("brackets-eta", count=50),
+        check("brackets-u"),
+        check("brackets-w"),
+        check("brackets-eta"),
         check("brackets-symbolic"),
     ]
+    assert [rep["elements"] for rep in reports[:3]] == [50, 50, 50]
     criterion(2, "bracket compatibility, 50 random elements per basis + symbolic",
               reports)
 
 
 def test_criterion_03_oracle_equivalence():
-    criterion(3, "differential-operator oracle == u-action, 100 sections",
-              [check("oracle-equivalence", count=100)])
+    rep = check("oracle-equivalence")
+    assert rep["sections"] == 100
+    criterion(3, "differential-operator oracle == u-action, 100 sections", [rep])
 
 
 def test_criterion_04_basis_roundtrip():
@@ -61,7 +63,7 @@ def test_criterion_05_gt_lemma():
 
 def test_criterion_06_simplicity():
     reports = [
-        check("simplicity-generic", window=3, starts=5),
+        check("simplicity-generic", window=3),
         check("closure-integral", window=3),
     ]
     criterion(6, "simplicity BFS + closure agreement on the nine named sets",

@@ -354,3 +354,22 @@ def test_indices_are_json_integers_and_coefficients_are_never_floats(capsys):
         assert lines[0]["error"] == "ValueError", bad
     code, lines = run_cli(capsys, "act", "--gen", "h1", "--element", term(c=3))
     assert code == 0 and lines[0]["terms"][0]["c"] == "7/5"  # 3 * (2/3 - 1/5)
+
+
+def test_window_before_the_subcommand_says_where_it_goes(capsys):
+    for argv in (("--window", "3", "classify", "--set", "lbar=1"),
+                 ("--mu2", "0", "--window=3", "classify", "--set", "lbar=1")):
+        code, lines = run_cli(capsys, *argv)
+        assert _rejected(code, lines), argv
+        assert "--window" in lines[0]["message"], argv
+        assert "after the subcommand" in lines[0]["message"], argv
+    # a mistyped subcommand is still reported as such
+    code, lines = run_cli(capsys, "clasify", "--window", "3")
+    assert _rejected(code, lines) and "'clasify'" in lines[0]["message"]
+
+
+def test_pair_reads_at_most_one_payload_from_stdin(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(W000))
+    code, lines = run_cli(capsys, "pair", "--eta", "-", "--w", "-")
+    assert _rejected(code, lines) and lines[0]["error"] == "ValueError"
+    assert "--eta" in lines[0]["message"] and "--w" in lines[0]["message"]

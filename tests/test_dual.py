@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from gtsl3 import liealg
-from gtsl3.dual import eta_vector, pairing
 from gtsl3.errors import BasisMismatch, NonGenericParameters
 from gtsl3.module import (
     ModuleElement,
@@ -12,7 +11,9 @@ from gtsl3.module import (
     act,
     act_lie,
     act_word,
+    eta_vector,
     gt_eigenvalue,
+    pairing,
     w_vector,
 )
 

@@ -1,9 +1,12 @@
+import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
 
 from gtsl3.errors import ObstructionAtIndex
 from gtsl3.hom import (
+    HomSolution,
     ModuleDescriptor,
     closed_form_l01_phi,
     closed_form_l01_psi,
@@ -12,11 +15,13 @@ from gtsl3.hom import (
     closed_form_xabc,
     family_solution,
     image_kernel,
+    intertwiner_equations,
     solve_by_recurrence,
     solve_intertwiner,
     verify_solution,
 )
-from gtsl3.module import Box, Params
+from gtsl3.module import OFF_DIAGONAL, Box, Params
+from gtsl3.serialize import parse_set_expr
 from gtsl3.solver import nullspace
 from gtsl3.subquotient import LBarSet
 
@@ -213,3 +218,103 @@ def test_descriptor_validation():
             ModuleDescriptor(bad, dual=True), ModuleDescriptor(bad, dual=False),
             Box.radius(2),
         )
+
+
+# ---------------------------------------------------------------------------
+# the shared comparison rows against the equation assembly and the
+# two-branch recurrence they replaced, kept here as oracles
+
+def _equations_oracle(source, target, box):
+    indices = source.indices(box)
+    inside = set(indices)
+    rows = []
+    for a in indices:
+        for gen in OFF_DIAGONAL:
+            src = source.action(gen, a)
+            tgt = target.action(gen, a)
+            for j in set(src) | set(tgt):
+                if j not in inside:
+                    continue
+                row = {}
+                if j in src:
+                    row[j] = src[j]
+                if j in tgt:
+                    row[a] = row.get(a, 0) - tgt[j]
+                row = {c: v for c, v in row.items() if v != 0}
+                if row:
+                    rows.append(row)
+    return indices, rows
+
+
+def _recurrence_oracle(source, target, seed_idx, seed_value, box):
+    x = {seed_idx: seed_value}
+    queue = deque([seed_idx])
+    inside = set(source.indices(box))
+    while queue:
+        a = queue.popleft()
+        for axis, gen in enumerate(("e1", "e2", "e12")):
+            for direction in (-1, +1):
+                step = [0, 0, 0]
+                step[axis] = direction
+                nxt = (a[0] + step[0], a[1] + step[1], a[2] + step[2])
+                if nxt in x or nxt not in inside:
+                    continue
+                hi, lo = (a, nxt) if direction < 0 else (nxt, a)
+                cs = source.action(gen, hi).get(lo)
+                ct = target.action(gen, hi).get(lo)
+                if cs is None and ct is None:
+                    continue
+                if direction < 0:
+                    if cs is None:
+                        raise ObstructionAtIndex(hi, gen, "source coefficient vanishes")
+                    x[nxt] = (0 if ct is None else ct * x[a]) / cs
+                else:
+                    if ct is None:
+                        raise ObstructionAtIndex(hi, gen, "target coefficient vanishes")
+                    x[nxt] = (0 if cs is None else cs * x[a]) / ct
+                queue.append(nxt)
+    missing = [i for i in inside if i not in x]
+    if missing:
+        raise ValueError(f"window indices unreachable from seed: {missing[:3]}")
+    return HomSolution(source, target, box, x)
+
+
+def _outcome(solve, *args):
+    try:
+        sol = solve(*args)
+    except ObstructionAtIndex as e:
+        return ("obstruction", e.index, e.generator, e.detail)
+    except ValueError as e:
+        return ("unreachable", str(e))
+    return sorted(sol.x.items())
+
+
+ORACLE_POINTS = {
+    "generic": (PG, ["full"]),
+    "mu1=0": (Params(0, Fraction(1, 5)), ["full"]),
+    **{f"mu2={t}": (Params(Fraction(1, 3), t),
+                    ["full", "l01", "lbar>=0", "lbar>=2", "lbar<=-1"])
+       for t in (0, 3, -1)},
+}
+
+
+@pytest.mark.parametrize("params,sets", ORACLE_POINTS.values(), ids=list(ORACLE_POINTS))
+def test_comparison_rows_match_the_assembly_and_recurrence_oracles(params, sets):
+    rnd = random.Random(41)
+    for text in sets:
+        J = parse_set_expr(text)
+        for sdual, tdual in ((False, True), (True, False)):
+            src = ModuleDescriptor(params, dual=sdual, J=J)
+            tgt = ModuleDescriptor(params, dual=tdual, J=J)
+            for r in (2, 3, 4):
+                box = src.window(r)
+                if r == 3:  # the rows do not depend on r, only on the window edge
+                    assert intertwiner_equations(src, tgt, box) == _equations_oracle(
+                        src, tgt, box)
+                indices = src.indices(box)
+                for seed in [(0, box.lmin + r, 0)] + rnd.sample(indices, 2):
+                    if seed not in indices:
+                        continue
+                    new = _outcome(solve_by_recurrence, src, tgt, seed, Fraction(1), box)
+                    old = _outcome(_recurrence_oracle, src, tgt, seed, Fraction(1), box)
+                    assert new == old, (text, sdual, r, seed)

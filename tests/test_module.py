@@ -11,10 +11,10 @@ from gtsl3.module import (
     ModuleElement,
     Params,
     act,
-    act_cartan,
     act_lie,
     act_word,
     casimir_apply,
+    eta_vector,
     gt_eigenvalue,
     u_to_w,
     u_vector,
@@ -50,20 +50,29 @@ def test_cartan_frozen_examples():
     v = u_vector(P, 0, 0, 0)
     assert act("h1", v).terms == {(0, 0, 0): Fraction(7, 15)}
     assert act("h2", v).terms == {(0, 0, 0): Fraction(1, 15)}
-    assert act_cartan({"h1": 1, "h2": 1}, v).terms == {(0, 0, 0): Fraction(8, 15)}
-    with pytest.raises(ValueError):
-        act_cartan({"e1": 1}, v)
+    assert act_lie({"h1": 1, "h2": 1}, v).terms == {(0, 0, 0): Fraction(8, 15)}
+
+
+def _cartan_by_roots(c1, c2, v):
+    """c1*h1 + c2*h2 on v from the roots: the vector at (k, l, m) has
+    eigenvalue -((kbar + m) alpha1(h) + (lbar + m) alpha2(h))."""
+    a1h = liealg.ALPHA1[0] * c1 + liealg.ALPHA1[1] * c2
+    a2h = liealg.ALPHA2[0] * c1 + liealg.ALPHA2[1] * c2
+    p = v.params
+    return ModuleElement(p, v.basis, {
+        (k, l, m): -c * ((p.kbar(k) + m) * a1h + (p.lbar(l) + m) * a2h)
+        for (k, l, m), c in v.terms.items()
+    })
 
 
 def test_cartan_matches_generator_action_on_random_elements():
     rnd = random.Random(5)
-    for basis in ("u", "w"):
+    for basis in ("u", "w", "eta"):
         for _ in range(10):
             v = rand_element(rnd, P, basis)
-            assert act_cartan({"h1": 1}, v) == act("h1", v)
-            assert act_cartan({"h2": Fraction(1, 2)}, v) == act("h2", v).scale(
-                Fraction(1, 2)
-            )
+            assert act_lie({"h1": 1}, v) == _cartan_by_roots(1, 0, v)
+            h = {"h1": Fraction(2, 3), "h2": Fraction(1, 2)}
+            assert act_lie(h, v) == _cartan_by_roots(*h.values(), v)
 
 
 def test_act_w_frozen_examples():
@@ -145,13 +154,16 @@ def test_gt_eigenvalue_frozen():
 
 def test_gt_word_realizes_eigenvalue_triple():
     rnd = random.Random(2)
-    for _ in range(10):
-        idx = (rnd.randint(-4, 4), rnd.randint(-4, 4), rnd.randint(0, 4))
-        ev = gt_eigenvalue(idx, P)
-        v = w_vector(P, *idx)
-        assert act("h1", v) == v.scale(ev[0])
-        assert act("h2", v) == v.scale(ev[1])
-        assert act_word(("f12", "e12"), v) == v.scale(ev[2])
+    for params in (P, Params.symbolic()):
+        for _ in range(10):
+            idx = (rnd.randint(-4, 4), rnd.randint(-4, 4), rnd.randint(0, 4))
+            ev = gt_eigenvalue(idx, params)
+            v = w_vector(params, *idx)
+            assert act_word(("f12", "e12"), v) == v.scale(ev[2])
+            # h1 and h2 act by the same weight in all three bases
+            for b in (u_vector(params, *idx), v, eta_vector(params, *idx)):
+                assert act("h1", b) == b.scale(ev[0]), b.basis
+                assert act("h2", b) == b.scale(ev[1]), b.basis
 
 
 def test_eigenvalue_collision_at_integral_sum():
