@@ -147,7 +147,7 @@ def cmd_hom(args) -> int:
         "obstructions": [],
     }
     if args.recurrence:
-        seed = _index_triple(args.seed)
+        seed = _index_triple(args.seed) if args.seed else (0, (box.lmin + box.lmax) // 2, 0)
         try:
             sol = solve_by_recurrence(source, target, seed, Fraction(1), box)
             sols = [sol]
@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=_radius, default=4)
     p.add_argument("--recurrence", action="store_true",
                    help="propagate ratio recurrences from a seed instead of solving")
-    p.add_argument("--seed", default="0,0,0")
+    p.add_argument("--seed", help="k,l,m of the seed index; default the window centre")
     p.set_defaults(func=cmd_hom)
 
     p = sub.add_parser("generate", help="BFS generation certificate")

@@ -179,8 +179,12 @@ def solve_by_recurrence(source, target, seed_idx, seed_value, box: Box):
     """
     _check_problem(source, target)
     seed_idx = tuple(seed_idx)
-    if not (box.contains(seed_idx) and source.contains(seed_idx)):
-        raise ValueError("seed index outside the window")
+    if not box.contains(seed_idx):
+        raise ValueError(f"seed index {seed_idx} is outside the window {box}")
+    if not source.contains(seed_idx):
+        lbar = seed_idx[1] - source.params.mu2_int()
+        raise ValueError(f"seed index {seed_idx} has lbar = {lbar}, "
+                         f"outside the source's index set {source.J!r}")
     x = {seed_idx: seed_value}
     queue = deque([seed_idx])
     inside = set(source.indices(box))

@@ -6,6 +6,15 @@ field of Q[mu1, mu2], with mu1, mu2 the two module parameters.  Symbolic
 fractions are never reduced to lowest terms (bivariate gcd is expensive);
 equality and zero tests go through exact cross-multiplication instead,
 which is all correctness needs.
+
+A RatFunc's normal form has no monomial common to num and den, and a den
+that is primitive over Z (coprime integer coefficients) with a positive
+coefficient on its lex-largest monomial.  The product of two such
+denominators has both properties again: primitive by Gauss's lemma, and
+positive-leading because lex order is multiplicative.  So a sum or product
+of two normal fractions, whose denominator is that product, only strips
+the common monomial; content and sign are normalized where an arbitrary
+polynomial becomes a denominator (construction, parsing, division).
 """
 
 from __future__ import annotations
@@ -230,10 +239,10 @@ def _coerce_poly(x):
 class RatFunc:
     """Element of the fraction field Q(mu1, mu2), stored as num/den.
 
-    Construction strips the common monomial factor and rational content
-    from num and den and makes the denominator's leading coefficient
-    positive; no polynomial gcd is ever computed.  Equality against any
-    scalar is decided by cross-multiplication.
+    Construction strips the common monomial factor and the denominator's
+    rational content from num and den and makes the denominator's leading
+    coefficient positive; no polynomial gcd is ever computed.  Equality
+    against any scalar is decided by cross-multiplication.
     """
 
     __slots__ = ("num", "den")
@@ -243,26 +252,7 @@ class RatFunc:
         den = BiPoly.one() if den is None else _coerce_poly(den)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            self.num = BiPoly.zero()
-            self.den = BiPoly.one()
-            return
-        ma, mb = num.monomial_gcd()
-        na, nb = den.monomial_gcd()
-        mono = (min(ma, na), min(mb, nb))
-        if mono != (0, 0):
-            num = num.shift_down(mono)
-            den = den.shift_down(mono)
-        cn = num.content()
-        cd = den.content()
-        den = den.scaled(1 / cd)
-        scale = cn / cd
-        num = num.scaled(scale / cn)
-        if den.lead_coeff() < 0:
-            den = -den
-            num = -num
-        self.num = num
-        self.den = den
+        self.num, self.den = _normal(num, den, primitive=False)
 
     @classmethod
     def mu1(cls) -> "RatFunc":
@@ -282,7 +272,7 @@ class RatFunc:
         other = _coerce_rat(other)
         if other is NotImplemented:
             return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        return _ratfunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
@@ -305,7 +295,7 @@ class RatFunc:
         other = _coerce_rat(other)
         if other is NotImplemented:
             return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
+        return _ratfunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -372,11 +362,47 @@ class RatFunc:
     __repr__ = __str__
 
 
+def _normal(num: BiPoly, den: BiPoly, primitive: bool):
+    """(num, den) in normal form: no common monomial factor, and den
+    primitive over Z with a positive lex-leading coefficient.
+
+    ``primitive`` says den has those two properties already, as a product
+    of two normal denominators does; then only the monomial is stripped.
+    """
+    if num.is_zero():
+        return BiPoly.zero(), BiPoly.one()
+    ma, mb = num.monomial_gcd()
+    na, nb = den.monomial_gcd()
+    mono = (min(ma, na), min(mb, nb))
+    if mono != (0, 0):
+        num = num.shift_down(mono)
+        den = den.shift_down(mono)
+    if not primitive:
+        cd = den.content()
+        if cd != 1:
+            num = num.scaled(1 / cd)
+            den = den.scaled(1 / cd)
+        if den.lead_coeff() < 0:
+            num = -num
+            den = -den
+    return num, den
+
+
+def _ratfunc(num: BiPoly, den: BiPoly) -> RatFunc:
+    """num/den for a den that is a product of two normal denominators."""
+    out = RatFunc.__new__(RatFunc)
+    out.num, out.den = _normal(num, den, primitive=True)
+    return out
+
+
 def _coerce_rat(x):
     if isinstance(x, RatFunc):
         return x
     if isinstance(x, (int, Fraction)):
-        return RatFunc(BiPoly.constant(x))
+        out = RatFunc.__new__(RatFunc)  # a constant over one is in normal form
+        out.num = BiPoly.constant(x)
+        out.den = BiPoly.one()
+        return out
     if isinstance(x, BiPoly):
         return RatFunc(x)
     return NotImplemented

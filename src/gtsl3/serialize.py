@@ -9,6 +9,8 @@ output is byte-deterministic.
 
 from __future__ import annotations
 
+import re
+
 from .module import Box, ModuleElement, Params
 from .scalars import MU1, MU2, format_scalar, parse_scalar
 from .subquotient import LBarSet
@@ -92,24 +94,28 @@ def indexset_to_json(J: LBarSet) -> dict:
     return {"lbar": {"union": parts}}
 
 
+_INT = r"([+-]?[0-9]+)"
+_SET_EXPR = re.compile(rf"lbar(?:(>=|<=|=){_INT}|in{_INT}\.\.{_INT})")
+_BOUNDED = {">=": LBarSet.ge, "<=": LBarSet.le, "=": LBarSet.eq}
+
+
 def parse_set_expr(text: str) -> LBarSet | None:
-    """Command-line index set grammar: full | l01 | lbar>=N | lbar<=N |
-    lbar=N | lbar in A..B."""
-    text = text.strip().replace(" ", "")
-    if text in ("full", "all"):
+    """Command-line index set grammar, spaces ignored: full | all | l01 |
+    lbar>=N | lbar<=N | lbar=N | lbar in A..B with A <= B."""
+    compact = text.strip().replace(" ", "")
+    if compact in ("full", "all"):
         return None
-    if text == "l01":
+    if compact == "l01":
         return LBarSet.between(0, 1)
-    if text.startswith("lbar>="):
-        return LBarSet.ge(int(text[6:]))
-    if text.startswith("lbar<="):
-        return LBarSet.le(int(text[6:]))
-    if text.startswith("lbar="):
-        return LBarSet.eq(int(text[5:]))
-    if text.startswith("lbarin"):
-        a, b = text[6:].split("..")
-        return LBarSet.between(int(a), int(b))
-    raise ValueError(f"cannot parse index set {text!r}")
+    match = _SET_EXPR.fullmatch(compact)
+    if match is None:
+        raise ValueError(f"cannot parse index set {text!r}")
+    op, n, a, b = match.groups()
+    if op is not None:
+        return _BOUNDED[op](int(n))
+    if int(a) > int(b):
+        raise ValueError(f"cannot parse index set {text!r}: empty interval {a}..{b}")
+    return LBarSet.between(int(a), int(b))
 
 
 def box_to_json(box: Box) -> dict:

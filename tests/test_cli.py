@@ -373,3 +373,39 @@ def test_pair_reads_at_most_one_payload_from_stdin(capsys, monkeypatch):
     code, lines = run_cli(capsys, "pair", "--eta", "-", "--w", "-")
     assert _rejected(code, lines) and lines[0]["error"] == "ValueError"
     assert "--eta" in lines[0]["message"] and "--w" in lines[0]["message"]
+
+
+def test_hom_recurrence_seeds_at_the_window_centre(capsys):
+    code, lines = run_cli(
+        capsys, "--mu2", "5", "hom", "--source", "full", "--target", "dual:full",
+        "--recurrence", "--window", "3",
+    )
+    assert code == 0
+    (res,) = lines
+    assert res["window"]["lmin"] == 2 and res["window"]["lmax"] == 8
+    assert res["dimension"] == 0
+    assert res["obstructions"][0]["generator"] == "e2"
+
+
+def test_hom_recurrence_seed_outside_the_set_names_the_set(capsys):
+    code, lines = run_cli(
+        capsys, "--mu2", "0", "hom", "--source", "lbar>=2", "--target", "dual:lbar>=2",
+        "--recurrence", "--window", "3",
+    )
+    assert _rejected(code, lines)
+    message = lines[-1]["message"]
+    assert "(0, 0, 0)" in message and "lbar>=2" in message and "window" not in message
+    code, lines = run_cli(
+        capsys, "hom", "--source", "full", "--target", "dual:full",
+        "--recurrence", "--window", "3", "--seed", "9,0,0",
+    )
+    assert _rejected(code, lines)
+    assert "(9, 0, 0)" in lines[-1]["message"] and "window" in lines[-1]["message"]
+
+
+def test_malformed_index_sets_exit_2_naming_the_set(capsys):
+    for text in ("lbar in 1..2..3", "lbarin", "lbar>=", "lbar=1_0", "lbar in 3..1",
+                 "lbar>>3", "lbar=\u0663"):
+        code, lines = run_cli(capsys, "classify", "--set", text)
+        assert _rejected(code, lines), text
+        assert lines[-1]["message"].startswith(f"cannot parse index set {text!r}"), text

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from gtsl3.module import ModuleElement, Params, w_to_u
 from gtsl3.scalars import (
     MU1,
     MU2,
@@ -134,3 +137,91 @@ def test_symbolic_fractions_not_reduced_but_normalized():
     # content and common monomials do get stripped into a unit denominator
     y = (2 * MU1 * MU2) / (4 * MU1)
     assert format_scalar(y) == "(1/2*mu2)"
+
+
+# deterministic and quick, so that the suite stays reproducible
+SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
+
+small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), small_fractions, max_size=3
+).map(BiPoly)
+monomials = st.tuples(st.integers(0, 2), st.integers(0, 2)).map(lambda ab: BiPoly({ab: 1}))
+
+
+@st.composite
+def normal_ratfuncs(draw):
+    """RatFunc(num, den) through the full constructor, with common monomial
+    factors, constants, zero and negative leading coefficients."""
+    num = draw(st.one_of(polys, small_fractions.map(BiPoly.constant)))
+    den = draw(st.one_of(polys, small_fractions.map(BiPoly.constant)))
+    assume(not den.is_zero())
+    shared = draw(monomials)
+    return RatFunc(num * shared * draw(monomials), den * shared * draw(monomials))
+
+
+def _cross_multiplied(a, b):
+    """Each operation's result through the full constructor."""
+    out = {
+        "+": RatFunc(a.num * b.den + b.num * a.den, a.den * b.den),
+        "-": RatFunc(a.num * b.den - b.num * a.den, a.den * b.den),
+        "*": RatFunc(a.num * b.num, a.den * b.den),
+    }
+    if not b.is_zero():
+        out["/"] = RatFunc(a.num * b.den, a.den * b.num)
+    return out
+
+
+def _operations(a, b):
+    out = {"+": a + b, "-": a - b, "*": a * b}
+    if not b.is_zero():
+        out["/"] = a / b
+    return out
+
+
+@SETTINGS
+@given(normal_ratfuncs(), normal_ratfuncs())
+def test_operations_give_the_constructor_normal_form(a, b):
+    expected = _cross_multiplied(a, b)
+    for op, got in _operations(a, b).items():
+        want = expected[op]
+        assert (got.num.terms, got.den.terms) == (want.num.terms, want.den.terms), op
+        assert str(got) == str(want), op
+
+
+@SETTINGS
+@given(normal_ratfuncs(), normal_ratfuncs(), small_fractions, small_fractions)
+def test_operations_agree_with_fraction_arithmetic_at_points(a, b, v1, v2):
+    # Schwartz-Zippel: distinct rational functions differ at almost every point
+    assume(a.den.evaluate(v1, v2) != 0 and b.den.evaluate(v1, v2) != 0)
+    x, y = a.evaluate(v1, v2), b.evaluate(v1, v2)
+    expected = {"+": x + y, "-": x - y, "*": x * y}
+    if y:
+        expected["/"] = x / y
+    for op, got in _operations(a, b).items():
+        if op in expected:
+            assert got.evaluate(v1, v2) == expected[op], op
+
+
+def test_symbolic_change_of_basis_prints_the_same_strings():
+    golden = [
+        {(1, 2, 0): "1"},
+        {(1, 2, 1): "1", (2, 3, 0): "(mu2 - 2)/(mu1 + mu2 - 3)"},
+        {
+            (1, 2, 2): "1",
+            (2, 3, 1): "(2*mu2 - 4)/(mu1 + mu2 - 3)",
+            (3, 4, 0): "(mu2^2 - 5*mu2 + 6)/(mu1^2 + 2*mu1*mu2 - 7*mu1 + mu2^2 - 7*mu2 + 12)",
+        },
+        {
+            (1, 2, 3): "1",
+            (2, 3, 2): "(3*mu2 - 6)/(mu1 + mu2 - 3)",
+            (3, 4, 1): "(3*mu2^2 - 15*mu2 + 18)/"
+                       "(mu1^2 + 2*mu1*mu2 - 7*mu1 + mu2^2 - 7*mu2 + 12)",
+            (4, 5, 0): "(mu2^3 - 9*mu2^2 + 26*mu2 - 24)/"
+                       "(mu1^3 + 3*mu1^2*mu2 - 12*mu1^2 + 3*mu1*mu2^2 - 24*mu1*mu2"
+                       " + 47*mu1 + mu2^3 - 12*mu2^2 + 47*mu2 - 60)",
+        },
+    ]
+    for m, expected in enumerate(golden):
+        u = w_to_u(ModuleElement(Params.symbolic(), "w", {(1, 2, m): 1}))
+        assert {idx: format_scalar(c) for idx, c in u.items()} == expected, m

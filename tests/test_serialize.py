@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from gtsl3.cli import main
 from gtsl3.module import ModuleElement, Params
 from gtsl3.scalars import MU1, MU2, BiPoly, RatFunc, format_scalar, parse_scalar
-from gtsl3.serialize import element_from_json, element_to_json
+from gtsl3.serialize import element_from_json, element_to_json, parse_set_expr
+from gtsl3.subquotient import LBarSet
 
 # deterministic and quick, so that the suite stays reproducible
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
@@ -88,3 +89,39 @@ def test_a_missing_key_is_named(key):
     obj["terms"][0].pop(key, None)
     with pytest.raises(ValueError, match=f"has no {key!r}"):
         element_from_json(obj)
+
+
+spaces = st.text(alphabet=" ", max_size=2)
+
+
+@st.composite
+def set_exprs(draw):
+    """(text, the LBarSet it names) for every form of the grammar, with
+    optional spaces."""
+    a, b = draw(st.integers(-30, 30)), draw(st.integers(-30, 30))
+    form = draw(st.sampled_from([">=", "<=", "=", "in"]))
+    pad = [draw(spaces) for _ in range(4)]
+    if form == "in":
+        a, b = min(a, b), max(a, b)
+        text = f"{pad[0]}lbar in{pad[1]}{a}{pad[2]}..{pad[3]}{b}"
+        return text, LBarSet.between(a, b)
+    built = {">=": LBarSet.ge, "<=": LBarSet.le, "=": LBarSet.eq}[form](a)
+    return f"{pad[0]}lbar{pad[1]}{form}{pad[2]}{a}{pad[3]}", built
+
+
+@SETTINGS
+@given(set_exprs())
+def test_valid_set_expressions_parse_to_the_set_they_name(case):
+    text, expected = case
+    assert parse_set_expr(text) == expected
+
+
+@SETTINGS
+@given(st.one_of(st.text(max_size=12),
+                 st.text(alphabet="lbarin01239=<>.-+_ ", max_size=14)))
+def test_random_set_text_raises_only_value_error(text):
+    try:
+        parse_set_expr(text)
+    except ValueError:
+        pass
+
