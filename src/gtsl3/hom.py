@@ -7,6 +7,12 @@ index.  Matching coefficients in phi(X b_i) = X phi(b_i) turns each
 (generator, index) pair into equations with at most two unknowns; a finite
 window makes the system exactly solvable.
 
+Each equation arrives twice, once from each end of its edge: from X at
+index a with target j, and from the opposite generator at j with target a.
+The two rows have the same unknowns and are usually proportional;
+``solver.nullspace`` skips a proportional twin, and ``intertwiner_equations``
+and ``verify_solution`` still see both.
+
 Boundary policy: equations are assembled at every window index and an
 equation is skipped only when it touches an unknown outside the window.
 Skipping can only enlarge the solution space, and the expected dimensions
@@ -108,8 +114,9 @@ def _check_problem(source: ModuleDescriptor, target: ModuleDescriptor):
 def _comparison_rows(source, target, gen: str, a, inside, box: Box) -> dict:
     """{j: row} from matching the coefficient of b'_j in phi(X b_a) =
     X phi(b_a) for X = gen: the row reads cs*x_j - ct*x_a, with cs the
-    coefficient of b_j in X b_a and ct that of b'_j in X b'_a.  A row that
-    vanishes or that needs an unknown outside the window is left out."""
+    coefficient of b_j in X b_a and ct that of b'_j in X b'_a.  No row
+    vanishes: the actions drop zero coefficients and j != a.  A row that
+    needs an unknown outside the window is left out."""
     src = source.action(gen, a)
     tgt = target.action(gen, a)
     rows = {}
@@ -124,10 +131,8 @@ def _comparison_rows(source, target, gen: str, a, inside, box: Box) -> dict:
         if cs is not None:
             row[j] = cs
         if ct is not None:
-            row[a] = row.get(a, 0) - ct
-        row = {c: v for c, v in row.items() if not scalar_is_zero(v)}
-        if row:
-            rows[j] = row
+            row[a] = -ct
+        rows[j] = row
     return rows
 
 

@@ -99,7 +99,7 @@ class BiPoly:
         for key, c in other.terms.items():
             s = terms.get(key, 0) + c
             if s:
-                terms[key] = s
+                terms[key] = _slim(s)
             else:
                 terms.pop(key, None)
         out = BiPoly.__new__(BiPoly)

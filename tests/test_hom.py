@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from gtsl3 import hom
 from gtsl3.errors import ObstructionAtIndex
 from gtsl3.hom import (
     HomSolution,
@@ -21,9 +22,12 @@ from gtsl3.hom import (
     verify_solution,
 )
 from gtsl3.module import OFF_DIAGONAL, Box, Params
+from gtsl3.registry import HOM_STATEMENTS
+from gtsl3.scalars import MU1, RatFunc
 from gtsl3.serialize import parse_set_expr
 from gtsl3.solver import nullspace
 from gtsl3.subquotient import LBarSet
+from nullspace_oracle import nullspace_oracle
 
 P0 = Params(Fraction(1, 3), Fraction(0))
 PG = Params(Fraction(1, 3), Fraction(1, 5))
@@ -318,3 +322,40 @@ def test_comparison_rows_match_the_assembly_and_recurrence_oracles(params, sets)
                     new = _outcome(solve_by_recurrence, src, tgt, seed, Fraction(1), box)
                     old = _outcome(_recurrence_oracle, src, tgt, seed, Fraction(1), box)
                     assert new == old, (text, sdual, r, seed)
+
+
+# ---------------------------------------------------------------------------
+# the solver, which skips proportional twin rows, against the eliminator
+# that reduces every row, on every registered Hom problem
+
+def _printed(sols):
+    return [sorted((idx, type(v).__name__, str(v)) for idx, v in s.x.items())
+            for s in sols]
+
+
+SYM0 = Params(MU1, RatFunc(0))
+REGISTERED_HOM = {
+    **{f"statements mu2={t}": [(Params(Fraction(1, 3), t), J, sdual, tdual, r)
+                               for _, J, sdual, tdual, _, _ in HOM_STATEMENTS
+                               for r in (2, 3, 4)]
+       for t in (0, 2)},
+    "full self-duality": [(p, None, True, False, r)
+                          for p in (PG, Params(0, Fraction(1, 5))) for r in (2, 3, 4)],
+    # the symbolic Hom cases that symbolic-sweep decides
+    "symbolic r=1": [(SYM0, parse_set_expr(text), sdual, tdual, 1)
+                     for text in ("l01", "lbar=0")
+                     for sdual, tdual in ((True, False), (False, True))],
+}
+
+
+@pytest.mark.parametrize("problems", REGISTERED_HOM.values(), ids=list(REGISTERED_HOM))
+def test_solve_intertwiner_prints_the_oracle_solutions(problems, monkeypatch):
+    for params, J, sdual, tdual, r in problems:
+        src = ModuleDescriptor(params, dual=sdual, J=J)
+        tgt = ModuleDescriptor(params, dual=tdual, J=J)
+        box = src.window(r)
+        got = _printed(solve_intertwiner(src, tgt, box))
+        with monkeypatch.context() as m:
+            m.setattr(hom, "nullspace", nullspace_oracle)
+            want = _printed(solve_intertwiner(src, tgt, box))
+        assert got == want, (J, sdual, tdual, r)

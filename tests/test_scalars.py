@@ -225,3 +225,12 @@ def test_symbolic_change_of_basis_prints_the_same_strings():
     for m, expected in enumerate(golden):
         u = w_to_u(ModuleElement(Params.symbolic(), "w", {(1, 2, m): 1}))
         assert {idx: format_scalar(c) for idx, c in u.items()} == expected, m
+
+
+def test_integral_sums_are_stored_as_int():
+    s = MU1 * Fraction(1, 3) + MU1 * Fraction(2, 3)
+    assert s.num.terms == {(1, 0): 1}
+    assert type(s.num.terms[(1, 0)]) is int
+    p = BiPoly({(0, 1): Fraction(1, 2)}) + BiPoly({(0, 1): Fraction(5, 2), (0, 0): 1})
+    assert {k: type(c) for k, c in p.terms.items()} == {(0, 1): int, (0, 0): int}
+    assert format_scalar(s) == "(mu1)"
