@@ -109,8 +109,8 @@ def generate(start, desc: ModuleDescriptor, box: Box) -> GenerationCertificate:
         nxt = []
         for idx in frontier:
             for gen in OFF_DIAGONAL:
-                for jdx, c in desc.action(gen, idx).items():
-                    if jdx in allowed and jdx not in reached and not scalar_is_zero(c):
+                for jdx in desc.action(gen, idx):
+                    if jdx in allowed and jdx not in reached:
                         reached.add(jdx)
                         paths[jdx] = (idx, gen)
                         nxt.append(jdx)

@@ -7,11 +7,18 @@ index.  Matching coefficients in phi(X b_i) = X phi(b_i) turns each
 (generator, index) pair into equations with at most two unknowns; a finite
 window makes the system exactly solvable.
 
-Each equation arrives twice, once from each end of its edge: from X at
-index a with target j, and from the opposite generator at j with target a.
-The two rows have the same unknowns and are usually proportional;
-``solver.nullspace`` skips a proportional twin, and ``intertwiner_equations``
-and ``verify_solution`` still see both.
+Each edge {a, j} of the index graph gives a row at both of its ends: from
+X at index a with target j, and from the opposite generator at j with
+target a.  Between the module and its dual the two rows are equal or
+negated: the eta-action is (X eta)(v) = -eta(tau(X) v), and tau(X) is the
+opposite generator (negated for e12 and f12), so each row's dual
+coefficient is minus the other row's module coefficient, times that sign.
+So ``intertwiner_equations`` assembles only the lower end's row (j > a) of
+a module-dual problem, and the solver never sees a row twice.  A
+same-basis problem (plain->plain or dual->dual) keeps both ends: there an
+edge can have a row at one end only, where the opposite coefficient
+vanishes.  ``solve_by_recurrence`` reads the upper end's row (j < a)
+straight from ``_comparison_rows``.
 
 Boundary policy: equations are assembled at every window index and an
 equation is skipped only when it touches an unknown outside the window.
@@ -137,14 +144,18 @@ def _comparison_rows(source, target, gen: str, a, inside, box: Box) -> dict:
 
 
 def intertwiner_equations(source, target, box: Box):
-    """All in-window coefficient-matching equations, as sparse rows."""
+    """All distinct in-window coefficient-matching equations, as sparse
+    rows; a module-dual problem gives each edge's row once (j > a)."""
     _check_problem(source, target)
     indices = source.indices(box)
     inside = set(indices)
+    both_ends = source.dual == target.dual
     rows = []
     for a in indices:
         for gen in OFF_DIAGONAL:
-            rows += _comparison_rows(source, target, gen, a, inside, box).values()
+            rows += [row for j, row in
+                     _comparison_rows(source, target, gen, a, inside, box).items()
+                     if both_ends or j > a]
     return indices, rows
 
 

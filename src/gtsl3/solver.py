@@ -4,19 +4,9 @@ Rows are sparse {column: coefficient} dicts over a coefficient field
 (Fraction or RatFunc).  Pivot rows are kept normalized to a unit leading
 entry, so every elimination step is a single exact division-and-subtract;
 cross-multiplication chains (and their coefficient blowup) never appear.
-Zero tests are exact in both fields.
-
-Duplicate rows are skipped (the duplicate-row step of an LP presolve,
-Andersen & Andersen 1995).  Rows pair up by support: each row is checked
-against the earlier unpaired row with the same support and left out when
-it is a scalar multiple of it.  Such a row lies in the span of the rows
-already eliminated, so it would reduce to zero and add no pivot; the
-pivots, the free columns and every returned value are those of the full
-elimination.  Proportionality is tested by cross-multiplication against
-one reference column, with no division.  A twin that is not proportional
-(two different equations on the same unknowns) is eliminated as usual, so
-the zeros it forces survive.  A paired support is forgotten, so the table
-holds only the rows still waiting for their twin.
+Zero tests are exact in both fields.  Every row is reduced: the Hom
+assembly hands over each module-dual equation once, so there is no copy
+to look for.
 """
 
 from __future__ import annotations
@@ -46,16 +36,6 @@ def _reduce(row: dict, pivots: dict) -> dict:
     return row
 
 
-def _proportional(row: dict, twin: dict, columns) -> bool:
-    """Whether row, keyed by position, is a multiple of twin, keyed by
-    column label and nonzero on the same columns."""
-    if not row:
-        return True
-    c0 = min(row)
-    r0, t0 = row[c0], twin[columns[c0]]
-    return all(v * t0 == twin[columns[c]] * r0 for c, v in row.items())
-
-
 def nullspace(rows, columns):
     """Basis of the solution space of rows . x = 0.
 
@@ -65,17 +45,8 @@ def nullspace(rows, columns):
     """
     pos = {c: i for i, c in enumerate(columns)}
     pivots = {}
-    # support -> the caller's unpaired row on it; _reduce changes the
-    # mapped copy in place, never the caller's row
-    unpaired = {}
     for raw in rows:
         row = {pos[c]: v for c, v in raw.items() if not scalar_is_zero(v)}
-        support = tuple(sorted(row))
-        twin = unpaired.pop(support, None)
-        if twin is None:
-            unpaired[support] = raw
-        elif _proportional(row, twin, columns):
-            continue
         row = _reduce(row, pivots)
         if row:
             col = min(row)

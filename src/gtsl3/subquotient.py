@@ -105,9 +105,6 @@ class LBarSet:
     def is_empty(self) -> bool:
         return not self.intervals
 
-    def is_subset(self, other: "LBarSet") -> bool:
-        return self.difference(other).is_empty()
-
     def __eq__(self, other):
         return isinstance(other, LBarSet) and self.intervals == other.intervals
 
@@ -128,7 +125,7 @@ class LBarSet:
             elif lo == hi:
                 bits.append(f"lbar={lo}")
             else:
-                bits.append(f"lbar in [{lo},{hi}]")
+                bits.append(f"lbar in {lo}..{hi}")
         return " | ".join(bits)
 
 
@@ -212,28 +209,22 @@ def is_closed(J: LBarSet, basis: str, box: Box, p: Params) -> ClosureVerdict:
 
 def classify(J: LBarSet, box: Box, p: Params) -> str:
     """submodule / quotient / subquotient / none in the w-basis, verified on
-    the window."""
-    cache = {}
+    the window.
 
-    def closed(S: LBarSet) -> bool:
-        if S not in cache:
-            cache[S] = bool(is_closed(S, "w", box, p))
-        return cache[S]
-
-    if closed(J):
+    J is a subquotient when J = J2 \\ J1 with J1 within J2 both closed.  The
+    least closed J2 containing J serves if any does, since closed sets are
+    closed under intersection; it is found by adding the levels that the
+    closure witnesses land on until none is left.
+    """
+    verdict = is_closed(J, "w", box, p)
+    if verdict:
         return "submodule"
-    if closed(J.complement()):
+    if is_closed(J.complement(), "w", box, p):
         return "quotient"
-    # J2 \ J1 with both closed and J1 = J2 \ J
-    lmin = box.lmin - p.mu2_int()
-    lmax = box.lmax - p.mu2_int()
-    bounds_lo = [_INF] + list(range(lmin, lmax + 1))
-    bounds_hi = list(range(lmin, lmax + 1)) + [_INF]
-    for lo in bounds_lo:
-        for hi in bounds_hi:
-            cand = LBarSet([(lo, hi)])
-            if cand.is_empty() or not J.is_subset(cand):
-                continue
-            if closed(cand) and closed(cand.difference(J)):
-                return "subquotient"
-    return "none"
+    t = p.mu2_int()
+    closure = J
+    while not verdict:
+        landed = [(jdx[1] - t, jdx[1] - t) for _, _, jdx in verdict.witnesses]
+        closure = LBarSet(closure.intervals + tuple(landed))
+        verdict = is_closed(closure, "w", box, p)
+    return "subquotient" if is_closed(closure.difference(J), "w", box, p) else "none"

@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 from gtsl3 import registry
 from gtsl3.cli import main
@@ -134,6 +135,20 @@ def test_generate_covers_at_generic_parameters(capsys):
         capsys, "generate", "--start", "2,-1,3", "--window", "3"
     )
     assert lines[0]["verdict"] == "covers-window"
+
+
+def test_generate_names_an_interval_set_in_the_set_grammar(capsys):
+    code, lines = run_cli(capsys, "--mu2", "0", "generate", "--set", "lbar in 1..3",
+                          "--start", "0,1,0", "--window", "2")
+    assert code == 0
+    assert lines[0]["descriptor"] == "plain:lbar in 1..3"
+
+
+def test_hom_symbolic_output_matches_the_golden_file(capsys):
+    main(["--symbolic", "--mu2", "0", "hom", "--source", "dual:lbar=0",
+          "--target", "lbar=0", "--window", "1"])
+    golden = Path(__file__).parent / "golden" / "hom_symbolic_eq0.json"
+    assert capsys.readouterr().out == golden.read_text()
 
 
 def test_classify(capsys):

@@ -1,10 +1,12 @@
+import functools
+import json
 import random
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from gtsl3 import hom
 from gtsl3.errors import ObstructionAtIndex
 from gtsl3.hom import (
     HomSolution,
@@ -229,9 +231,11 @@ def test_descriptor_validation():
 # two-branch recurrence they replaced, kept here as oracles
 
 def _equations_oracle(source, target, box):
+    """(indices, [((a, j), row), ...]): the row matching the coefficient of
+    b'_j in phi(X b_a) = X phi(b_a), from both ends of every edge."""
     indices = source.indices(box)
     inside = set(indices)
-    rows = []
+    edges = []
     for a in indices:
         for gen in OFF_DIAGONAL:
             src = source.action(gen, a)
@@ -246,8 +250,8 @@ def _equations_oracle(source, target, box):
                     row[a] = row.get(a, 0) - tgt[j]
                 row = {c: v for c, v in row.items() if v != 0}
                 if row:
-                    rows.append(row)
-    return indices, rows
+                    edges.append(((a, j), row))
+    return indices, edges
 
 
 def _recurrence_oracle(source, target, seed_idx, seed_value, box):
@@ -293,28 +297,45 @@ def _outcome(solve, *args):
     return sorted(sol.x.items())
 
 
+MODULE_DUAL = ((False, True), (True, False))
+SAME_BASIS = ((False, False), (True, True))
 ORACLE_POINTS = {
-    "generic": (PG, ["full"]),
-    "mu1=0": (Params(0, Fraction(1, 5)), ["full"]),
+    "generic": (PG, ["full"], MODULE_DUAL),
+    "mu1=0": (Params(0, Fraction(1, 5)), ["full"], MODULE_DUAL),
     **{f"mu2={t}": (Params(Fraction(1, 3), t),
-                    ["full", "l01", "lbar>=0", "lbar>=2", "lbar<=-1"])
+                    ["full", "l01", "lbar>=0", "lbar>=2", "lbar<=-1"], MODULE_DUAL)
        for t in (0, 3, -1)},
+    "same-basis mu2=0": (P0, ["full", "l01", "lbar>=2"], SAME_BASIS),
 }
 
 
-@pytest.mark.parametrize("params,sets", ORACLE_POINTS.values(), ids=list(ORACLE_POINTS))
-def test_comparison_rows_match_the_assembly_and_recurrence_oracles(params, sets):
+@pytest.mark.parametrize("params,sets,pairings", ORACLE_POINTS.values(),
+                         ids=list(ORACLE_POINTS))
+def test_comparison_rows_match_the_assembly_and_recurrence_oracles(params, sets, pairings):
+    """A module-dual problem assembles the row at the lower end of each edge
+    (j > a) and leaves out the upper-end row, which is that row or its
+    negative; a same-basis problem assembles both ends."""
     rnd = random.Random(41)
     for text in sets:
         J = parse_set_expr(text)
-        for sdual, tdual in ((False, True), (True, False)):
+        for sdual, tdual in pairings:
             src = ModuleDescriptor(params, dual=sdual, J=J)
             tgt = ModuleDescriptor(params, dual=tdual, J=J)
             for r in (2, 3, 4):
                 box = src.window(r)
                 if r == 3:  # the rows do not depend on r, only on the window edge
-                    assert intertwiner_equations(src, tgt, box) == _equations_oracle(
-                        src, tgt, box)
+                    indices, edges = _equations_oracle(src, tgt, box)
+                    if sdual == tdual:
+                        want = [row for _, row in edges]
+                    else:
+                        kept = {e: row for e, row in edges if e[1] > e[0]}
+                        for (a, j), row in edges:
+                            if j < a:
+                                twin = kept[j, a]
+                                assert row == twin or row == {
+                                    c: -v for c, v in twin.items()}, (text, sdual, a, j)
+                        want = list(kept.values())
+                    assert intertwiner_equations(src, tgt, box) == (indices, want)
                 indices = src.indices(box)
                 for seed in [(0, box.lmin + r, 0)] + rnd.sample(indices, 2):
                     if seed not in indices:
@@ -325,8 +346,9 @@ def test_comparison_rows_match_the_assembly_and_recurrence_oracles(params, sets)
 
 
 # ---------------------------------------------------------------------------
-# the solver, which skips proportional twin rows, against the eliminator
-# that reduces every row, on every registered Hom problem
+# the solver on its half-size system against the general eliminator on
+# the rows from both ends of every edge, and against golden printed
+# solutions, on every registered Hom problem
 
 def _printed(sols):
     return [sorted((idx, type(v).__name__, str(v)) for idx, v in s.x.items())
@@ -345,17 +367,54 @@ REGISTERED_HOM = {
     "symbolic r=1": [(SYM0, parse_set_expr(text), sdual, tdual, 1)
                      for text in ("l01", "lbar=0")
                      for sdual, tdual in ((True, False), (False, True))],
+    "same-basis full": [(PG, None, sdual, sdual, r)
+                        for sdual in (False, True) for r in (2, 3)],
 }
+GOLDEN_HOM = Path(__file__).parent / "golden" / "hom_solutions.json"
 
 
-@pytest.mark.parametrize("problems", REGISTERED_HOM.values(), ids=list(REGISTERED_HOM))
-def test_solve_intertwiner_prints_the_oracle_solutions(problems, monkeypatch):
-    for params, J, sdual, tdual, r in problems:
-        src = ModuleDescriptor(params, dual=sdual, J=J)
-        tgt = ModuleDescriptor(params, dual=tdual, J=J)
-        box = src.window(r)
-        got = _printed(solve_intertwiner(src, tgt, box))
-        with monkeypatch.context() as m:
-            m.setattr(hom, "nullspace", nullspace_oracle)
-            want = _printed(solve_intertwiner(src, tgt, box))
-        assert got == want, (J, sdual, tdual, r)
+def _problem(params, J, sdual, tdual, r):
+    src = ModuleDescriptor(params, dual=sdual, J=J)
+    tgt = ModuleDescriptor(params, dual=tdual, J=J)
+    return src, tgt, src.window(r)
+
+
+@functools.cache
+def _solved(group):
+    return [_printed(solve_intertwiner(*_problem(*case))) for case in REGISTERED_HOM[group]]
+
+
+def _golden_entries(group):
+    """JSON-ready {problem, solutions} records of one group, in order."""
+    side = {False: "plain", True: "dual"}
+    out = []
+    for (params, J, sdual, tdual, r), printed in zip(REGISTERED_HOM[group], _solved(group)):
+        name = (f"{side[sdual]} -> {side[tdual]}, "
+                f"J = {'all' if J is None else J.intervals}, "
+                f"mu = ({params.mu1}, {params.mu2}), r = {r}")
+        out.append({"problem": name, "solutions": printed})
+    return json.loads(json.dumps(out))
+
+
+@pytest.mark.parametrize("group", list(REGISTERED_HOM))
+def test_solve_intertwiner_prints_the_oracle_solutions(group):
+    for case, got in zip(REGISTERED_HOM[group], _solved(group)):
+        src, tgt, box = _problem(*case)
+        indices, edges = _equations_oracle(src, tgt, box)
+        basis = nullspace_oracle([row for _, row in edges], indices)
+        want = _printed([HomSolution(src, tgt, box, vec).normalized() for vec in basis])
+        assert got == want, case
+
+
+@pytest.mark.parametrize("group", list(REGISTERED_HOM))
+def test_solve_intertwiner_prints_the_golden_solutions(group):
+    assert _golden_entries(group) == json.loads(GOLDEN_HOM.read_text())[group]
+
+
+if __name__ == "__main__":
+    # regenerate the golden file, one problem a line:
+    # PYTHONPATH=src python tests/test_hom.py
+    GOLDEN_HOM.write_text("{\n" + ",\n".join(
+        f" {json.dumps(group)}: [\n  "
+        + ",\n  ".join(json.dumps(e) for e in _golden_entries(group)) + "\n ]"
+        for group in REGISTERED_HOM) + "\n}\n")

@@ -16,6 +16,7 @@ from gtsl3.module import (
     act,
     basis_vector,
 )
+from gtsl3.serialize import parse_set_expr
 from gtsl3.subquotient import LBarSet, act_truncated, classify, is_closed
 
 P0 = Params(Fraction(1, 3), Fraction(0))
@@ -41,8 +42,14 @@ class TestLBarSet:
 
     def test_difference_and_subset(self):
         assert LBarSet.le(1).difference(LBarSet.le(0)) == LBarSet.eq(1)
-        assert LBarSet.eq(1).is_subset(LBarSet.ge(1))
-        assert not LBarSet.ge(1).is_subset(LBarSet.eq(1))
+
+    def test_repr_of_a_single_run_parses_back(self):
+        runs = ([LBarSet.between(a, b) for a in range(-3, 4) for b in range(a, 4)]
+                + [f(c) for c in range(-3, 4) for f in (LBarSet.ge, LBarSet.le)])
+        for J in runs:
+            assert parse_set_expr(repr(J)) == J, repr(J)
+        assert repr(LBarSet.between(1, 3)) == "lbar in 1..3"
+        assert parse_set_expr(repr(LBarSet.all())) is None  # the full module
 
 
 def test_truncated_action_frozen_examples():
@@ -117,6 +124,44 @@ def test_classification_matches_the_structure_list():
     # no pair of closed sets carves them out
     assert classify(LBarSet.eq(2), BOX, P0) == "none"
     assert classify(LBarSet.eq(-1), BOX, P0) == "none"
+
+
+def _classify_by_interval_search(J, box, p):
+    """The classification as a search over every interval J2 containing J
+    for one with J2 and J2 minus J both closed."""
+    closed = lambda S: bool(is_closed(S, "w", box, p))
+    if closed(J):
+        return "submodule"
+    if closed(J.complement()):
+        return "quotient"
+    levels = range(box.lmin - p.mu2_int(), box.lmax - p.mu2_int() + 1)
+    for lo in [None, *levels]:
+        for hi in [*levels, None]:
+            J2 = LBarSet([(lo, hi)])
+            if (not J2.is_empty() and J.difference(J2).is_empty()
+                    and closed(J2) and closed(J2.difference(J))):
+                return "subquotient"
+    return "none"
+
+
+@pytest.mark.parametrize("mu2", [0, 3])
+def test_classify_equals_the_interval_search_on_intervals_and_half_lines(mu2):
+    p = Params(Fraction(1, 3), mu2)
+    ends = range(-2, 3)
+    sets = ([LBarSet.between(a, b) for a in ends for b in ends if a <= b]
+            + [f(c) for c in ends for f in (LBarSet.ge, LBarSet.le)])
+    for r in (1, 2, 3):
+        box = Box.radius(r, mu2)
+        for J in sets:
+            assert classify(J, box, p) == _classify_by_interval_search(J, box, p), (r, J)
+
+
+def test_classify_takes_the_least_closed_superset_of_a_union():
+    # on the r = 1 window only lbar = 1 of J is visible: J is
+    # {lbar <= -2, 0, 1} minus the submodule {0}, and no interval carves it out
+    J = LBarSet([(None, -2), (1, 1)])
+    assert _classify_by_interval_search(J, Box.radius(1), P0) == "none"
+    assert classify(J, Box.radius(1), P0) == "subquotient"
 
 
 def test_fastpath_equals_truncation_everywhere():
