@@ -3,14 +3,16 @@
 Subcommands: act, change-basis, pair, hom, generate, character, classify,
 verify-paper.  All payloads and results are JSON with exact scalar strings;
 output ordering is deterministic.  Exit codes: 0 success / all checks pass,
-1 a verification check failed, 2 invalid input -- a malformed flag or
-payload -- reported as an {"error", "message"} JSON object.
+1 a verification check failed or stdout was closed before all output was
+written, 2 invalid input -- a malformed flag or payload -- reported as an
+{"error", "message"} JSON object.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -316,17 +318,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        parser = build_parser()
-        # argparse would report the value of a leading --window as the subcommand
-        head = next((i for i, a in enumerate(argv) if a in parser.commands), 0)
-        if any(a.split("=")[0] == "--window" for a in argv[:head]):
-            raise ValueError("--window goes after the subcommand, as in "
-                             "gtsl3 classify --set lbar=1 --window 3")
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except (ValueError, KeyError, ZeroDivisionError, json.JSONDecodeError) as e:
-        _emit({"error": type(e).__name__, "message": str(e)})
-        return 2
+        try:
+            parser = build_parser()
+            # argparse would report the value of a leading --window as the subcommand
+            head = next((i for i, a in enumerate(argv) if a in parser.commands), 0)
+            if any(a.split("=")[0] == "--window" for a in argv[:head]):
+                raise ValueError("--window goes after the subcommand, as in "
+                                 "gtsl3 classify --set lbar=1 --window 3")
+            args = parser.parse_args(argv)
+            code = args.func(args)
+        except (ValueError, KeyError, ZeroDivisionError, json.JSONDecodeError) as e:
+            _emit({"error": type(e).__name__, "message": str(e)})
+            code = 2
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # the reader stopped early: send what is still buffered to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -9,16 +9,19 @@ window makes the system exactly solvable.
 
 Each edge {a, j} of the index graph gives a row at both of its ends: from
 X at index a with target j, and from the opposite generator at j with
-target a.  Between the module and its dual the two rows are equal or
-negated: the eta-action is (X eta)(v) = -eta(tau(X) v), and tau(X) is the
-opposite generator (negated for e12 and f12), so each row's dual
-coefficient is minus the other row's module coefficient, times that sign.
-So ``intertwiner_equations`` assembles only the lower end's row (j > a) of
-a module-dual problem, and the solver never sees a row twice.  A
-same-basis problem (plain->plain or dual->dual) keeps both ends: there an
-edge can have a row at one end only, where the opposite coefficient
-vanishes.  ``solve_by_recurrence`` reads the upper end's row (j < a)
-straight from ``_comparison_rows``.
+target a.  The two rows are proportional, so ``intertwiner_equations``
+keeps the first row assembled on each edge.  Between the module and its
+dual they are equal or negated: the eta-action is (X eta)(v) =
+-eta(tau(X) v), and tau(X) is the opposite generator (negated for e12 and
+f12), so the kept row is the lower end's (j > a).  In a same-basis problem
+(plain->plain or dual->dual) source and target are one module and every
+row is c*(x_j - x_a); an edge has a row at one end only where the other
+end's coefficient vanishes.  ``solve_by_recurrence`` reads the upper end's
+row of an edge and, where that is absent, the lower end's.
+
+The closed-form families are products of Pochhammer symbols
+x^(n) = Gamma(x+n)/Gamma(x), which ``raising_factorial`` gives for every
+integer n, so one formula covers both signs of k and l.
 
 Boundary policy: equations are assembled at every window index and an
 equation is skipped only when it touches an unknown outside the window.
@@ -35,7 +38,7 @@ from fractions import Fraction
 
 from .errors import ObstructionAtIndex
 from .module import BASIS_ACTIONS, OFF_DIAGONAL, Box, ModuleElement, Params
-from .scalars import falling_factorial, raising_factorial, scalar_is_zero
+from .scalars import raising_factorial, scalar_is_zero
 from .solver import nullspace
 from .subquotient import LBarSet
 
@@ -144,19 +147,17 @@ def _comparison_rows(source, target, gen: str, a, inside, box: Box) -> dict:
 
 
 def intertwiner_equations(source, target, box: Box):
-    """All distinct in-window coefficient-matching equations, as sparse
-    rows; a module-dual problem gives each edge's row once (j > a)."""
+    """The in-window coefficient-matching equations as sparse rows: the
+    first row assembled on each edge {a, j}, in assembly order."""
     _check_problem(source, target)
     indices = source.indices(box)
     inside = set(indices)
-    both_ends = source.dual == target.dual
-    rows = []
+    edges = {}
     for a in indices:
         for gen in OFF_DIAGONAL:
-            rows += [row for j, row in
-                     _comparison_rows(source, target, gen, a, inside, box).items()
-                     if both_ends or j > a]
-    return indices, rows
+            for j, row in _comparison_rows(source, target, gen, a, inside, box).items():
+                edges.setdefault((min(a, j), max(a, j)), row)
+    return indices, list(edges.values())
 
 
 def solve_intertwiner(source, target, box: Box):
@@ -188,10 +189,12 @@ def verify_solution(sol: HomSolution):
 def solve_by_recurrence(source, target, seed_idx, seed_value, box: Box):
     """Propagate the one-step ratio recurrences outward from a seed.
 
-    A step in the k, l or m direction solves the e1, e2 or e12 comparison
-    row at the higher of its two indices for the new unknown.  A row whose
-    only nonzero coefficient is on the already known value aborts with
-    ObstructionAtIndex: no invertible intertwiner passes through there.
+    A step in the k, l or m direction solves the equation of its edge for
+    the new unknown: the e1, e2 or e12 comparison row at the higher of its
+    two indices or, where that row is absent, the f1, f2 or f12 row at the
+    lower one.  A row whose only nonzero coefficient is on the already known
+    value aborts with ObstructionAtIndex: no invertible intertwiner passes
+    through there.
     """
     _check_problem(source, target)
     seed_idx = tuple(seed_idx)
@@ -206,7 +209,7 @@ def solve_by_recurrence(source, target, seed_idx, seed_value, box: Box):
     inside = set(source.indices(box))
     while queue:
         a = queue.popleft()
-        for axis, gen in enumerate(("e1", "e2", "e12")):
+        for axis, (up, down) in enumerate((("e1", "f1"), ("e2", "f2"), ("e12", "f12"))):
             for direction in (-1, +1):
                 step = [0, 0, 0]
                 step[axis] = direction
@@ -214,12 +217,15 @@ def solve_by_recurrence(source, target, seed_idx, seed_value, box: Box):
                 if nxt in x or nxt not in inside:
                     continue
                 hi, lo = (a, nxt) if direction < 0 else (nxt, a)
-                row = _comparison_rows(source, target, gen, hi, inside, box).get(lo)
-                if row is None:
+                for at, to, gen in ((hi, lo, up), (lo, hi, down)):
+                    row = _comparison_rows(source, target, gen, at, inside, box).get(to)
+                    if row is not None:
+                        break
+                else:
                     continue  # no information along this edge
                 if nxt not in row:
-                    side = "source" if nxt == lo else "target"
-                    raise ObstructionAtIndex(hi, gen, f"{side} coefficient vanishes")
+                    side = "source" if nxt == to else "target"
+                    raise ObstructionAtIndex(at, gen, f"{side} coefficient vanishes")
                 # an int 0, so that a zero value takes the scalar type of row[nxt]
                 x[nxt] = (-row[a] * x[a] if a in row else 0) / row[nxt]
                 queue.append(nxt)
@@ -277,22 +283,15 @@ def closed_form_xabc(idx, p: Params):
     lb = p.lbar(l)
     mu1 = p.mu1
     mu2 = p.mu2
-    out = (
+    return (
         (-1) ** m
         * raising_factorial(kb + lb, m)
         * mu1
         * mu2
         / (kb * lb * math.factorial(m))
+        * raising_factorial(-mu1 - 1, k) / raising_factorial(-mu1 - mu2 - 1, k)
+        * raising_factorial(-mu2 - 1, l) / raising_factorial(kb - mu2 - 1, l)
     )
-    if k >= 0:
-        out = out * raising_factorial(-mu1 - 1, k) / raising_factorial(-mu1 - mu2 - 1, k)
-    else:
-        out = out * falling_factorial(-2 - mu1 - mu2, -k) / falling_factorial(-2 - mu1, -k)
-    if l >= 0:
-        out = out * raising_factorial(-mu2 - 1, l) / raising_factorial(kb - mu2 - 1, l)
-    else:
-        out = out * falling_factorial(kb - mu2 - 2, -l) / falling_factorial(-2 - mu2, -l)
-    return out
 
 
 def closed_form_l01_phi(idx, p: Params):
@@ -306,10 +305,21 @@ def closed_form_l01_phi(idx, p: Params):
     if lb != 0:
         raise ValueError(f"index {idx} outside the lbar in {{0,1}} band")
     kb = p.kbar(k)
+    return -p.mu1 * (-1) ** m * raising_factorial(kb + 1, m - 1) / math.factorial(m)
+
+
+def _plain_to_dual(k, lb, m, p: Params):
+    """The (k, m) factor that the plain -> dual families share:
+    (-1)^m m!/(kb+lb)^(m) * (-kb/mu1) * (lb-mu1-1)^(k)/(-mu1-1)^(k)."""
+    kb = p.kbar(k)
     mu1 = p.mu1
-    if m == 0:
-        return -mu1 / kb
-    return -mu1 * (-1) ** m * raising_factorial(kb + 1, m - 1) / math.factorial(m)
+    return (
+        (-1) ** m
+        * math.factorial(m)
+        / raising_factorial(kb + lb, m)
+        * (-kb / mu1)
+        * raising_factorial(lb - mu1 - 1, k) / raising_factorial(-mu1 - 1, k)
+    )
 
 
 def closed_form_l01_psi(idx, p: Params):
@@ -322,22 +332,7 @@ def closed_form_l01_psi(idx, p: Params):
         return Fraction(0)
     if lb != 1:
         raise ValueError(f"index {idx} outside the lbar in {{0,1}} band")
-    kb = p.kbar(k)
-    mu1 = p.mu1
-    return (
-        (-1) ** m
-        * math.factorial(m)
-        / raising_factorial(kb + 1, m)
-        * kb
-        * (kb - 1)
-        / (mu1 * (mu1 + 1))
-    )
-
-
-def _k_branch(kb, lb, mu1, k: int):
-    if k >= 0:
-        return raising_factorial(lb - mu1 - 1, k) / raising_factorial(-mu1 - 1, k)
-    return falling_factorial(-mu1 - 2, -k) / falling_factorial(lb - mu1 - 2, -k)
+    return _plain_to_dual(k, lb, m, p)
 
 
 def closed_form_lge2(idx, p: Params):
@@ -347,19 +342,8 @@ def closed_form_lge2(idx, p: Params):
     lb = l - t
     if lb < 2:
         return Fraction(0)
-    kb = p.kbar(k)
-    mu1 = p.mu1
-    out = (
-        (-1) ** m
-        * math.factorial(m)
-        / raising_factorial(kb + lb, m)
-        * (-kb / mu1)
-        * _k_branch(kb, lb, mu1, k)
-    )
-    if lb >= 3:
-        middle = math.factorial(lb - 3) if lb >= 5 else 1
-        out = out * lb * raising_factorial(1 - mu1, lb - 2) / (2 * (lb - 2) * middle)
-    return out
+    return (_plain_to_dual(k, lb, m, p) * lb * raising_factorial(1 - p.mu1, lb - 2)
+            / (2 * math.factorial(lb - 2)))
 
 
 def closed_form_lle_minus1(idx, p: Params):
@@ -373,19 +357,8 @@ def closed_form_lle_minus1(idx, p: Params):
     lb = l - t
     if lb > -1:
         raise ValueError(f"index {idx} outside lbar <= -1")
-    kb = p.kbar(k)
-    mu1 = p.mu1
-    out = (
-        (-1) ** m
-        * math.factorial(m)
-        / raising_factorial(kb + lb, m)
-        * (-kb / mu1)
-        * _k_branch(kb, lb, mu1, k)
-    )
-    if lb <= -2:
-        three_up = math.factorial(-lb + 1) // 2
-        out = out * (-lb) * three_up / raising_factorial(mu1 + 3, -lb - 1)
-    return out
+    return (_plain_to_dual(k, lb, m, p) * (-lb) * (math.factorial(1 - lb) // 2)
+            / raising_factorial(p.mu1 + 3, -lb - 1))
 
 
 def family_solution(name: str, source, target, box: Box) -> HomSolution:

@@ -141,22 +141,11 @@ class BiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = BiPoly.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def evaluate(self, v1: Fraction, v2: Fraction) -> Fraction:
         total = Fraction(0)
@@ -413,22 +402,14 @@ MU2 = RatFunc.mu2()
 
 
 def raising_factorial(x, n: int):
-    """x^(n) = x (x+1) ... (x+n-1); the empty product for n = 0."""
+    """The Pochhammer symbol x^(n) = Gamma(x+n)/Gamma(x) for every integer n:
+    x (x+1) ... (x+n-1) for n >= 0, the empty product for n = 0, and
+    1/((x+n) ... (x-1)) for n < 0."""
     if n < 0:
-        raise ValueError("raising factorial needs n >= 0")
+        return Fraction(1) / raising_factorial(x + n, -n)
     out = 1
     for j in range(n):
         out = out * (x + j)
-    return out if n else Fraction(1)
-
-
-def falling_factorial(x, n: int):
-    """x_(n) = x (x-1) ... (x-n+1); the empty product for n = 0."""
-    if n < 0:
-        raise ValueError("falling factorial needs n >= 0")
-    out = 1
-    for j in range(n):
-        out = out * (x - j)
     return out if n else Fraction(1)
 
 

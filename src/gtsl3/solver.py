@@ -4,9 +4,7 @@ Rows are sparse {column: coefficient} dicts over a coefficient field
 (Fraction or RatFunc).  Pivot rows are kept normalized to a unit leading
 entry, so every elimination step is a single exact division-and-subtract;
 cross-multiplication chains (and their coefficient blowup) never appear.
-Zero tests are exact in both fields.  Every row is reduced: the Hom
-assembly hands over each module-dual equation once, so there is no copy
-to look for.
+Zero tests are exact in both fields.
 """
 
 from __future__ import annotations

@@ -102,9 +102,6 @@ class LBarSet:
                 kept.append((bottom, b))
         return LBarSet(kept)
 
-    def is_empty(self) -> bool:
-        return not self.intervals
-
     def __eq__(self, other):
         return isinstance(other, LBarSet) and self.intervals == other.intervals
 

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from gtsl3 import registry
@@ -416,6 +419,31 @@ def test_hom_recurrence_seed_outside_the_set_names_the_set(capsys):
     )
     assert _rejected(code, lines)
     assert "(9, 0, 0)" in lines[-1]["message"] and "window" in lines[-1]["message"]
+
+
+def test_hom_recurrence_crosses_a_same_basis_wall(capsys):
+    # at mu2 = 0 some edges have a row at their lower end only
+    code, lines = run_cli(
+        capsys, "--mu2", "0", "hom", "--source", "full", "--target", "full",
+        "--recurrence", "--window", "2",
+    )
+    assert code == 0
+    (res,) = lines
+    assert res["dimension"] == 1
+    assert set(res["solutions"][0].values()) == {"1"}
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # 224 KB of output, more than a pipe holds, so the writer meets the closed end
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gtsl3.cli", "hom", "--source", "dual:full",
+         "--target", "full", "--recurrence", "--window", "10"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    assert proc.wait() == 1
 
 
 def test_malformed_index_sets_exit_2_naming_the_set(capsys):

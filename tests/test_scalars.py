@@ -12,7 +12,6 @@ from gtsl3.scalars import (
     BiPoly,
     RatFunc,
     binomial,
-    falling_factorial,
     format_scalar,
     parse_scalar,
     raising_factorial,
@@ -26,12 +25,6 @@ def test_raising_factorial_values():
     assert raising_factorial(MU2, 1) == MU2
 
 
-def test_falling_factorial_values():
-    assert falling_factorial(5, 0) == 1
-    assert falling_factorial(Fraction(1, 2), 2) == Fraction(-1, 4)
-    assert falling_factorial(-2 - MU1, 1) == -2 - MU1
-
-
 def test_factorial_concatenation():
     rnd = random.Random(7)
     for _ in range(40):
@@ -40,6 +33,18 @@ def test_factorial_concatenation():
         m = rnd.randint(0, 8)
         lhs = raising_factorial(x, n) * raising_factorial(x + n, m)
         assert lhs == raising_factorial(x, n + m)
+    # negative steps too, off the integers where a factor would vanish
+    for _ in range(40):
+        x = Fraction(2 * rnd.randint(-9, 9) + 1, 2 * rnd.randint(1, 7))
+        n = rnd.randint(-8, 8)
+        m = rnd.randint(-8, 8)
+        lhs = raising_factorial(x, n) * raising_factorial(x + n, m)
+        assert lhs == raising_factorial(x, n + m)
+        j = rnd.randint(0, 8)
+        assert raising_factorial(x, -j) * raising_factorial(x - j, j) == 1
+    assert raising_factorial(MU1, -2) * (MU1 - 2) * (MU1 - 1) == 1
+    value = raising_factorial(3, -2)  # an int argument gives a Fraction
+    assert type(value) is Fraction and value == Fraction(1, 2)
 
 
 def test_binomial():

@@ -138,7 +138,7 @@ def _classify_by_interval_search(J, box, p):
     for lo in [None, *levels]:
         for hi in [*levels, None]:
             J2 = LBarSet([(lo, hi)])
-            if (not J2.is_empty() and J.difference(J2).is_empty()
+            if (J2.intervals and not J.difference(J2).intervals
                     and closed(J2) and closed(J2.difference(J))):
                 return "subquotient"
     return "none"
