@@ -146,15 +146,22 @@ def _comparison_rows(source, target, gen: str, a, inside, box: Box) -> dict:
     return rows
 
 
+_ASSEMBLED = tuple(gen for gen in OFF_DIAGONAL if gen != "e12")
+
+
 def intertwiner_equations(source, target, box: Box):
     """The in-window coefficient-matching equations as sparse rows: the
-    first row assembled on each edge {a, j}, in assembly order."""
+    first row assembled on each edge {a, j}, in assembly order.  e12 is not
+    evaluated: its row sits at the upper end of an m-edge whose lower end,
+    assembled first, has an f12 row, since f12 keeps lbar and its
+    coefficients (kb+lb+m in the w-basis, -(m+1) in the eta-basis) do not
+    vanish where the sum is generic."""
     _check_problem(source, target)
     indices = source.indices(box)
     inside = set(indices)
     edges = {}
     for a in indices:
-        for gen in OFF_DIAGONAL:
+        for gen in _ASSEMBLED:
             for j, row in _comparison_rows(source, target, gen, a, inside, box).items():
                 edges.setdefault((min(a, j), max(a, j)), row)
     return indices, list(edges.values())

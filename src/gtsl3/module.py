@@ -357,7 +357,9 @@ def _accumulate(v: ModuleElement, expand, basis: str) -> ModuleElement:
     terms = {}
     for idx, c in v.terms.items():
         for jdx, a in expand(idx):
-            s = terms.get(jdx, 0) + c * a
+            s = c * a
+            if jdx in terms:
+                s = terms[jdx] + s
             if scalar_is_zero(s):
                 terms.pop(jdx, None)
             else:

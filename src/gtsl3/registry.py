@@ -36,7 +36,6 @@ from .module import (
     ModuleElement,
     Params,
     act,
-    act_lie,
     casimir_apply,
     gt_eigenvalue,
     u_to_w,
@@ -113,17 +112,26 @@ def check_structure_constants(**_):
 
 
 def _bracket_compat(params, basis, n_elements, rnd):
-    bad = []
+    """Witnesses (x, y, support of v), in that order, where
+    [x, y] v != x(y v) - y(x v).  Each X v and X(Y v) is computed once, and
+    only one element's actions are held at a time."""
+    gens = liealg.GENERATORS
+    brackets = {(x, y): liealg.bracket({x: 1}, {y: 1}) for x in gens for y in gens}
     elements = [_random_element(rnd, params, basis) for _ in range(n_elements)]
-    for x in liealg.GENERATORS:
-        for y in liealg.GENERATORS:
-            bxy = liealg.bracket({x: 1}, {y: 1})
-            for v in elements:
-                lhs = act_lie(bxy, v)
-                rhs = act(x, act(y, v)) - act(y, act(x, v))
-                if lhs != rhs:
-                    bad.append((x, y, v.support()))
-    return bad
+    failing = []
+    for v in elements:
+        xv = {g: act(g, v) for g in gens}
+        xyv = {(x, y): act(x, xv[y]) for x in gens for y in gens}
+        fails = set()
+        for (x, y), bxy in brackets.items():
+            lhs = ModuleElement(params, basis)
+            for g, c in bxy.items():
+                lhs = lhs + xv[g].scale(c)
+            if lhs != xyv[x, y] - xyv[y, x]:
+                fails.add((x, y))
+        failing.append(fails)
+    return [(x, y, v.support()) for x, y in brackets
+            for v, fails in zip(elements, failing) if (x, y) in fails]
 
 
 def check_brackets(basis="w", **_):

@@ -15,12 +15,27 @@ positive-leading because lex order is multiplicative.  So a sum or product
 of two normal fractions, whose denominator is that product, only strips
 the common monomial; content and sign are normalized where an arbitrary
 polynomial becomes a denominator (construction, parsing, division).
+
+A BiPoly product takes one of three exact routes.  A one-term factor
+shifts and scales the other operand.  Otherwise both operands are scaled to
+integer coefficients (by the lcm of their denominators) and the product is
+divided back at the end, so its terms and coefficient types are those of
+the term-by-term product.  Below _PACKED_PAIRS term pairs the schoolbook
+loop runs, since packing does not pay for itself there.  From there on,
+Kronecker substitution packs each operand into one integer, mu1^a mu2^b in
+a fixed-width slot, and CPython's Karatsuba multiplies the two at once.
+The packed integers grow with the degrees, not with the term count, so a
+sparse product of high degree would take far more memory than its terms:
+_PACKED_BYTES caps the packed product and sends larger ones to the
+schoolbook.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
+from array import array
 from fractions import Fraction
 
 
@@ -126,17 +141,8 @@ class BiPoly:
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                key = (a1 + a2, b1 + b2)
-                s = terms.get(key, 0) + c1 * c2
-                if s:
-                    terms[key] = _slim(s)
-                else:
-                    del terms[key]
         out = BiPoly.__new__(BiPoly)
-        out.terms = terms
+        out.terms = _product(self.terms, other.terms)
         return out
 
     __rmul__ = __mul__
@@ -223,6 +229,104 @@ def _coerce_poly(x):
     if isinstance(x, (int, Fraction)):
         return BiPoly.constant(x)
     return NotImplemented
+
+
+# products of this many term pairs or more are packed into one integer
+_PACKED_PAIRS = 100
+# the largest packed product in bytes; larger products take the schoolbook
+_PACKED_BYTES = 128 * 1024
+_SWAP = sys.byteorder == "big"  # slots are little-endian; array("Q") is native
+
+
+def _product(p: dict, q: dict) -> dict:
+    """The terms of the product of two polynomials' terms."""
+    if not p or not q:
+        return {}
+    if len(q) == 1:
+        p, q = q, p
+    if len(p) == 1:  # a monomial times a polynomial
+        ((a0, b0), c0), = p.items()
+        return {(a + a0, b + b0): _slim(c0 * c) for (a, b), c in q.items()}
+    sp, p = _integral(p)
+    sq, q = _integral(q)
+    terms = _packed_product(p, q) if len(p) * len(q) >= _PACKED_PAIRS else None
+    if terms is None:
+        terms = _schoolbook(p, q)
+    scale = sp * sq
+    if scale != 1:
+        for key, c in terms.items():
+            terms[key] = c // scale if c % scale == 0 else Fraction(c, scale)
+    return terms
+
+
+def _integral(terms: dict):
+    """(s, s * terms) for s the lcm of the coefficients' denominators."""
+    scale = 1
+    for c in terms.values():
+        if type(c) is not int:
+            scale = math.lcm(scale, c.denominator)
+    if scale == 1:
+        return 1, terms
+    return scale, {
+        key: c * scale if type(c) is int else c.numerator * (scale // c.denominator)
+        for key, c in terms.items()
+    }
+
+
+def _schoolbook(p: dict, q: dict) -> dict:
+    terms = {}
+    get = terms.get
+    for (a1, b1), c1 in p.items():
+        for (a2, b2), c2 in q.items():
+            key = (a1 + a2, b1 + b2)
+            terms[key] = get(key, 0) + c1 * c2
+    return {key: c for key, c in terms.items() if c}
+
+
+def _packed_product(p: dict, q: dict):
+    """Kronecker substitution for integer coefficients: mu1^a mu2^b goes
+    to slot a*W + b of an integer, W = the two mu2 degrees plus one, and one
+    integer product holds each coefficient of the product in its own slot.
+    A slot is wide enough for the largest possible coefficient and its
+    sign.  Slots are signed; a bias of half the slot range added to every
+    slot makes them all non-negative, so they unpack without carries.
+    None if the packed product would exceed _PACKED_BYTES."""
+    ap = max(p)[0] + 1
+    aq = max(q)[0] + 1
+    width = max(b for _, b in p) + max(b for _, b in q) + 1
+    slots = (ap + aq - 1) * width
+    bits = (max(map(abs, p.values())).bit_length()
+            + max(map(abs, q.values())).bit_length()
+            + min(len(p), len(q)).bit_length() + 1)
+    size = 8 if bits <= 64 else -(-bits // 8)  # bytes per slot
+    if slots * size > _PACKED_BYTES:
+        return None
+    bias = 1 << (8 * size - 1)
+    product = (_pack(p, width, ap * width, size) * _pack(q, width, aq * width, size)
+               + int.from_bytes(bias.to_bytes(size, "little") * slots, "little"))
+    data = product.to_bytes(slots * size, "little")
+    if size == 8:
+        values = array("Q", data)
+        if _SWAP:
+            values.byteswap()
+    else:
+        values = [int.from_bytes(data[i:i + size], "little")
+                  for i in range(0, len(data), size)]
+    return {divmod(k, width): v - bias for k, v in enumerate(values) if v != bias}
+
+
+def _pack(terms: dict, width: int, slots: int, size: int) -> int:
+    """The sum of c * 256^(size*(a*width + b)) over the terms; positive and
+    negative coefficients are laid out apart, in unsigned slots."""
+    pos = bytearray(slots * size)
+    neg = bytearray(slots * size)
+    for (a, b), c in terms.items():
+        i = (a * width + b) * size
+        if c > 0:
+            pos[i:i + size] = c.to_bytes(size, "little")
+        else:
+            neg[i:i + size] = (-c).to_bytes(size, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 class RatFunc:
@@ -360,12 +464,13 @@ def _normal(num: BiPoly, den: BiPoly, primitive: bool):
     """
     if num.is_zero():
         return BiPoly.zero(), BiPoly.one()
-    ma, mb = num.monomial_gcd()
-    na, nb = den.monomial_gcd()
-    mono = (min(ma, na), min(mb, nb))
-    if mono != (0, 0):
-        num = num.shift_down(mono)
-        den = den.shift_down(mono)
+    if (0, 0) not in den.terms:  # else no monomial divides den
+        ma, mb = num.monomial_gcd()
+        na, nb = den.monomial_gcd()
+        mono = (min(ma, na), min(mb, nb))
+        if mono != (0, 0):
+            num = num.shift_down(mono)
+            den = den.shift_down(mono)
     if not primitive:
         cd = den.content()
         if cd != 1:

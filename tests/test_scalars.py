@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gtsl3 import scalars
 from gtsl3.module import ModuleElement, Params, w_to_u
 from gtsl3.scalars import (
     MU1,
@@ -17,6 +18,7 @@ from gtsl3.scalars import (
     raising_factorial,
     scalar_is_integer,
 )
+from schoolbook_oracle import schoolbook_product, typed
 
 
 def test_raising_factorial_values():
@@ -239,3 +241,112 @@ def test_integral_sums_are_stored_as_int():
     p = BiPoly({(0, 1): Fraction(1, 2)}) + BiPoly({(0, 1): Fraction(5, 2), (0, 0): 1})
     assert {k: type(c) for k, c in p.terms.items()} == {(0, 1): int, (0, 0): int}
     assert format_scalar(s) == "(mu1)"
+
+
+# -- the product kernel: small products on the schoolbook, large ones packed
+# into one integer (Kronecker substitution), compared with the schoolbook
+# product as it stood before packing
+
+COEFFICIENTS = {
+    "small": st.integers(-9, 9),
+    "word": st.integers(-(2**30), 2**30),
+    "wide": st.integers(2**64, 2**80).flatmap(lambda n: st.sampled_from([n, -n])),
+    "fraction": st.fractions(min_value=-9, max_value=9, max_denominator=12),
+}
+SHAPES = {  # largest mu1 and mu2 exponent
+    "dense": (6, 6),
+    "univariate": (60, 0),
+    "sparse": (400, 300),
+}
+
+
+@st.composite
+def term_dicts(draw):
+    """Terms of a BiPoly with up to 40 terms: dense of low degree, in mu1
+    alone (so a slot row is one slot wide), or sparse of high degree (so
+    that some products exceed the packed byte budget); with small, word-size,
+    wider than 2^64, Fraction or mixed coefficients."""
+    amax, bmax = SHAPES[draw(st.sampled_from(sorted(SHAPES)))]
+    kind = draw(st.sampled_from(sorted(COEFFICIENTS) + ["mixed"]))
+    coeff = st.one_of(*COEFFICIENTS.values()) if kind == "mixed" else COEFFICIENTS[kind]
+    size = draw(st.sampled_from([4, 12, 40]))
+    keys = st.tuples(st.integers(0, amax), st.integers(0, bmax))
+    return BiPoly(draw(st.dictionaries(keys, coeff, min_size=size // 2, max_size=size))).terms
+
+
+@SETTINGS
+@given(term_dicts(), term_dicts())
+def test_product_equals_the_schoolbook_product(p, q):
+    got = (BiPoly(p) * BiPoly(q)).terms
+    assert typed(got) == typed(schoolbook_product(p, q))
+
+
+@SETTINGS
+@given(term_dicts(), term_dicts())
+def test_product_with_cancelling_slots_equals_the_schoolbook_product(a, b):
+    # (a + b)(a - b): the a*b and b*a contributions cancel slot by slot
+    plus, minus = (BiPoly(a) + BiPoly(b)).terms, (BiPoly(a) - BiPoly(b)).terms
+    got = (BiPoly(plus) * BiPoly(minus)).terms
+    assert typed(got) == typed(schoolbook_product(plus, minus))
+    assert got == (BiPoly(a) * BiPoly(a) - BiPoly(b) * BiPoly(b)).terms
+
+
+def _dense(degree, top):
+    """Every monomial of total degree <= degree, coefficients of both signs
+    up to ``top`` in size."""
+    rnd = random.Random(degree * 1000 + top.bit_length())
+    return {
+        (a, b): rnd.choice([-1, 1]) * rnd.randint(1, top)
+        for a in range(degree + 1)
+        for b in range(degree + 1 - a)
+    }
+
+
+@pytest.mark.parametrize("top", [3, 2**25, 2**70])
+def test_packed_product_is_exact_for_every_slot_size(top):
+    # 8-byte slots, and wider ones for top = 2**70
+    p, q = _dense(7, top), _dense(6, top)
+    assert len(p) * len(q) >= scalars._PACKED_PAIRS
+    expected = typed(schoolbook_product(p, q))
+    assert typed(scalars._packed_product(p, q)) == expected
+    assert typed((BiPoly(p) * BiPoly(q)).terms) == expected
+    # Fraction coefficients are scaled to integers and divided back
+    pf = {key: Fraction(c, 1 + key[0] % 3) for key, c in p.items()}
+    qf = {key: Fraction(c, 2 + key[1] % 2) for key, c in q.items()}
+    pf, qf = BiPoly(pf).terms, BiPoly(qf).terms
+    assert typed((BiPoly(pf) * BiPoly(qf)).terms) == typed(schoolbook_product(pf, qf))
+
+
+@pytest.mark.parametrize("cp, cq, n", [
+    (-(2**30 - 1), 2**30 - 1, 7),  # 64 bits with the sign: fills 8-byte slots
+    (2**30 - 1, 2**30 - 1, 7),
+    (2**31 - 1, -(2**31 - 1), 8),  # 31 + 31 + 1 bits fit 8 bytes, 8 products do not
+    (-(2**31 - 1), 2**31 - 1, 3),  # 3 products fit 64 bits, but not with the sign
+])
+def test_slots_hold_the_largest_sum_and_its_sign(cp, cq, n):
+    p = {(a, 0): cp for a in range(n)}
+    q = {(a, 0): cq for a in range(n)}
+    got = scalars._packed_product(p, q)
+    assert got[(n - 1, 0)] == n * cp * cq
+    assert typed(got) == typed(schoolbook_product(p, q))
+
+
+def test_products_over_the_byte_budget_take_the_schoolbook():
+    p = {(0, 0): 1, (300, 0): 2, (0, 300): -3}
+    q = {(a, b): a - b + 1 for a in range(0, 400, 40) for b in range(0, 400, 40)}
+    assert len(p) * len(q) >= scalars._PACKED_PAIRS
+    assert scalars._packed_product(p, q) is None
+    assert typed((BiPoly(p) * BiPoly(q)).terms) == typed(schoolbook_product(p, q))
+
+
+def test_cancelled_slots_are_not_stored():
+    a = _dense(4, 9)
+    b = {(a_ + 5, b_): c for (a_, b_), c in _dense(3, 9).items()}
+    plus, minus = (BiPoly(a) + BiPoly(b)).terms, (BiPoly(a) - BiPoly(b)).terms
+    assert len(plus) * len(minus) >= scalars._PACKED_PAIRS
+    got = scalars._packed_product(plus, minus)
+    assert typed(got) == typed(schoolbook_product(plus, minus))
+    # a*b has terms of mu1 degree 9, where a*a (up to 8) and b*b (from 10)
+    # have none, so those slots cancel
+    crossed = {(a1 + a2, b1 + b2) for (a1, b1) in a for (a2, b2) in b}
+    assert crossed - set(got)
