@@ -85,14 +85,6 @@ class BiPoly:
     def one(cls) -> "BiPoly":
         return cls.constant(1)
 
-    @classmethod
-    def gen_mu1(cls) -> "BiPoly":
-        return cls({(1, 0): 1})
-
-    @classmethod
-    def gen_mu2(cls) -> "BiPoly":
-        return cls({(0, 1): 1})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -223,6 +215,9 @@ class BiPoly:
     __repr__ = __str__
 
 
+_ZERO, _ONE = BiPoly.zero(), BiPoly.one()  # shared: no BiPoly is changed in place
+
+
 def _coerce_poly(x):
     if isinstance(x, BiPoly):
         return x
@@ -342,18 +337,10 @@ class RatFunc:
 
     def __init__(self, num, den=None):
         num = _coerce_poly(num)
-        den = BiPoly.one() if den is None else _coerce_poly(den)
+        den = _ONE if den is None else _coerce_poly(den)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         self.num, self.den = _normal(num, den, primitive=False)
-
-    @classmethod
-    def mu1(cls) -> "RatFunc":
-        return cls(BiPoly.gen_mu1())
-
-    @classmethod
-    def mu2(cls) -> "RatFunc":
-        return cls(BiPoly.gen_mu2())
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -362,6 +349,8 @@ class RatFunc:
         return not self.num.is_zero()
 
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)):  # c*den over the same den
+            return _ratfunc(self.num + self.den.scaled(other), self.den) if other else self
         other = _coerce_rat(other)
         if other is NotImplemented:
             return NotImplemented
@@ -376,15 +365,16 @@ class RatFunc:
         return out
 
     def __sub__(self, other):
-        other = _coerce_rat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if isinstance(other, (int, Fraction, BiPoly, RatFunc)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
-        return _coerce_rat(other) + (-self)
+        return (-self).__add__(other)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):  # scale the numerator
+            return _ratfunc(self.num.scaled(other) if other else _ZERO, self.den)
         other = _coerce_rat(other)
         if other is NotImplemented:
             return NotImplemented
@@ -402,12 +392,14 @@ class RatFunc:
 
     def __rtruediv__(self, other):
         other = _coerce_rat(other)
+        if other is NotImplemented:
+            return NotImplemented
         if self.num.is_zero():
             raise ZeroDivisionError("division by zero scalar")
         return RatFunc(other.num * self.den, other.den * self.num)
 
     def __pow__(self, n: int):
-        out = RatFunc(BiPoly.one())
+        out = RatFunc(_ONE)
         base = self
         if n < 0:
             base = 1 / self
@@ -417,6 +409,8 @@ class RatFunc:
         return out
 
     def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.num == self.den.scaled(other) if other else self.num.is_zero()
         other = _coerce_rat(other)
         if other is NotImplemented:
             return NotImplemented
@@ -448,7 +442,7 @@ class RatFunc:
         return None
 
     def __str__(self):
-        if self.den == BiPoly.one():
+        if self.den == _ONE:
             return f"({self.num})"
         return f"({self.num})/({self.den})"
 
@@ -463,7 +457,7 @@ def _normal(num: BiPoly, den: BiPoly, primitive: bool):
     of two normal denominators does; then only the monomial is stripped.
     """
     if num.is_zero():
-        return BiPoly.zero(), BiPoly.one()
+        return _ZERO, _ONE
     if (0, 0) not in den.terms:  # else no monomial divides den
         ma, mb = num.monomial_gcd()
         na, nb = den.monomial_gcd()
@@ -483,7 +477,8 @@ def _normal(num: BiPoly, den: BiPoly, primitive: bool):
 
 
 def _ratfunc(num: BiPoly, den: BiPoly) -> RatFunc:
-    """num/den for a den that is a product of two normal denominators."""
+    """num/den for a den that is normal or a product of two normal
+    denominators (an int or Fraction operand keeps the other's den)."""
     out = RatFunc.__new__(RatFunc)
     out.num, out.den = _normal(num, den, primitive=True)
     return out
@@ -492,18 +487,15 @@ def _ratfunc(num: BiPoly, den: BiPoly) -> RatFunc:
 def _coerce_rat(x):
     if isinstance(x, RatFunc):
         return x
-    if isinstance(x, (int, Fraction)):
-        out = RatFunc.__new__(RatFunc)  # a constant over one is in normal form
-        out.num = BiPoly.constant(x)
-        out.den = BiPoly.one()
-        return out
+    if isinstance(x, (int, Fraction)):  # a constant over one is in normal form
+        return _ratfunc(BiPoly.constant(x), _ONE)
     if isinstance(x, BiPoly):
         return RatFunc(x)
     return NotImplemented
 
 
-MU1 = RatFunc.mu1()
-MU2 = RatFunc.mu2()
+MU1 = RatFunc(BiPoly({(1, 0): 1}))
+MU2 = RatFunc(BiPoly({(0, 1): 1}))
 
 
 def raising_factorial(x, n: int):

@@ -40,8 +40,9 @@ def test_criterion_02_bracket_compatibility():
         check("brackets-symbolic"),
     ]
     assert [rep["elements"] for rep in reports[:3]] == [50, 50, 50]
-    criterion(2, "bracket compatibility, 50 random elements per basis + symbolic",
-              reports)
+    assert reports[3]["m"] == "all" and reports[3]["k, l"] == "all"
+    criterion(2, "bracket compatibility, 50 random elements per basis + "
+              "symbolic on every basis vector", reports)
 
 
 def test_criterion_03_oracle_equivalence():
@@ -51,8 +52,9 @@ def test_criterion_03_oracle_equivalence():
 
 
 def test_criterion_04_basis_roundtrip():
-    criterion(4, "u/w roundtrip identity, |k|,|l|<=5, m<=5, symbolic",
-              [check("basis-roundtrip", window=5)])
+    rep = check("basis-roundtrip", window=5)
+    assert (rep["k, l"], rep["m_max"]) == ("all", 5)
+    criterion(4, "u/w roundtrip identity, all k, l, m<=5, symbolic", [rep])
 
 
 def test_criterion_05_gt_lemma():
@@ -102,8 +104,10 @@ def test_criterion_11_relaxed_verma():
 
 def test_criterion_12_casimir():
     rep = check("casimir", window=4)
-    criterion(12, "Casimir acts by one scalar on the radius-4 window", [rep])
-    # recorded value: exactly zero at the tested parameters
+    assert (rep["k, l"], rep["m"]) == ("all", "all")
+    criterion(12, "Casimir acts by one scalar on every basis vector, symbolic",
+              [rep])
+    # recorded value: exactly zero, at every parameter off mu1 + mu2 in Z
     assert rep["scalar"] == "0"
 
 

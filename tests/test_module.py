@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gtsl3 import liealg
+from gtsl3 import liealg, module
 from gtsl3.errors import BasisMismatch, NonGenericParameters, RequiresIntegralMu2
 from gtsl3.hom import ModuleDescriptor, solve_intertwiner
 from gtsl3.module import (
@@ -21,6 +21,7 @@ from gtsl3.module import (
     w_to_u,
     w_vector,
 )
+from gtsl3.scalars import MU1, MU2
 
 P = Params(Fraction(1, 3), Fraction(1, 5))
 
@@ -260,3 +261,56 @@ def test_element_algebra_drops_zeros():
     assert v.scale(0).is_zero()
     assert list(Box.radius(1)) == sorted(Box.radius(1))
     assert Box.radius(2).contains((2, -2, 0)) and not Box.radius(2).contains((3, 0, 0))
+
+
+# -- the orbit lemma: every coefficient reads k and l only through
+# kbar = k - mu1 and lbar = l - mu2
+
+def _orbit_mismatches(expand):
+    """Indices (k, l, m), |k|, |l| <= 2 and m <= 3, where expand(params, idx),
+    a list of (target, coefficient), differs over Q(mu1, mu2) from
+    expand(Params(mu1 - k, mu2 - l), (0, 0, m)) shifted by (k, l)."""
+    symbolic = Params.symbolic()
+    bad = []
+    for k in range(-2, 3):
+        for l in range(-2, 3):
+            shifted = Params(MU1 - k, MU2 - l)
+            for m in range(4):
+                got = dict(expand(symbolic, (k, l, m)))
+                rep = {(i + k, j + l, n): c for (i, j, n), c in expand(shifted, (0, 0, m))}
+                if got != rep:
+                    bad.append((k, l, m))
+    return bad
+
+
+def _assert_action_orbit_lemma(basis):
+    action = module.BASIS_ACTIONS[basis]
+    for gen in liealg.GENERATORS:
+        assert _orbit_mismatches(lambda p, idx: action(gen, p, idx)) == [], (basis, gen)
+
+
+@pytest.mark.parametrize("basis", sorted(module.BASIS_ACTIONS))
+def test_action_at_k_l_is_the_shifted_action_at_0_0(basis):
+    _assert_action_orbit_lemma(basis)
+
+
+@pytest.mark.parametrize("source, change", [("w", w_to_u), ("u", u_to_w)])
+def test_change_of_basis_at_k_l_is_the_shifted_change_at_0_0(source, change):
+    def expand(p, idx):
+        return change(ModuleElement(p, source, {idx: Fraction(1)})).terms.items()
+    assert _orbit_mismatches(expand) == []
+
+
+def test_an_action_reading_mu1_directly_fails_the_orbit_lemma(monkeypatch):
+    act_u = module.act_u_basis
+
+    def e1_reads_mu1(gen, p, idx):
+        """The u-basis action with e1's coefficient -kbar written as -mu1."""
+        if gen != "e1":
+            return act_u(gen, p, idx)
+        k, l, m = idx
+        return [((k - 1, l, m), -p.mu1)]
+
+    monkeypatch.setitem(module.BASIS_ACTIONS, "u", e1_reads_mu1)
+    with pytest.raises(AssertionError, match="'u', 'e1'"):
+        _assert_action_orbit_lemma("u")

@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from gtsl3 import liealg, registry
-from gtsl3.module import ModuleElement, Params, act
+from gtsl3.module import Box, ModuleElement, Params, act, casimir_apply, u_to_w
 
 
 def _unshared_bracket_compat(params, basis, n_elements, rnd, act):
@@ -46,10 +47,87 @@ def test_bracket_check_reports_the_witnesses_of_the_unshared_loop(monkeypatch, b
         return _wrong_act(gen, v)
 
     monkeypatch.setattr(registry, "act", counted)
-    got = registry._bracket_compat(params, basis, n, random.Random(3))
+    rnd = random.Random(3)
+    got = registry._bracket_compat([registry._random_element(rnd, params, basis)
+                                    for _ in range(n)])
     assert got == expected
     assert 0 < len(got) < len(liealg.GENERATORS) ** 2 * n
     # X v once per generator and X(Y v) once per ordered pair
     gens = len(liealg.GENERATORS)
     assert len(calls) == n * (gens + gens * gens)
 
+
+# -- the window checks that the orbit checks replaced, kept as oracles on a
+# small window
+
+def _window_roundtrip_oracle(window):
+    """basis-roundtrip on every index of the window over Q(mu1, mu2):
+    the witnesses (basis, index) where w -> u -> w or u -> w -> u fails."""
+    params = Params.symbolic()
+    bad = []
+    for idx in Box.radius(window):
+        w = ModuleElement(params, "w", {idx: Fraction(1)})
+        if registry.u_to_w(registry.w_to_u(w)) != w:
+            bad.append(("w", idx))
+        u = ModuleElement(params, "u", {idx: Fraction(1)})
+        if registry.w_to_u(registry.u_to_w(u)) != u:
+            bad.append(("u", idx))
+    return bad
+
+
+def _window_casimir_oracle(window):
+    """casimir on every u- and w-basis vector of the window at GENERIC: the
+    witnesses of a non-diagonal result, and the set of diagonal values."""
+    params = Params(*registry.GENERIC)
+    bad, values = [], set()
+    for basis in ("u", "w"):
+        for idx in Box.radius(window):
+            out = registry.casimir_apply(ModuleElement(params, basis, {idx: Fraction(1)}))
+            if set(out.terms) - {idx}:
+                bad.append((basis, idx))
+            else:
+                values.add(out.terms.get(idx, Fraction(0)))
+    return bad, values
+
+
+def test_roundtrip_orbit_check_agrees_with_the_window_oracle():
+    assert _window_roundtrip_oracle(2) == []
+    rep = registry.run_check("basis-roundtrip", window=2)
+    assert rep["verdict"] == "pass" and rep["k, l"] == "all" and rep["m_max"] == 2
+    assert "m" not in rep  # the roundtrip is a statement for m <= m_max only
+
+
+def test_casimir_orbit_check_agrees_with_the_window_oracle():
+    bad, values = _window_casimir_oracle(2)
+    assert bad == [] and values == {0}
+    for window, every_m in ((2, False), (4, True)):
+        rep = registry.run_check("casimir", window=window)
+        assert rep["verdict"] == "pass" and rep["scalar"] == "0"
+        assert rep["k, l"] == "all" and rep["m_max"] == window
+        assert rep["where"] == "mu1 + mu2 not in Z"
+        assert (rep.get("m") == "all") is every_m
+
+
+def _u_to_w_doubled_at_m0(v):
+    """u_to_w with every coefficient of a target at m = 0 doubled."""
+    out = u_to_w(v)
+    return ModuleElement(out.params, out.basis,
+                         {idx: 2 * c if idx[2] == 0 else c for idx, c in out.terms.items()})
+
+
+def _casimir_plus_m(v):
+    """The Casimir plus m on each basis vector: diagonal, but not one scalar."""
+    out = casimir_apply(v)
+    return out + ModuleElement(v.params, v.basis,
+                               {idx: idx[2] * c for idx, c in v.terms.items()})
+
+
+def test_orbit_checks_and_window_oracles_fail_together(monkeypatch):
+    monkeypatch.setattr(registry, "u_to_w", _u_to_w_doubled_at_m0)
+    assert _window_roundtrip_oracle(2)
+    assert registry.run_check("basis-roundtrip", window=2)["verdict"] == "fail"
+    monkeypatch.setattr(registry, "casimir_apply", _casimir_plus_m)
+    bad, values = _window_casimir_oracle(2)
+    assert bad == [] and len(values) == 3
+    rep = registry.run_check("casimir", window=2)
+    assert rep["verdict"] == "fail" and rep["scalar"] == "None"

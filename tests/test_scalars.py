@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -208,6 +209,54 @@ def test_operations_agree_with_fraction_arithmetic_at_points(a, b, v1, v2):
     for op, got in _operations(a, b).items():
         if op in expected:
             assert got.evaluate(v1, v2) == expected[op], op
+
+
+scalar_operands = st.one_of(st.integers(-6, 6), small_fractions,
+                            st.sampled_from([0, Fraction(0), True, 2**70]))
+
+
+@SETTINGS
+@given(normal_ratfuncs(), scalar_operands)
+def test_scalar_operands_give_what_the_coercing_path_gives(a, c):
+    # an int or Fraction operand is handled directly; wrapping it as a
+    # constant RatFunc first takes the general path, as every operand once did
+    wrapped = scalars._coerce_rat(c)
+    assert type(wrapped) is RatFunc
+    pairs = {
+        "a + c": (a + c, a + wrapped), "c + a": (c + a, wrapped + a),
+        "a - c": (a - c, a - wrapped), "c - a": (c - a, wrapped - a),
+        "a * c": (a * c, a * wrapped), "c * a": (c * a, wrapped * a),
+    }
+    for name, (got, want) in pairs.items():
+        assert type(got) is RatFunc, name
+        assert str(got) == str(want), name
+        assert typed(got.num.terms) == typed(want.num.terms), name
+        assert typed(got.den.terms) == typed(want.den.terms), name
+    assert (a == c) is (a == wrapped)
+
+
+def test_scalar_sums_that_cancel_give_the_normal_zero():
+    a = (2 * MU1 + 2) / (MU1 + 1)  # equals 2, stored unreduced
+    assert str(a) == "(2*mu1 + 2)/(mu1 + 1)"
+    for zero in (a - 2, a + (-2), -2 + a, 2 - a, a * 0, 0 * a, a - Fraction(2)):
+        assert str(zero) == "(0)" and zero.den.terms == {(0, 0): 1}
+
+
+def test_equality_with_scalars_and_printing_of_constants():
+    assert RatFunc(7) == 7 and RatFunc(7) != 6 and RatFunc(0) == 0
+    assert (MU1 - MU1) == Fraction(0) and not (MU1 == 0)
+    assert (2 * MU1) / MU1 == 2 and (MU1 + 1) / (MU1 + 1) == Fraction(1)
+    assert str(RatFunc(Fraction(3, 2))) == "(3/2)" and str(MU1 / MU2) == "(mu1)/(mu2)"
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                operator.truediv])
+@pytest.mark.parametrize("other", [1.5, "a", None, [1]])
+def test_unsupported_operands_raise_type_error_on_either_side(op, other):
+    with pytest.raises(TypeError):
+        op(other, MU1)
+    with pytest.raises(TypeError):
+        op(MU1, other)
 
 
 def test_symbolic_change_of_basis_prints_the_same_strings():
