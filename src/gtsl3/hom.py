@@ -69,13 +69,11 @@ class ModuleDescriptor:
         return [idx for idx in box if self.contains(idx)]
 
     def action(self, gen: str, idx) -> dict:
-        """{target index: coefficient} for the generator on one basis vector."""
-        out = {}
-        for jdx, c in BASIS_ACTIONS[self.basis](gen, self.params, idx):
-            if scalar_is_zero(c) or not self.contains(jdx):
-                continue
-            out[jdx] = c
-        return out
+        """{target index: coefficient} for the generator on one basis vector:
+        the ambient action, which lists only nonzero coefficients, with the
+        targets outside J dropped."""
+        return {jdx: c for jdx, c in BASIS_ACTIONS[self.basis](gen, self.params, idx)
+                if self.contains(jdx)}
 
     def window(self, r: int) -> Box:
         lcenter = self.params.mu2_int() if self.params.mu2_integral() else 0

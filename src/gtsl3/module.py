@@ -3,10 +3,12 @@ Z^2 x Z_{>=0}, the sl3 action in the u- and w-bases and in the eta-basis of
 the dual, the pairing of the dual with the module, change of basis, and
 Gelfand-Tsetlin eigenvalue data.
 
-Indices are plain tuples (k, l, m).  All action formulas shift indices by
-at most one step, so finite support is preserved and the full module action
-is computed exactly -- finite windows enter only in the search and solve
-layers.  Throughout, kbar = k - mu1 and lbar = l - mu2.
+Indices are plain tuples (k, l, m).  The action in all three bases is one
+table, ACTION_TABLE, of index offsets and coefficients in (kbar, lbar, m),
+read by one rule for every caller; kbar = k - mu1 and lbar = l - mu2.  No
+offset moves an index by more than one step, so finite support is
+preserved and the full module action is computed exactly -- finite
+windows enter only in the search and solve layers.
 """
 
 from __future__ import annotations
@@ -242,113 +244,104 @@ def eta_vector(params, k, l, m) -> ModuleElement:
 
 
 # ---------------------------------------------------------------------------
-# single-basis-vector actions; each returns [(index, coefficient), ...]
+# the action on one basis vector, as data
 
-def _weight(gen: str, kb, lb, m: int):
-    """Eigenvalue of gen, h1 or h2, on the basis vector with these kbar,
-    lbar and m, the same in the u-, w- and eta-bases."""
-    if gen == "h1":
-        return -2 * kb + lb - m
-    return kb - 2 * lb - m
+def _w_den(kb, lb):
+    return (kb + lb) * (kb + lb - 1)
 
 
-def act_u_basis(gen: str, p: Params, idx):
-    k, l, m = idx
-    kb = p.kbar(k)
-    lb = p.lbar(l)
-    if gen == "e1":
-        return [((k - 1, l, m), -kb)]
-    if gen == "e2":
-        out = [((k, l - 1, m), -lb)]
-        if m > 0:
-            out.append(((k + 1, l, m - 1), Fraction(m)))
+def _eta_den(kb, lb):
+    return (kb + lb - 1) * (kb + lb - 2)
+
+
+# h1 and h2 act by the weight, the same in the u-, w- and eta-bases
+_WEIGHT = {
+    "h1": (((0, 0, 0), lambda kb, lb, m: -2 * kb + lb - m),),
+    "h2": (((0, 0, 0), lambda kb, lb, m: kb - 2 * lb - m),),
+}
+
+# basis -> generator -> ((offset, coefficient(kbar, lbar, m)), ...): the
+# generator sends b_(k,l,m) to the sum of coefficient * b_((k,l,m) + offset).
+# The eta-basis is the dual's, with eta_{k,l,m}(w_{k,l,m}) = 1 and the
+# twist by the involution tau: (X eta)(v) = -eta(tau(X) v), as ``pairing``
+# checks.
+ACTION_TABLE = {
+    "u": {
+        **_WEIGHT,
+        "e1": (((-1, 0, 0), lambda kb, lb, m: -kb),),
+        "e2": (((0, -1, 0), lambda kb, lb, m: -lb),
+               ((1, 0, -1), lambda kb, lb, m: Fraction(m))),
+        "f1": (((1, 0, 0), lambda kb, lb, m: kb - lb + m),
+               ((0, -1, 1), lambda kb, lb, m: -lb)),
+        "f2": (((0, 1, 0), lambda kb, lb, m: lb),
+               ((-1, 0, 1), lambda kb, lb, m: kb)),
+        "e12": (((0, 0, -1), lambda kb, lb, m: Fraction(-m)),),
+        "f12": (((0, 0, 1), lambda kb, lb, m: kb + lb + m),
+                ((1, 1, 0), lambda kb, lb, m: lb)),
+    },
+    "w": {
+        **_WEIGHT,
+        "e1": (((-1, 0, 0), lambda kb, lb, m: -kb),
+               ((0, 1, -1), lambda kb, lb, m: -m * lb * (lb - 1) / _w_den(kb, lb))),
+        "e2": (((0, -1, 0), lambda kb, lb, m: -lb),
+               ((1, 0, -1), lambda kb, lb, m: m * kb * (kb - 1) / _w_den(kb, lb))),
+        "f1": (((1, 0, 0), lambda kb, lb, m:
+                kb * (kb - 1) * (kb + lb + m) / _w_den(kb, lb)),
+               ((0, -1, 1), lambda kb, lb, m: -lb)),
+        "f2": (((0, 1, 0), lambda kb, lb, m:
+                lb * (lb - 1) * (kb + lb + m) / _w_den(kb, lb)),
+               ((-1, 0, 1), lambda kb, lb, m: kb)),
+        "e12": (((0, 0, -1), lambda kb, lb, m: Fraction(-m)),),
+        "f12": (((0, 0, 1), lambda kb, lb, m: kb + lb + m),),
+    },
+    "eta": {
+        **_WEIGHT,
+        "e1": (((-1, 0, 0), lambda kb, lb, m:
+                -(kb - 1) * (kb - 2) * (kb + lb + m - 1) / _eta_den(kb, lb)),
+               ((0, 1, -1), lambda kb, lb, m: lb + 1)),
+        "e2": (((0, -1, 0), lambda kb, lb, m:
+                -(lb - 1) * (lb - 2) * (kb + lb + m - 1) / _eta_den(kb, lb)),
+               ((1, 0, -1), lambda kb, lb, m: -(kb + 1))),
+        "f1": (((1, 0, 0), lambda kb, lb, m: kb + 1),
+               ((0, -1, 1), lambda kb, lb, m:
+                (m + 1) * (lb - 1) * (lb - 2) / _eta_den(kb, lb))),
+        "f2": (((0, 1, 0), lambda kb, lb, m: lb + 1),
+               ((-1, 0, 1), lambda kb, lb, m:
+                -(m + 1) * (kb - 1) * (kb - 2) / _eta_den(kb, lb))),
+        "e12": (((0, 0, -1), lambda kb, lb, m: kb + lb + m - 1),),
+        "f12": (((0, 0, 1), lambda kb, lb, m: Fraction(-(m + 1))),),
+    },
+}
+
+
+def _table_action(basis: str):
+    """The (gen, params, idx) -> [(index, coefficient), ...] action read
+    from ACTION_TABLE[basis] at call time.  A target with m < 0 is dropped
+    before its coefficient is evaluated, and a zero coefficient after."""
+    table = ACTION_TABLE[basis]
+    generic = basis != "u"  # the w- and eta-bases need mu1 + mu2 not in Z
+
+    def action(gen: str, p: Params, idx):
+        if generic:
+            p.require_generic_sum()
+        entry = table.get(gen)
+        if entry is None:
+            raise ValueError(f"unknown generator {gen!r}")
+        k, l, m = idx
+        kb = p.kbar(k)
+        lb = p.lbar(l)
+        out = []
+        for (dk, dl, dm), coefficient in entry:
+            if m + dm >= 0:
+                c = coefficient(kb, lb, m)
+                if not scalar_is_zero(c):
+                    out.append(((k + dk, l + dl, m + dm), c))
         return out
-    if gen in ("h1", "h2"):
-        return [(idx, _weight(gen, kb, lb, m))]
-    if gen == "f1":
-        return [((k + 1, l, m), kb - lb + m), ((k, l - 1, m + 1), -lb)]
-    if gen == "f2":
-        return [((k, l + 1, m), lb), ((k - 1, l, m + 1), kb)]
-    if gen == "e12":
-        return [((k, l, m - 1), Fraction(-m))] if m > 0 else []
-    if gen == "f12":
-        return [((k, l, m + 1), kb + lb + m), ((k + 1, l + 1, m), lb)]
-    raise ValueError(f"unknown generator {gen!r}")
+
+    return action
 
 
-def act_w_basis(gen: str, p: Params, idx):
-    p.require_generic_sum()
-    k, l, m = idx
-    kb = p.kbar(k)
-    lb = p.lbar(l)
-    den = (kb + lb) * (kb + lb - 1)
-    if gen == "e1":
-        out = [((k - 1, l, m), -kb)]
-        if m > 0:
-            out.append(((k, l + 1, m - 1), -m * lb * (lb - 1) / den))
-        return out
-    if gen == "e2":
-        out = [((k, l - 1, m), -lb)]
-        if m > 0:
-            out.append(((k + 1, l, m - 1), m * kb * (kb - 1) / den))
-        return out
-    if gen in ("h1", "h2"):
-        return [(idx, _weight(gen, kb, lb, m))]
-    if gen == "f1":
-        return [
-            ((k + 1, l, m), kb * (kb - 1) * (kb + lb + m) / den),
-            ((k, l - 1, m + 1), -lb),
-        ]
-    if gen == "f2":
-        return [
-            ((k, l + 1, m), lb * (lb - 1) * (kb + lb + m) / den),
-            ((k - 1, l, m + 1), kb),
-        ]
-    if gen == "e12":
-        return [((k, l, m - 1), Fraction(-m))] if m > 0 else []
-    if gen == "f12":
-        return [((k, l, m + 1), kb + lb + m)]
-    raise ValueError(f"unknown generator {gen!r}")
-
-
-def act_eta_basis(gen: str, p: Params, idx):
-    """The dual's action, with eta_{k,l,m}(w_{k,l,m}) = 1 and the twist by
-    the involution tau: (X eta)(v) = -eta(tau(X) v), as ``pairing`` checks."""
-    p.require_generic_sum()
-    k, l, m = idx
-    kb = p.kbar(k)
-    lb = p.lbar(l)
-    den = (kb + lb - 1) * (kb + lb - 2)
-    if gen == "e1":
-        out = [((k - 1, l, m), -(kb - 1) * (kb - 2) * (kb + lb + m - 1) / den)]
-        if m > 0:
-            out.append(((k, l + 1, m - 1), lb + 1))
-        return out
-    if gen == "e2":
-        out = [((k, l - 1, m), -(lb - 1) * (lb - 2) * (kb + lb + m - 1) / den)]
-        if m > 0:
-            out.append(((k + 1, l, m - 1), -(kb + 1)))
-        return out
-    if gen in ("h1", "h2"):
-        return [(idx, _weight(gen, kb, lb, m))]
-    if gen == "f1":
-        return [
-            ((k + 1, l, m), kb + 1),
-            ((k, l - 1, m + 1), (m + 1) * (lb - 1) * (lb - 2) / den),
-        ]
-    if gen == "f2":
-        return [
-            ((k, l + 1, m), lb + 1),
-            ((k - 1, l, m + 1), -(m + 1) * (kb - 1) * (kb - 2) / den),
-        ]
-    if gen == "e12":
-        return [((k, l, m - 1), kb + lb + m - 1)] if m > 0 else []
-    if gen == "f12":
-        return [((k, l, m + 1), Fraction(-(m + 1)))]
-    raise ValueError(f"unknown generator {gen!r}")
-
-
-BASIS_ACTIONS = {"u": act_u_basis, "w": act_w_basis, "eta": act_eta_basis}
+BASIS_ACTIONS = {basis: _table_action(basis) for basis in ACTION_TABLE}
 
 
 def _accumulate(v: ModuleElement, expand, basis: str) -> ModuleElement:
@@ -403,7 +396,9 @@ def gt_eigenvalue(idx, p: Params):
     k, l, m = idx
     kb = p.kbar(k)
     lb = p.lbar(l)
-    return (_weight("h1", kb, lb, m), _weight("h2", kb, lb, m), -m * (kb + lb + m - 1))
+    ((_, h1),) = _WEIGHT["h1"]
+    ((_, h2),) = _WEIGHT["h2"]
+    return (h1(kb, lb, m), h2(kb, lb, m), -m * (kb + lb + m - 1))
 
 
 def pairing(d: ModuleElement, v: ModuleElement):

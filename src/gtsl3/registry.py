@@ -10,12 +10,15 @@ Q(mu1, mu2).  Every action and change-of-basis coefficient reads k and l
 only through kbar = k - mu1 and lbar = l - mu2, so the action on b_(k,l,m)
 is that on b_(0,0,m) under mu1 -> mu1 - k, mu2 -> mu2 - l, shifted by
 (k, l): the three hold for every (k, l), off mu1 + mu2 in Z, where the w-
-and eta-bases are not defined.  For m >= 2 every ``m > 0`` guard is active,
-no denominator contains m and every coefficient has degree <= 1 in m, so
-each coefficient of a bracket defect, or of the Casimir minus its scalar,
-has degree <= 2 in m: with m = 0, 1 checked directly and m = 2, 3, 4
-settling the rest, those two hold for every m once m_max >= 4.  The
-roundtrip sums m + 1 terms, so it holds for m <= m_max only.
+and eta-bases are not defined.  For the actions this holds by
+construction: a coefficient of ``module.ACTION_TABLE`` receives only kbar,
+lbar and m.  For m >= 2 no target of a two-generator word is dropped, no
+denominator contains m and every coefficient has degree <= 1 in m
+(``tests/test_module.py`` checks the last two on the table), so each
+coefficient of a bracket defect, or of the Casimir minus its scalar, has
+degree <= 2 in m: with m = 0, 1 checked directly and m = 2, 3, 4 settling
+the rest, those two hold for every m once m_max >= 4.  The roundtrip sums
+m + 1 terms, so it holds for m <= m_max only.
 """
 
 from __future__ import annotations
@@ -411,7 +414,8 @@ def check_relaxed_verma(window=6, **_):
 
 def check_casimir(window=4, **_):
     """The quadratic Casimir acts by one rational constant, reported as the
-    scalar, on every u- and w-basis b_(0,0,m), m <= window, over Q(mu1, mu2)."""
+    scalar, on every u- and w-basis b_(0,0,m), m <= window, over Q(mu1, mu2).
+    The scalar is null unless every vector is diagonal with that one value."""
     bad, values = [], set()
     for basis in ("u", "w"):
         for v in _orbit_vectors(basis, window):
@@ -424,7 +428,8 @@ def check_casimir(window=4, **_):
     value = next(iter(values)) if len(values) == 1 else None
     if value is None:
         bad.append(("values", sorted(map(str, values))))
-    return _orbit_report("casimir", bad, window, every_m=True, scalar=str(value))
+    return _orbit_report("casimir", bad, window, every_m=True,
+                         scalar=None if bad else str(value))
 
 
 def check_exact_sequence(window=3, **_):

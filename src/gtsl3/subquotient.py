@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from .errors import BasisMismatch
 from .module import BASIS_ACTIONS, OFF_DIAGONAL, Box, ModuleElement, Params, act
-from .scalars import scalar_is_zero
 
 _INF = None  # stands for an unbounded interval end
 
@@ -196,9 +195,7 @@ def is_closed(J: LBarSet, basis: str, box: Box, p: Params) -> ClosureVerdict:
         if idx[1] not in boundary:
             continue
         for gen in OFF_DIAGONAL:
-            for jdx, c in action(gen, p, idx):
-                if scalar_is_zero(c):
-                    continue
+            for jdx, _ in action(gen, p, idx):
                 if not J.contains(jdx[1] - t):
                     witnesses.append((idx, gen, jdx))
     return ClosureVerdict(not witnesses, witnesses)

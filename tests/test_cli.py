@@ -154,6 +154,13 @@ def test_hom_symbolic_output_matches_the_golden_file(capsys):
     assert capsys.readouterr().out == golden.read_text()
 
 
+def test_act_symbolic_eta_output_matches_the_golden_file(capsys):
+    main(["--symbolic", "act", "--basis", "eta", "--word", "f1,e1,f12",
+          "--element", '{"terms":[{"k":0,"l":0,"m":1,"c":"1"}]}'])
+    golden = Path(__file__).parent / "golden" / "act_symbolic_eta.json"
+    assert capsys.readouterr().out == golden.read_text()
+
+
 def test_classify(capsys):
     code, lines = run_cli(capsys, "classify", "--set", "lbar=1")
     assert code == 0

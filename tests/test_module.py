@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ from gtsl3.module import (
     act,
     act_lie,
     act_word,
+    basis_vector,
     casimir_apply,
     eta_vector,
     gt_eigenvalue,
@@ -21,7 +24,8 @@ from gtsl3.module import (
     w_to_u,
     w_vector,
 )
-from gtsl3.scalars import MU1, MU2
+from gtsl3.scalars import MU1, MU2, RatFunc
+from gtsl3.serialize import element_to_json
 
 P = Params(Fraction(1, 3), Fraction(1, 5))
 
@@ -302,7 +306,7 @@ def test_change_of_basis_at_k_l_is_the_shifted_change_at_0_0(source, change):
 
 
 def test_an_action_reading_mu1_directly_fails_the_orbit_lemma(monkeypatch):
-    act_u = module.act_u_basis
+    act_u = module.BASIS_ACTIONS["u"]
 
     def e1_reads_mu1(gen, p, idx):
         """The u-basis action with e1's coefficient -kbar written as -mu1."""
@@ -314,3 +318,65 @@ def test_an_action_reading_mu1_directly_fails_the_orbit_lemma(monkeypatch):
     monkeypatch.setitem(module.BASIS_ACTIONS, "u", e1_reads_mu1)
     with pytest.raises(AssertionError, match="'u', 'e1'"):
         _assert_action_orbit_lemma("u")
+
+
+def _table_terms():
+    for basis, entries in module.ACTION_TABLE.items():
+        for gen, entry in entries.items():
+            for offset, coefficient in entry:
+                yield (basis, gen, offset), coefficient
+
+
+def test_every_table_coefficient_has_degree_at_most_one_in_m():
+    """The degree bound of the registry docstring: c(m+2) - 2c(m+1) + c(m)
+    vanishes over Q(mu1, mu2) at the orbit representative, m = 0..4."""
+    kb, lb = -MU1, -MU2
+    for term, c in _table_terms():
+        for m in range(5):
+            assert c(kb, lb, m + 2) - 2 * c(kb, lb, m + 1) + c(kb, lb, m) == 0, (term, m)
+
+
+def test_every_generator_is_in_the_table_and_moves_each_index_by_at_most_one():
+    for basis in ("u", "w", "eta"):
+        assert set(module.ACTION_TABLE[basis]) == set(liealg.GENERATORS), basis
+    for (basis, gen, offset), _ in _table_terms():
+        assert all(abs(d) <= 1 for d in offset), (basis, gen, offset)
+
+
+# ---------------------------------------------------------------------------
+# every basis and generator on the orbit representatives, specialized and
+# symbolic, and on the walls kbar or lbar in {0, 1, 2}, where coefficients
+# vanish, against golden printed outputs
+
+ACTION_CASES = [
+    (P, [(0, 0, m) for m in range(3)]),
+    (Params.symbolic(), [(0, 0, m) for m in range(3)]),
+    (Params(Fraction(1, 3), 0), [(0, l, m) for l in range(3) for m in range(2)]),
+    (Params(0, Fraction(1, 5)), [(k, 0, m) for k in range(3) for m in range(2)]),
+    (Params(MU1, RatFunc(0)), [(0, l, 0) for l in range(3)]),
+]
+GOLDEN_ACTIONS = Path(__file__).parent / "golden" / "actions.json"
+
+
+def _golden_action_entries():
+    """JSON-ready [basis, gen, index, element_to_json(act(gen, b))]
+    records, in case order."""
+    out = []
+    for params, indices in ACTION_CASES:
+        for basis in ("u", "w", "eta"):
+            for gen in liealg.GENERATORS:
+                for idx in indices:
+                    got = act(gen, basis_vector(params, basis, idx))
+                    out.append([basis, gen, list(idx), element_to_json(got)])
+    return out
+
+
+def test_actions_print_the_golden_outputs():
+    assert _golden_action_entries() == json.loads(GOLDEN_ACTIONS.read_text())
+
+
+if __name__ == "__main__":
+    # regenerate the golden file, one action a line:
+    # PYTHONPATH=src python tests/test_module.py
+    GOLDEN_ACTIONS.write_text(
+        "[\n" + ",\n".join(json.dumps(e) for e in _golden_action_entries()) + "\n]\n")

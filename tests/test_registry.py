@@ -4,7 +4,15 @@ from fractions import Fraction
 import pytest
 
 from gtsl3 import liealg, registry
-from gtsl3.module import Box, ModuleElement, Params, act, casimir_apply, u_to_w
+from gtsl3.module import (
+    ACTION_TABLE,
+    Box,
+    ModuleElement,
+    Params,
+    act,
+    casimir_apply,
+    u_to_w,
+)
 
 
 def _unshared_bracket_compat(params, basis, n_elements, rnd, act):
@@ -130,4 +138,20 @@ def test_orbit_checks_and_window_oracles_fail_together(monkeypatch):
     bad, values = _window_casimir_oracle(2)
     assert bad == [] and len(values) == 3
     rep = registry.run_check("casimir", window=2)
-    assert rep["verdict"] == "fail" and rep["scalar"] == "None"
+    assert rep["verdict"] == "fail" and rep["scalar"] is None
+
+
+def test_casimir_reports_no_scalar_when_a_vector_is_not_diagonal(monkeypatch):
+    """The u-basis f12 with its (1, 1, 0) coefficient doubled for m > 3:
+    the Casimir stays 0 on b_(0,0,m), m <= 3, and on the w-basis, but is
+    not diagonal on b_(0,0,4)."""
+    up, (side, side_c) = ACTION_TABLE["u"]["f12"]
+
+    def doubled(kb, lb, m):
+        return 2 * side_c(kb, lb, m) if m > 3 else side_c(kb, lb, m)
+
+    monkeypatch.setitem(ACTION_TABLE["u"], "f12", (up, (side, doubled)))
+    rep = registry.run_check("casimir", window=4)
+    assert rep["verdict"] == "fail"
+    assert rep["witnesses"] == [("u", (0, 0, 4), "not diagonal")]
+    assert rep["scalar"] is None
