@@ -16,6 +16,7 @@ window.  Every certificate is an explicitly finite-window statement.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -58,15 +59,8 @@ def _separating_element(triples):
     candidates += [(1, n, n * n) for n in range(1, bound)]
     for a, b, c in candidates:
         values = [a * t[0] + b * t[1] + c * t[2] for t in triples]
-        distinct = True
-        for i in range(len(values)):
-            for j in range(i + 1, len(values)):
-                if values[i] == values[j]:
-                    distinct = False
-                    break
-            if not distinct:
-                break
-        if distinct:
+        # RatFunc values are unhashable, so compare them pairwise
+        if all(x != y for x, y in itertools.combinations(values, 2)):
             return (a, b, c)
     raise RuntimeError("no separating element found in the candidate sweep")
 

@@ -9,6 +9,7 @@ output is byte-deterministic.
 
 from __future__ import annotations
 
+import dataclasses
 import re
 
 from .module import Box, ModuleElement, Params
@@ -77,18 +78,10 @@ def element_from_json(obj) -> ModuleElement:
 
 
 def indexset_to_json(J: LBarSet) -> dict:
-    parts = []
-    for lo, hi in J.intervals:
-        if lo is None and hi is None:
-            parts.append("all")
-        elif lo is None:
-            parts.append({"le": hi})
-        elif hi is None:
-            parts.append({"ge": lo})
-        elif lo == hi:
-            parts.append({"eq": lo})
-        else:
-            parts.append({"in": [lo, hi]})
+    parts = [
+        form if form == "all" else {form: list(ends) if form == "in" else ends[0]}
+        for form, ends in J.runs()
+    ]
     if len(parts) == 1:
         return {"lbar": parts[0]}
     return {"lbar": {"union": parts}}
@@ -119,10 +112,4 @@ def parse_set_expr(text: str) -> LBarSet | None:
 
 
 def box_to_json(box: Box) -> dict:
-    return {
-        "kmin": box.kmin,
-        "kmax": box.kmax,
-        "lmin": box.lmin,
-        "lmax": box.lmax,
-        "mmax": box.mmax,
-    }
+    return dataclasses.asdict(box)

@@ -2,6 +2,9 @@
 
 The only index predicates the structure theory needs constrain
 lbar = l - mu2: half-lines, finite intervals, and finite unions of these.
+An LBarSet is stored as its cut points, the lbar at which membership
+changes, so union is one sweep over run ends, complement flips a flag,
+and difference is the complement of a union.
 A subquotient's action is the ambient w- or eta-action (module.act) with
 every term whose index leaves the set dropped; the paper's displayed
 formulas for the lbar in {0,1} band are kept in the test suite as an
@@ -11,39 +14,73 @@ action is checked exactly on a finite window.  The predicates only involve
 lbar, and no action term in the u-, w- or eta-basis moves l by more than
 one, so escapes in the k or m direction cannot change membership, and only
 a boundary level of J -- a level in J with a neighbouring level (lbar +- 1)
-outside J -- can send a vector out of J.  The window bounds which source
-indices on those levels get inspected.
+outside J -- can send a vector out of J.  These are the levels next to
+J's cuts.  The window bounds which source indices on those levels get
+inspected.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import BasisMismatch
 from .module import BASIS_ACTIONS, OFF_DIAGONAL, Box, ModuleElement, Params, act
 
-_INF = None  # stands for an unbounded interval end
-
 
 class LBarSet:
-    """Union of integer intervals in the lbar coordinate.
+    """A set of integers in the lbar coordinate, stored as its cut points.
 
-    Stored as a sorted tuple of disjoint, non-adjacent (lo, hi) pairs where
-    lo is None for -infinity and hi is None for +infinity.
+    cuts is the sorted tuple of integers c at which membership differs
+    between c - 1 and c, and low says whether the set holds every small
+    enough lbar.  So lbar is in the set when low differs from the parity
+    of the number of cuts at or below lbar.  intervals lists the same set
+    as sorted, disjoint, non-adjacent (lo, hi) runs, with lo None for
+    -infinity and hi None for +infinity.
     """
 
-    __slots__ = ("intervals",)
+    __slots__ = ("low", "cuts", "intervals")
 
-    def __init__(self, intervals):
-        self.intervals = _normalize(intervals)
+    def __init__(self, runs):
+        """The union of the given (lo, hi) runs, found in one sweep over
+        their ends; an empty run (lo > hi) adds nothing."""
+        depth = 0  # runs that cover the current lbar
+        steps = {}
+        for lo, hi in runs:
+            if lo is not None and hi is not None and lo > hi:
+                continue
+            if lo is None:
+                depth += 1
+            else:
+                steps[lo] = steps.get(lo, 0) + 1
+            if hi is not None:
+                steps[hi + 1] = steps.get(hi + 1, 0) - 1
+        low = inside = depth > 0
+        cuts = []
+        for c in sorted(steps):
+            depth += steps[c]
+            if (depth > 0) is not inside:
+                inside = not inside
+                cuts.append(c)
+        self._set(low, tuple(cuts))
+
+    def _set(self, low: bool, cuts: tuple) -> None:
+        self.low, self.cuts = low, cuts
+        starts = [None, *cuts] if low else list(cuts)
+        if len(starts) % 2:
+            starts.append(None)  # the last run is unbounded above
+        self.intervals = tuple(
+            (lo, None if end is None else end - 1)
+            for lo, end in zip(starts[::2], starts[1::2])
+        )
 
     @classmethod
     def ge(cls, c: int) -> "LBarSet":
-        return cls([(c, _INF)])
+        return cls([(c, None)])
 
     @classmethod
     def le(cls, c: int) -> "LBarSet":
-        return cls([(_INF, c)])
+        return cls([(None, c)])
 
     @classmethod
     def between(cls, a: int, b: int) -> "LBarSet":
@@ -59,92 +96,44 @@ class LBarSet:
 
     @classmethod
     def all(cls) -> "LBarSet":
-        return cls([(_INF, _INF)])
+        return cls([(None, None)])
 
     def contains(self, lbar: int) -> bool:
-        for lo, hi in self.intervals:
-            if (lo is _INF or lbar >= lo) and (hi is _INF or lbar <= hi):
-                return True
-        return False
+        return bool(bisect_right(self.cuts, lbar) % 2) != self.low
 
     def complement(self) -> "LBarSet":
-        out = []
-        cursor = _INF  # lower end of the uncovered region
-        reached_top = False
-        for lo, hi in self.intervals:
-            if lo is not _INF:
-                out.append((cursor, lo - 1))
-            if hi is _INF:
-                reached_top = True
-                break
-            cursor = hi + 1
-        if not reached_top:
-            out.append((cursor, _INF))
-        return LBarSet(out)
-
-    def difference(self, other: "LBarSet") -> "LBarSet":
-        out = self
-        for lo, hi in other.intervals:
-            out = out._remove(lo, hi)
+        out = LBarSet.__new__(LBarSet)
+        out._set(not self.low, self.cuts)
         return out
 
-    def _remove(self, lo, hi) -> "LBarSet":
-        kept = []
-        for a, b in self.intervals:
-            # portion below lo
-            if lo is not _INF and (a is _INF or a < lo):
-                top = lo - 1 if (b is _INF or b >= lo - 1) else b
-                kept.append((a, top))
-            # portion above hi
-            if hi is not _INF and (b is _INF or b > hi):
-                bottom = hi + 1 if (a is _INF or a <= hi + 1) else a
-                kept.append((bottom, b))
-        return LBarSet(kept)
+    def difference(self, other: "LBarSet") -> "LBarSet":
+        return LBarSet(self.complement().intervals + other.intervals).complement()
+
+    def runs(self):
+        """Each run as (form, ends), form one of all / le / ge / eq / in:
+        the shapes that repr and the JSON encoding name a run by."""
+        for lo, hi in self.intervals:
+            if lo is None:
+                yield ("all", ()) if hi is None else ("le", (hi,))
+            elif hi is None:
+                yield "ge", (lo,)
+            else:
+                yield ("eq", (lo,)) if lo == hi else ("in", (lo, hi))
 
     def __eq__(self, other):
-        return isinstance(other, LBarSet) and self.intervals == other.intervals
+        return (isinstance(other, LBarSet) and self.low == other.low
+                and self.cuts == other.cuts)
 
     def __hash__(self):
-        return hash(self.intervals)
+        return hash((self.low, self.cuts))
 
     def __repr__(self):
-        if not self.intervals:
-            return "lbar in {}"
-        bits = []
-        for lo, hi in self.intervals:
-            if lo is _INF and hi is _INF:
-                bits.append("all")
-            elif lo is _INF:
-                bits.append(f"lbar<={hi}")
-            elif hi is _INF:
-                bits.append(f"lbar>={lo}")
-            elif lo == hi:
-                bits.append(f"lbar={lo}")
-            else:
-                bits.append(f"lbar in {lo}..{hi}")
-        return " | ".join(bits)
+        bits = [_RUN_TEXT[form].format(*ends) for form, ends in self.runs()]
+        return " | ".join(bits) if bits else "lbar in {}"
 
 
-def _normalize(intervals):
-    cleaned = []
-    for lo, hi in intervals:
-        if lo is not _INF and hi is not _INF and lo > hi:
-            continue
-        cleaned.append((lo, hi))
-    if not cleaned:
-        return ()
-    lo_key = lambda iv: float("-inf") if iv[0] is _INF else iv[0]
-    hi_key = lambda iv: float("inf") if iv[1] is _INF else iv[1]
-    cleaned.sort(key=lambda iv: (lo_key(iv), hi_key(iv)))
-    merged = [cleaned[0]]
-    for lo, hi in cleaned[1:]:
-        plo, phi = merged[-1]
-        if phi is _INF or lo is _INF or lo <= phi + 1:
-            if phi is not _INF and (hi is _INF or hi > phi):
-                merged[-1] = (plo, hi)
-        else:
-            merged.append((lo, hi))
-    return tuple(merged)
+_RUN_TEXT = {"all": "all", "le": "lbar<={}", "ge": "lbar>={}", "eq": "lbar={}",
+             "in": "lbar in {}..{}"}
 
 
 # ---------------------------------------------------------------------------
@@ -178,18 +167,15 @@ def is_closed(J: LBarSet, basis: str, box: Box, p: Params) -> ClosureVerdict:
     """Does the ambient action keep every J-supported vector inside J?
 
     Only window indices on a boundary level of J are inspected: a level in
-    J whose neighbour lbar - 1 or lbar + 1 lies outside J.  An action term
-    moves l by at most one, so a vector on any other level of J cannot
-    leave J.  The witnesses are (source, generator, target) triples in
-    window order, exactly those a sweep over every index of J would find.
+    J whose neighbour lbar - 1 or lbar + 1 lies outside J, that is, the
+    level on J's side of one of its cuts.  An action term moves l by at
+    most one, so a vector on any other level of J cannot leave J.  The
+    witnesses are (source, generator, target) triples in window order,
+    exactly those a sweep over every index of J would find.
     """
     action = BASIS_ACTIONS[basis]
     t = p.mu2_int()
-    boundary = {
-        l
-        for l in range(box.lmin, box.lmax + 1)
-        if J.contains(l - t) and not (J.contains(l - t - 1) and J.contains(l - t + 1))
-    }
+    boundary = {t + c - (not J.contains(c)) for c in J.cuts}
     witnesses = []
     for idx in box:
         if idx[1] not in boundary:
@@ -208,14 +194,17 @@ def classify(J: LBarSet, box: Box, p: Params) -> str:
     J is a subquotient when J = J2 \\ J1 with J1 within J2 both closed.  The
     least closed J2 containing J serves if any does, since closed sets are
     closed under intersection; it is found by adding the levels that the
-    closure witnesses land on until none is left.
+    closure witnesses land on until none is left.  A set with no level in
+    the window is refused: no index of it would be inspected.
     """
+    t = p.mu2_int()
+    if not any(J.contains(l - t) for l in range(box.lmin, box.lmax + 1)):
+        raise ValueError("window does not meet the index set")
     verdict = is_closed(J, "w", box, p)
     if verdict:
         return "submodule"
     if is_closed(J.complement(), "w", box, p):
         return "quotient"
-    t = p.mu2_int()
     closure = J
     while not verdict:
         landed = [(jdx[1] - t, jdx[1] - t) for _, _, jdx in verdict.witnesses]

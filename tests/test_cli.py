@@ -161,6 +161,24 @@ def test_act_symbolic_eta_output_matches_the_golden_file(capsys):
     assert capsys.readouterr().out == golden.read_text()
 
 
+def test_hom_ge0_plain_to_dual_output_matches_the_golden_file(capsys):
+    main(["--mu2", "0", "hom", "--source", "lbar>=0", "--target", "dual:lbar>=0",
+          "--window", "3"])
+    golden = Path(__file__).parent / "golden" / "hom_ge0_plain_dual.json"
+    assert capsys.readouterr().out == golden.read_text()
+
+
+def test_classify_of_a_set_that_misses_the_window_exits_2(capsys):
+    for text, r in (("lbar=5", "3"), ("lbar>=9", "2"), ("lbar<=-7", "3")):
+        code, lines = run_cli(capsys, "--mu2", "0", "classify", "--set", text,
+                              "--window", r)
+        assert _rejected(code, lines), text
+        assert lines[-1]["message"] == "window does not meet the index set", text
+    code, lines = run_cli(capsys, "--mu2", "0", "classify", "--set", "lbar=5",
+                          "--window", "6")
+    assert code == 0 and lines[0]["classification"] == "none"
+
+
 def test_classify(capsys):
     code, lines = run_cli(capsys, "classify", "--set", "lbar=1")
     assert code == 0

@@ -3,6 +3,8 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from band_tables import act_l01_fastpath
 from gtsl3 import liealg
@@ -50,6 +52,56 @@ class TestLBarSet:
             assert parse_set_expr(repr(J)) == J, repr(J)
         assert repr(LBarSet.between(1, 3)) == "lbar in 1..3"
         assert parse_set_expr(repr(LBarSet.all())) is None  # the full module
+
+
+SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)
+run_ends = st.one_of(st.none(), st.integers(-6, 6))
+run_lists = st.lists(st.tuples(run_ends, run_ends), max_size=4)
+PROBES = (-10**6, *range(-12, 13), 10**6)
+
+
+def _in_runs(lbar, runs):
+    return any((lo is None or lbar >= lo) and (hi is None or lbar <= hi)
+               for lo, hi in runs)
+
+
+@SETTINGS
+@given(run_lists, run_lists)
+def test_set_algebra_equals_brute_force_membership(runs_a, runs_b):
+    A, B = LBarSet(runs_a), LBarSet(runs_b)
+    for lbar in PROBES:
+        a, b = _in_runs(lbar, runs_a), _in_runs(lbar, runs_b)
+        assert A.contains(lbar) is a, lbar
+        assert A.complement().contains(lbar) is not a, lbar
+        assert A.difference(B).contains(lbar) is (a and not b), lbar
+    # every end lies in -6..6, so the probes decide equality
+    same = all(_in_runs(x, runs_a) == _in_runs(x, runs_b) for x in PROBES)
+    assert (A == B) is same
+    if same:
+        assert hash(A) == hash(B)
+
+
+@SETTINGS
+@given(run_lists)
+def test_intervals_are_sorted_disjoint_and_non_adjacent(runs):
+    J = LBarSet(runs)
+    runs_out = J.intervals
+    assert isinstance(runs_out, tuple)
+    for lo, hi in runs_out:
+        assert lo is None or hi is None or lo <= hi
+    for (_, hi), (lo, _) in zip(runs_out, runs_out[1:]):
+        assert hi is not None and lo is not None and hi + 1 < lo
+    assert LBarSet(reversed(runs_out)) == J
+    assert LBarSet(reversed(runs_out)).intervals == runs_out
+    assert hash(LBarSet(list(runs) + list(runs_out))) == hash(J)
+
+
+@SETTINGS
+@given(run_ends, run_ends)
+def test_repr_of_any_single_run_parses_back(lo, hi):
+    J = LBarSet([(lo, hi)])
+    if J.intervals:
+        assert parse_set_expr(repr(J)) == (None if J == LBarSet.all() else J), repr(J)
 
 
 def test_truncated_action_frozen_examples():
@@ -153,7 +205,20 @@ def test_classify_equals_the_interval_search_on_intervals_and_half_lines(mu2):
     for r in (1, 2, 3):
         box = Box.radius(r, mu2)
         for J in sets:
+            if not any(J.contains(lbar) for lbar in range(-r, r + 1)):
+                with pytest.raises(ValueError, match="window does not meet"):
+                    classify(J, box, p)
+                continue
             assert classify(J, box, p) == _classify_by_interval_search(J, box, p), (r, J)
+
+
+def test_classify_refuses_a_set_that_misses_the_window():
+    # no index of such a set is inspected, so closure would hold vacuously
+    for J, r in ((LBarSet.eq(5), 3), (LBarSet.ge(9), 2), (LBarSet.le(-7), 3),
+                 (LBarSet.empty(), 3)):
+        with pytest.raises(ValueError, match="window does not meet the index set"):
+            classify(J, Box.radius(r), P0)
+    assert classify(LBarSet.eq(5), Box.radius(6), P0) == "none"
 
 
 def test_classify_takes_the_least_closed_superset_of_a_union():
