@@ -123,19 +123,20 @@ def generate(start, desc: ModuleDescriptor, box: Box) -> GenerationCertificate:
 # every index with k + m = -s and lbar + m = -t.
 
 def character_table(desc: ModuleDescriptor, r: int) -> dict:
-    """Weight multiplicities of a descriptor, complete for |s| <= r and
-    -r <= t <= 0 (the enumeration box is padded to twice the radius)."""
-    p = desc.params
-    p.mu2_int()  # integral-mu2 gate: lbar coordinates must be integers
+    """Weight multiplicities of a descriptor on |s| <= r, -r <= t <= 0.
+    The weight (s, t) is met once for each level lbar <= -t of J, at
+    m = -t - lbar and k = -s - m, so J must be bounded below."""
+    desc.params.mu2_int()  # integral-mu2 gate: lbar coordinates must be integers
+    J = desc.J
+    if J is None or J.low:
+        raise ValueError("character needs an lbar set bounded below, "
+                         f"not {'full' if J is None else repr(J)}")
     table = {}
-    pad = 2 * r
-    for k in range(-pad, pad + 1):
-        for lbar in range(-pad, pad + 1):
-            if desc.J is not None and not desc.J.contains(lbar):
-                continue
-            for m in range(pad + 1):
-                key = (-(k + m), -(lbar + m))
-                table[key] = table.get(key, 0) + 1
+    for t in range(-r, 1):
+        levels = sum(max(0, (-t if hi is None else min(hi, -t)) - lo + 1)
+                     for lo, hi in J.intervals)
+        if levels:
+            table.update({(s, t): levels for s in range(-r, r + 1)})
     return table
 
 

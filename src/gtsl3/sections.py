@@ -7,7 +7,10 @@ first-order differential operators in the three coordinates, applied with
 the twisted derivative rule  d/dx (x^k 1_mu) = (k - mu) x^{k-1} 1_mu  in
 x1 (parameter mu1) and x2 (parameter mu2) and the ordinary derivative in
 x3.  No formula from module.py is reused, which is the point: agreement of
-the two paths on random sections re-derives the whole u-basis action table.
+the two paths on every section re-derives the whole u-basis action table.
+The ``oracle-equivalence`` check shows it on the orbit representatives
+x3^m over Q(mu1, mu2); the registry docstring says why those settle every
+section.
 
 Each operator is a list of (coefficient, (p, q, r), variable) triples
 standing for  coefficient * x1^p x2^q x3^r * d/d(variable).

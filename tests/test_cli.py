@@ -477,3 +477,49 @@ def test_malformed_index_sets_exit_2_naming_the_set(capsys):
         code, lines = run_cli(capsys, "classify", "--set", text)
         assert _rejected(code, lines), text
         assert lines[-1]["message"].startswith(f"cannot parse index set {text!r}"), text
+
+
+def test_character_of_a_set_unbounded_below_exits_2(capsys):
+    for expr in ("full", "lbar<=0"):
+        code, lines = run_cli(capsys, "--mu2", "0", "character", "--set", expr)
+        assert _rejected(code, lines), expr
+        assert "bounded below" in lines[-1]["message"]
+
+
+def test_character_does_not_depend_on_the_window(capsys):
+    tables = {}
+    for r in (2, 6):
+        code, lines = run_cli(capsys, "--mu2", "0", "character", "--set",
+                              "lbar>=-10", "--window", str(r))
+        assert code == 0
+        tables[r] = lines[0]["table"]
+    assert tables[2]["0,0"] == 11
+    assert tables[2] == {key: tables[6][key] for key in tables[2]}
+    assert len(tables[2]) == 5 * 3
+
+
+def _refused_below(capsys, check, least):
+    code, lines = run_cli(capsys, "verify-paper", "--check", check,
+                          "--window", str(least - 1))
+    assert _rejected(code, lines)
+    assert lines[-1]["message"] == (f"{check} needs a window of at least {least}, "
+                                    f"not {least - 1}")
+    code, lines = run_cli(capsys, "verify-paper", "--check", check,
+                          "--window", str(least))
+    assert code == 0 and lines[0]["verdict"] == "pass"
+
+
+def test_hom_dims_refuses_a_window_below_2(capsys):
+    _refused_below(capsys, "hom-dims", 2)
+
+
+def test_exact_sequence_refuses_a_window_below_1(capsys):
+    _refused_below(capsys, "exact-sequence", 1)
+
+
+def test_closure_integral_refuses_a_window_below_2(capsys):
+    _refused_below(capsys, "closure-integral", 2)
+
+
+def test_dual_cyclicity_refuses_a_window_below_2(capsys):
+    _refused_below(capsys, "dual-cyclicity", 2)

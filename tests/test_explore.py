@@ -164,6 +164,29 @@ class TestCharacters:
         assert character_table(a, 4) == character_table(b, 4)
 
 
+    def test_table_counts_every_index_of_each_weight(self):
+        """Against enumeration of (k, lbar, m) over a box that holds every
+        index of the weights |s| <= r, -r <= t <= 0 when lbar >= c."""
+        r = 3
+        for J in (LBarSet.ge(-2), LBarSet.eq(-1), LBarSet.between(-3, 1),
+                  LBarSet(((-1, 0), (2, None))), LBarSet.ge(4)):
+            c = J.intervals[0][0]
+            reach = 2 * r - min(c, 0)
+            expected = {}
+            for k in range(-reach, reach + 1):
+                for lbar in range(c, r + 1):
+                    for m in range(r - c + 1):
+                        key = (-(k + m), -(lbar + m))
+                        if J.contains(lbar) and abs(key[0]) <= r and -r <= key[1] <= 0:
+                            expected[key] = expected.get(key, 0) + 1
+            assert character_table(ModuleDescriptor(P0, dual=True, J=J), r) == expected
+
+    def test_sets_unbounded_below_are_refused(self):
+        for J in (None, LBarSet.le(0), LBarSet(((None, -3), (0, 0)))):
+            with pytest.raises(ValueError, match="bounded below"):
+                character_table(ModuleDescriptor(P0, dual=False, J=J), 2)
+
+
 class TestRelaxedVerma:
     @pytest.mark.parametrize("case", [1, 2, 3, 4, 5])
     def test_case_passes(self, case):

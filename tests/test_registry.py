@@ -15,12 +15,21 @@ from gtsl3.module import (
 )
 
 
+def _random_element(rnd, params, basis):
+    """One to three terms with indices of radius 4."""
+    terms = {}
+    for _ in range(rnd.randint(1, 3)):
+        idx = (rnd.randint(-4, 4), rnd.randint(-4, 4), rnd.randint(0, 4))
+        terms[idx] = Fraction(rnd.randint(-9, 9) or 1, rnd.randint(1, 5))
+    return ModuleElement(params, basis, terms)
+
+
 def _unshared_bracket_compat(params, basis, n_elements, rnd, act):
     """The bracket loop before actions were shared: X(Y v) and Y(X v) are
     recomputed for every pair and [X, Y] v goes through the linear
     extension of the action."""
     bad = []
-    elements = [registry._random_element(rnd, params, basis) for _ in range(n_elements)]
+    elements = [_random_element(rnd, params, basis) for _ in range(n_elements)]
     for x in liealg.GENERATORS:
         for y in liealg.GENERATORS:
             bxy = liealg.bracket({x: 1}, {y: 1})
@@ -56,7 +65,7 @@ def test_bracket_check_reports_the_witnesses_of_the_unshared_loop(monkeypatch, b
 
     monkeypatch.setattr(registry, "act", counted)
     rnd = random.Random(3)
-    got = registry._bracket_compat([registry._random_element(rnd, params, basis)
+    got = registry._bracket_compat([_random_element(rnd, params, basis)
                                     for _ in range(n)])
     assert got == expected
     assert 0 < len(got) < len(liealg.GENERATORS) ** 2 * n
@@ -155,3 +164,46 @@ def test_casimir_reports_no_scalar_when_a_vector_is_not_diagonal(monkeypatch):
     assert rep["verdict"] == "fail"
     assert rep["witnesses"] == [("u", (0, 0, 4), "not diagonal")]
     assert rep["scalar"] is None
+
+
+def _doubled_above_m3(basis, gen):
+    """The table entry of gen on basis with its first coefficient doubled
+    for m > 3, so b_(0,0,m), m <= 3, acts as before."""
+    (offset, coeff), *rest = ACTION_TABLE[basis][gen]
+
+    def doubled(kb, lb, m):
+        return 2 * coeff(kb, lb, m) if m > 3 else coeff(kb, lb, m)
+
+    return ((offset, doubled), *rest)
+
+
+def test_orbit_checks_fail_on_a_u_entry_broken_only_above_m3(monkeypatch):
+    monkeypatch.setitem(ACTION_TABLE["u"], "f12", _doubled_above_m3("u", "f12"))
+    rep = registry.run_check("oracle-equivalence", window=4)
+    assert rep["verdict"] == "fail"
+    assert rep["witnesses"] == [("f12", [(0, 0, 4)])]
+    assert registry.run_check("oracle-equivalence", window=3)["verdict"] == "pass"
+    rep = registry.run_check("brackets-u", window=4)
+    assert rep["verdict"] == "fail"
+    assert ("e1", "f12", [(0, 0, 4)]) in rep["witnesses"]
+    assert registry.run_check("brackets-w", window=4)["verdict"] == "pass"
+
+
+def test_brackets_eta_fails_on_a_broken_eta_entry(monkeypatch):
+    monkeypatch.setitem(ACTION_TABLE["eta"], "e12", _doubled_above_m3("eta", "e12"))
+    rep = registry.run_check("brackets-eta", window=4)
+    assert rep["verdict"] == "fail"
+    assert ("e1", "e12", [(0, 0, 4)]) in rep["witnesses"]
+    assert registry.run_check("brackets-symbolic", window=4)["verdict"] == "fail"
+    assert registry.run_check("oracle-equivalence", window=4)["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("name", ["brackets-u", "brackets-w", "brackets-eta",
+                                  "brackets-symbolic", "oracle-equivalence"])
+def test_per_vector_checks_report_on_orbit_representatives(name):
+    for window, every_m in ((2, False), (4, True)):
+        rep = registry.run_check(name, window=window)
+        assert rep["verdict"] == "pass" and rep["witnesses"] == []
+        assert rep["k, l"] == "all" and rep["m_max"] == window
+        assert rep["where"] == "mu1 + mu2 not in Z"
+        assert (rep.get("m") == "all") is every_m
