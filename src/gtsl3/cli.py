@@ -3,9 +3,9 @@
 Subcommands: act, change-basis, pair, hom, generate, character, classify,
 verify-paper.  All payloads and results are JSON with exact scalar strings;
 output ordering is deterministic.  Exit codes: 0 success / all checks pass,
-1 a verification check failed or stdout was closed before all output was
-written, 2 invalid input -- a malformed flag or payload -- reported as an
-{"error", "message"} JSON object.
+1 a check failed or stdout was closed before all output was written, 2
+invalid input (a malformed flag or payload, reported as an {"error",
+"message"} JSON object) or, with no check failed, one that refused its window.
 """
 
 from __future__ import annotations
@@ -238,14 +238,13 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    names = None if args.check in (None, "all") else [args.check]
-    reports = registry.run_all(names, window=args.window)
-    failed = 0
-    for rep in reports:
-        _emit(rep)
-        if rep["verdict"] != "pass":
-            failed += 1
-    return 1 if failed else 0
+    names = registry.CHECKS if args.check in (None, "all") else [args.check]
+    verdicts = set()
+    for name in names:
+        rep = registry.run_check(name, window=args.window)
+        _emit(rep)  # as it is made, so a later error loses no verdict
+        verdicts.add(rep["verdict"])
+    return 1 if "fail" in verdicts else 2 if "refused" in verdicts else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

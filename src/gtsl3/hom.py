@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ObstructionAtIndex
-from .module import BASIS_ACTIONS, OFF_DIAGONAL, Box, ModuleElement, Params
+from .module import AXIS_PAIRS, BASIS_ACTIONS, OFF_DIAGONAL, Box, ModuleElement, Params
 from .scalars import raising_factorial, scalar_is_zero
 from .solver import nullspace
 from .subquotient import LBarSet
@@ -214,7 +214,7 @@ def solve_by_recurrence(source, target, seed_idx, seed_value, box: Box):
     inside = set(source.indices(box))
     while queue:
         a = queue.popleft()
-        for axis, (up, down) in enumerate((("e1", "f1"), ("e2", "f2"), ("e12", "f12"))):
+        for axis, (up, down) in enumerate(AXIS_PAIRS):
             for direction in (-1, +1):
                 step = [0, 0, 0]
                 step[axis] = direction

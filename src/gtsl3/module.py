@@ -32,6 +32,8 @@ _UNKNOWN = object()  # a Params fact not yet worked out
 
 # the raising and lowering generators: the ones that move an index
 OFF_DIAGONAL = ("e1", "e2", "f1", "f2", "e12", "f12")
+# (e, f) per coordinate of (k, l, m): e lowers it by one and f raises it
+AXIS_PAIRS = (("e1", "f1"), ("e2", "f2"), ("e12", "f12"))
 
 
 class Params:

@@ -69,8 +69,8 @@ def test_criterion_06_simplicity():
         check("simplicity-generic", window=3),
         check("closure-integral", window=3),
     ]
-    criterion(6, "simplicity BFS + closure agreement on the nine named sets",
-              reports)
+    criterion(6, "simplicity axis certificate, plain and dual + closure "
+              "agreement on the nine named sets", reports)
 
 
 def test_criterion_07_dual_cyclicity():

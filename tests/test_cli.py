@@ -501,9 +501,10 @@ def test_character_does_not_depend_on_the_window(capsys):
 def _refused_below(capsys, check, least):
     code, lines = run_cli(capsys, "verify-paper", "--check", check,
                           "--window", str(least - 1))
-    assert _rejected(code, lines)
-    assert lines[-1]["message"] == (f"{check} needs a window of at least {least}, "
-                                    f"not {least - 1}")
+    assert code == 2
+    assert lines == [{"check": check, "verdict": "refused", "window": least - 1,
+                      "reason": f"{check} needs a window of at least {least}, "
+                                f"not {least - 1}"}]
     code, lines = run_cli(capsys, "verify-paper", "--check", check,
                           "--window", str(least))
     assert code == 0 and lines[0]["verdict"] == "pass"
@@ -523,3 +524,29 @@ def test_closure_integral_refuses_a_window_below_2(capsys):
 
 def test_dual_cyclicity_refuses_a_window_below_2(capsys):
     _refused_below(capsys, "dual-cyclicity", 2)
+
+
+def test_closed_forms_refuses_a_window_below_1(capsys):
+    # at window 0 the five closed-form problems assemble no equation
+    _refused_below(capsys, "closed-forms", 1)
+
+
+def test_a_refused_check_keeps_every_other_verdict(capsys):
+    code, lines = run_cli(capsys, "verify-paper", "--window", "1")
+    assert code == 2
+    assert [rep["check"] for rep in lines] == list(registry.CHECKS)
+    refused = {rep["check"] for rep in lines if rep["verdict"] == "refused"}
+    assert refused == {"closure-integral", "dual-cyclicity", "hom-dims"}
+    assert all(rep["verdict"] == "pass" for rep in lines
+               if rep["check"] not in refused)
+
+
+def test_a_failed_check_outranks_a_refused_one(monkeypatch, capsys):
+    monkeypatch.setattr(registry, "CHECKS", {
+        "hom-dims": registry.CHECKS["hom-dims"],
+        "lemma-collision": lambda **_: {"check": "lemma-collision",
+                                        "verdict": "fail"},
+    })
+    code, lines = run_cli(capsys, "verify-paper", "--window", "1")
+    assert code == 1
+    assert [rep["verdict"] for rep in lines] == ["refused", "fail"]

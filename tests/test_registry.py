@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from gtsl3 import liealg, registry
+from gtsl3 import hom, liealg, registry
+from gtsl3.explore import generate
+from gtsl3.hom import ModuleDescriptor, family_solution, intertwiner_equations
 from gtsl3.module import (
     ACTION_TABLE,
     Box,
@@ -13,6 +15,7 @@ from gtsl3.module import (
     casimir_apply,
     u_to_w,
 )
+from gtsl3.scalars import MU1, RatFunc
 
 
 def _random_element(rnd, params, basis):
@@ -207,3 +210,78 @@ def test_per_vector_checks_report_on_orbit_representatives(name):
         assert rep["k, l"] == "all" and rep["m_max"] == window
         assert rep["where"] == "mu1 + mu2 not in Z"
         assert (rep.get("m") == "all") is every_m
+
+
+def _zeroed_at(basis, gen, idx):
+    """The table entry of gen on basis with its first coefficient, the one
+    along the generator's axis, zero at idx when mu = (1/3, 1/5)."""
+    (offset, coeff), *rest = ACTION_TABLE[basis][gen]
+    mu1, mu2 = registry.GENERIC
+
+    def zeroed(kb, lb, m):
+        return 0 if (kb + mu1, lb + mu2, m) == idx else coeff(kb, lb, m)
+
+    return ((offset, zeroed), *rest)
+
+
+def test_simplicity_generic_names_each_zeroed_axis_coefficient(monkeypatch):
+    monkeypatch.setitem(ACTION_TABLE["w"], "f1", _zeroed_at("w", "f1", (1, 2, 1)))
+    monkeypatch.setitem(ACTION_TABLE["eta"], "e2",
+                        _zeroed_at("eta", "e2", (-2, 0, 3)))
+    rep = registry.run_check("simplicity-generic", window=3)
+    assert rep["verdict"] == "fail"
+    assert rep["witnesses"] == [("plain:full", (1, 2, 1), "f1"),
+                                ("dual:full", (-2, 0, 3), "e2")]
+    assert registry.run_check("simplicity-generic", window=3) == rep
+
+
+def test_closure_integral_generates_once_per_start_level(monkeypatch):
+    calls = []
+
+    def counted(start, desc, box):
+        calls.append(start)
+        return generate(start, desc, box)
+
+    monkeypatch.setattr(registry, "generate", counted)
+    for window in (2, 3):
+        calls.clear()
+        assert registry.run_check("closure-integral", window=window)["verdict"] == "pass"
+        assert len(calls) <= 2 * window + 1
+
+
+def _at_one_third(c):
+    return c.evaluate(Fraction(1, 3), 0) if isinstance(c, RatFunc) else Fraction(c)
+
+
+def test_closed_form_identities_specialize_to_the_rows_at_one_third():
+    """Over Q(mu1) at mu2 = 0, every row and family value of a closed-form
+    problem evaluates at mu1 = 1/3 to the row or value computed at
+    (1/3, 0), so checking there too would prove nothing more."""
+    for name, J, sdual, tdual in registry.CLOSED_FORM_PROBLEMS:
+        sides = []
+        for params in (Params(MU1, RatFunc(0)), Params(*registry.INTEGRAL_MU2)):
+            src = ModuleDescriptor(params, dual=sdual, J=J)
+            tgt = ModuleDescriptor(params, dual=tdual, J=J)
+            box = src.window(3)
+            indices, rows = intertwiner_equations(src, tgt, box)
+            fam = family_solution(name, src, tgt, box)
+            sides.append((indices,
+                          [{i: _at_one_third(c) for i, c in row.items()} for row in rows],
+                          [_at_one_third(fam.value(i)) for i in indices]))
+        assert sides[0] == sides[1], (name, J)
+        assert sides[0][1], (name, J)
+
+
+def test_closed_forms_fails_on_a_family_broken_only_from_lbar_3(monkeypatch):
+    lge2 = hom.closed_form_lge2
+
+    def broken(idx, p):
+        value = lge2(idx, p)
+        return 2 * value if idx[1] - p.mu2_int() >= 3 else value
+
+    monkeypatch.setattr(hom, "closed_form_lge2", broken)
+    rep = registry.run_check("closed-forms", window=3)
+    assert rep["verdict"] == "fail"
+    assert [w[:3] for w in rep["witnesses"]] == [("lge2", "lbar>=1", "symbolic"),
+                                                 ("lge2", "lbar>=0", "symbolic")]
+    assert registry.run_check("closed-forms", window=2)["verdict"] == "pass"
