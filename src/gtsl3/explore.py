@@ -88,6 +88,7 @@ def generate(start, desc: ModuleDescriptor, box: Box) -> GenerationCertificate:
 
     Only the raising and lowering generators are applied: h1 and h2 map
     every basis vector to a multiple of itself, so they reach nothing new.
+    A coefficient is evaluated only toward an unreached window index.
     """
     start = [tuple(i) for i in start]
     if not start:
@@ -97,17 +98,20 @@ def generate(start, desc: ModuleDescriptor, box: Box) -> GenerationCertificate:
         if idx not in allowed:
             raise ValueError(f"start index {idx} outside the window or index set")
     reached = set(start)
+
+    def unreached(jdx):
+        return jdx in allowed and jdx not in reached
+
     paths = {}
     frontier = list(start)
     while frontier:
         nxt = []
         for idx in frontier:
             for gen in OFF_DIAGONAL:
-                for jdx in desc.action(gen, idx):
-                    if jdx in allowed and jdx not in reached:
-                        reached.add(jdx)
-                        paths[jdx] = (idx, gen)
-                        nxt.append(jdx)
+                for jdx in desc.action(gen, idx, unreached):  # one call lists a target once
+                    reached.add(jdx)
+                    paths[jdx] = (idx, gen)
+                    nxt.append(jdx)
         frontier = nxt
     missing = sorted(allowed - reached)
     return GenerationCertificate(

@@ -7,17 +7,18 @@ index.  Matching coefficients in phi(X b_i) = X phi(b_i) turns each
 (generator, index) pair into equations with at most two unknowns; a finite
 window makes the system exactly solvable.
 
-Each edge {a, j} of the index graph gives a row at both of its ends: from
-X at index a with target j, and from the opposite generator at j with
+Each edge {a, j} of the index graph can give a row at both of its ends:
+from X at index a with target j, and from the opposite generator at j with
 target a.  The two rows are proportional, so ``intertwiner_equations``
-keeps the first row assembled on each edge.  Between the module and its
-dual they are equal or negated: the eta-action is (X eta)(v) =
--eta(tau(X) v), and tau(X) is the opposite generator (negated for e12 and
-f12), so the kept row is the lower end's (j > a).  In a same-basis problem
-(plain->plain or dual->dual) source and target are one module and every
-row is c*(x_j - x_a); an edge has a row at one end only where the other
-end's coefficient vanishes.  ``solve_by_recurrence`` reads the upper end's
-row of an edge and, where that is absent, the lower end's.
+builds the first row on each edge and evaluates nothing more toward it.
+Between the module and its dual they are equal or negated: the eta-action
+is (X eta)(v) = -eta(tau(X) v), and tau(X) is the opposite generator
+(negated for e12 and f12), so the row built is the lower end's (j > a).
+In a same-basis problem (plain->plain or dual->dual) source and target are
+one module and every row is c*(x_j - x_a); an edge has a row at one end
+only where the other end's coefficient vanishes.  A step of
+``solve_by_recurrence`` evaluates the upper end toward the lower end and,
+only where that row is absent, the lower end toward the upper end.
 
 The closed-form families are products of Pochhammer symbols
 x^(n) = Gamma(x+n)/Gamma(x), which ``raising_factorial`` gives for every
@@ -68,12 +69,15 @@ class ModuleDescriptor:
     def indices(self, box: Box):
         return [idx for idx in box if self.contains(idx)]
 
-    def action(self, gen: str, idx) -> dict:
+    def action(self, gen: str, idx, want=None) -> dict:
         """{target index: coefficient} for the generator on one basis vector:
         the ambient action, which lists only nonzero coefficients, with the
-        targets outside J dropped."""
-        return {jdx: c for jdx, c in BASIS_ACTIONS[self.basis](gen, self.params, idx)
-                if self.contains(jdx)}
+        targets outside J, and those want(target) rejects, dropped before
+        their coefficient is evaluated."""
+        def keep(jdx):
+            return self.contains(jdx) and (want is None or want(jdx))
+
+        return dict(BASIS_ACTIONS[self.basis](gen, self.params, idx, keep))
 
     def window(self, r: int) -> Box:
         lcenter = self.params.mu2_int() if self.params.mu2_integral() else 0
@@ -119,20 +123,17 @@ def _check_problem(source: ModuleDescriptor, target: ModuleDescriptor):
         raise ValueError("source and target must share one index set")
 
 
-def _comparison_rows(source, target, gen: str, a, inside, box: Box) -> dict:
+def _comparison_rows(source, target, gen: str, a, want) -> dict:
     """{j: row} from matching the coefficient of b'_j in phi(X b_a) =
-    X phi(b_a) for X = gen: the row reads cs*x_j - ct*x_a, with cs the
-    coefficient of b_j in X b_a and ct that of b'_j in X b'_a.  No row
-    vanishes: the actions drop zero coefficients and j != a.  A row that
-    needs an unknown outside the window is left out."""
-    src = source.action(gen, a)
-    tgt = target.action(gen, a)
+    X phi(b_a) for X = gen, for each target j that want(j) accepts: the row
+    reads cs*x_j - ct*x_a, with cs the coefficient of b_j in X b_a and ct
+    that of b'_j in X b'_a.  No row vanishes: the actions drop zero
+    coefficients and j != a.  Callers want only window indices, so no row
+    needs an unknown outside the window."""
+    src = source.action(gen, a, want)
+    tgt = target.action(gen, a, want)
     rows = {}
     for j in set(src) | set(tgt):
-        if j not in inside:
-            if box.contains(j):
-                raise AssertionError("truncation kept an index outside J")
-            continue  # unknown outside the window: drop the equation
         row = {}
         cs = src.get(j)
         ct = tgt.get(j)
@@ -149,19 +150,21 @@ _ASSEMBLED = tuple(gen for gen in OFF_DIAGONAL if gen != "e12")
 
 def intertwiner_equations(source, target, box: Box):
     """The in-window coefficient-matching equations as sparse rows: the
-    first row assembled on each edge {a, j}, in assembly order.  e12 is not
-    evaluated: its row sits at the upper end of an m-edge whose lower end,
-    assembled first, has an f12 row, since f12 keeps lbar and its
-    coefficients (kb+lb+m in the w-basis, -(m+1) in the eta-basis) do not
-    vanish where the sum is generic."""
+    first row on each edge {a, j}, in assembly order, with no coefficient
+    evaluated toward an edge that has one.  e12 is not called: its target
+    is the lower end of an m-edge, which comes first and has an f12 row
+    (f12 keeps lbar; kb+lb+m and -(m+1) do not vanish at a generic sum)."""
     _check_problem(source, target)
     indices = source.indices(box)
     inside = set(indices)
     edges = {}
     for a in indices:
+        def new_edge(j):
+            return j in inside and (min(a, j), max(a, j)) not in edges
+
         for gen in _ASSEMBLED:
-            for j, row in _comparison_rows(source, target, gen, a, inside, box).items():
-                edges.setdefault((min(a, j), max(a, j)), row)
+            for j, row in _comparison_rows(source, target, gen, a, new_edge).items():
+                edges[min(a, j), max(a, j)] = row
     return indices, list(edges.values())
 
 
@@ -223,7 +226,7 @@ def solve_by_recurrence(source, target, seed_idx, seed_value, box: Box):
                     continue
                 hi, lo = (a, nxt) if direction < 0 else (nxt, a)
                 for at, to, gen in ((hi, lo, up), (lo, hi, down)):
-                    row = _comparison_rows(source, target, gen, at, inside, box).get(to)
+                    row = _comparison_rows(source, target, gen, at, to.__eq__).get(to)
                     if row is not None:
                         break
                 else:

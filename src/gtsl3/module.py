@@ -42,18 +42,21 @@ class Params:
     Either both parameters are exact rationals (specialized mode) or at
     least one is a rational function (symbolic mode).  A symbolic parameter
     may still be an integer constant -- e.g. mu2 = 0 with mu1 left symbolic
-    -- and the predicates see through that exactly.  The two facts the
-    per-vector actions consult, whether mu1 + mu2 is integral and the
-    integer value of mu2, are worked out on first use and then kept.
+    -- and the predicates see through that exactly.  What the per-vector
+    actions consult, whether mu1 + mu2 is integral, the integer value of
+    mu2 and each kbar and lbar, is worked out on first use and then kept;
+    the kbar and lbar caches hold one value per k or l asked for, so they
+    grow with a window's width, not its volume.
     """
 
-    __slots__ = ("mu1", "mu2", "_sum_integral", "_mu2_int")
+    __slots__ = ("mu1", "mu2", "_sum_integral", "_mu2_int", "_kbar", "_lbar")
 
     def __init__(self, mu1, mu2):
         self.mu1 = mu1 if isinstance(mu1, RatFunc) else Fraction(mu1)
         self.mu2 = mu2 if isinstance(mu2, RatFunc) else Fraction(mu2)
         self._sum_integral = _UNKNOWN
         self._mu2_int = _UNKNOWN
+        self._kbar, self._lbar = {}, {}
 
     @classmethod
     def symbolic(cls) -> "Params":
@@ -91,10 +94,16 @@ class Params:
         return self._mu2_int
 
     def kbar(self, k: int):
-        return k - self.mu1
+        kb = self._kbar.get(k)
+        if kb is None:
+            kb = self._kbar[k] = k - self.mu1
+        return kb
 
     def lbar(self, l: int):
-        return l - self.mu2
+        lb = self._lbar.get(l)
+        if lb is None:
+            lb = self._lbar[l] = l - self.mu2
+        return lb
 
     def __eq__(self, other):
         return (
@@ -317,13 +326,14 @@ ACTION_TABLE = {
 
 
 def _table_action(basis: str):
-    """The (gen, params, idx) -> [(index, coefficient), ...] action read
-    from ACTION_TABLE[basis] at call time.  A target with m < 0 is dropped
-    before its coefficient is evaluated, and a zero coefficient after."""
+    """The (gen, params, idx[, want]) -> [(index, coefficient), ...] action
+    read from ACTION_TABLE[basis] at call time.  A target with m < 0, or
+    one that the optional predicate want(target) rejects, is dropped before
+    its coefficient is evaluated, and a zero coefficient after."""
     table = ACTION_TABLE[basis]
     generic = basis != "u"  # the w- and eta-bases need mu1 + mu2 not in Z
 
-    def action(gen: str, p: Params, idx):
+    def action(gen: str, p: Params, idx, want=None):
         if generic:
             p.require_generic_sum()
         entry = table.get(gen)
@@ -334,10 +344,11 @@ def _table_action(basis: str):
         lb = p.lbar(l)
         out = []
         for (dk, dl, dm), coefficient in entry:
-            if m + dm >= 0:
+            jdx = (k + dk, l + dl, m + dm)
+            if m + dm >= 0 and (want is None or want(jdx)):
                 c = coefficient(kb, lb, m)
                 if not scalar_is_zero(c):
-                    out.append(((k + dk, l + dl, m + dm), c))
+                    out.append((jdx, c))
         return out
 
     return action

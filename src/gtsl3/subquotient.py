@@ -169,21 +169,24 @@ def is_closed(J: LBarSet, basis: str, box: Box, p: Params) -> ClosureVerdict:
     Only window indices on a boundary level of J are inspected: a level in
     J whose neighbour lbar - 1 or lbar + 1 lies outside J, that is, the
     level on J's side of one of its cuts.  An action term moves l by at
-    most one, so a vector on any other level of J cannot leave J.  The
+    most one, so a vector on any other level of J cannot leave J.  A
+    coefficient is evaluated only toward a target outside J.  The
     witnesses are (source, generator, target) triples in window order,
     exactly those a sweep over every index of J would find.
     """
     action = BASIS_ACTIONS[basis]
     t = p.mu2_int()
     boundary = {t + c - (not J.contains(c)) for c in J.cuts}
+
+    def outside(jdx):
+        return not J.contains(jdx[1] - t)
+
     witnesses = []
     for idx in box:
         if idx[1] not in boundary:
             continue
         for gen in OFF_DIAGONAL:
-            for jdx, _ in action(gen, p, idx):
-                if not J.contains(jdx[1] - t):
-                    witnesses.append((idx, gen, jdx))
+            witnesses += [(idx, gen, jdx) for jdx, _ in action(gen, p, idx, outside)]
     return ClosureVerdict(not witnesses, witnesses)
 
 

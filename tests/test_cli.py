@@ -168,6 +168,18 @@ def test_hom_ge0_plain_to_dual_output_matches_the_golden_file(capsys):
     assert capsys.readouterr().out == golden.read_text()
 
 
+def test_generate_output_matches_the_golden_file(capsys):
+    main(["generate", "--start", "0,0,0", "--window", "8"])
+    golden = Path(__file__).parent / "golden" / "generate_w8.json"
+    assert capsys.readouterr().out == golden.read_text()
+
+
+def test_classify_output_matches_the_golden_file(capsys):
+    main(["--mu2", "0", "classify", "--set", "lbar=1", "--window", "7"])
+    golden = Path(__file__).parent / "golden" / "classify_lbar1_w7.json"
+    assert capsys.readouterr().out == golden.read_text()
+
+
 def test_classify_of_a_set_that_misses_the_window_exits_2(capsys):
     for text, r in (("lbar=5", "3"), ("lbar>=9", "2"), ("lbar<=-7", "3")):
         code, lines = run_cli(capsys, "--mu2", "0", "classify", "--set", text,
@@ -529,6 +541,14 @@ def test_dual_cyclicity_refuses_a_window_below_2(capsys):
 def test_closed_forms_refuses_a_window_below_1(capsys):
     # at window 0 the five closed-form problems assemble no equation
     _refused_below(capsys, "closed-forms", 1)
+
+
+def test_closed_forms_reports_the_window_and_the_symbolic_radius(capsys):
+    code, lines = run_cli(capsys, "verify-paper", "--check", "closed-forms",
+                          "--window", "5")
+    assert code == 0
+    assert lines == [{"check": "closed-forms", "verdict": "pass", "window": 5,
+                      "witnesses": [], "symbolic_window": 2}]
 
 
 def test_a_refused_check_keeps_every_other_verdict(capsys):

@@ -1,0 +1,233 @@
+"""The action evaluates a coefficient only toward a target its caller reads.
+
+The equation assembly, the recurrence, generation and closure are compared
+with ``unfiltered_oracle``, which evaluates every coefficient and drops
+unread targets afterwards, and every ACTION_TABLE coefficient is logged to
+show which targets are evaluated at all.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import unfiltered_oracle as oracle
+from gtsl3 import registry
+from gtsl3.errors import ObstructionAtIndex
+from gtsl3.explore import generate
+from gtsl3.hom import ModuleDescriptor, intertwiner_equations, solve_by_recurrence
+from gtsl3.module import ACTION_TABLE, AXIS_PAIRS, Box, Params
+from gtsl3.scalars import MU1, RatFunc
+from gtsl3.serialize import parse_set_expr
+from gtsl3.subquotient import LBarSet, is_closed
+
+PG = Params(Fraction(1, 3), Fraction(1, 5))
+P0 = Params(Fraction(1, 3), Fraction(0))
+SYM0 = Params(MU1, RatFunc(0))  # mu1 symbolic, mu2 = 0 exactly
+PAIRINGS = ((False, True), (True, False), (False, False), (True, True))
+SETS = ("full", "l01", "lbar>=0", "lbar>=2", "lbar<=-1", "lbar=0", "lbar=1")
+
+
+def _problem(params, text, sdual, tdual):
+    J = parse_set_expr(text)
+    return (ModuleDescriptor(params, dual=sdual, J=J),
+            ModuleDescriptor(params, dual=tdual, J=J))
+
+
+def _printed_rows(equations):
+    indices, rows = equations
+    return indices, [[(idx, type(v).__name__, str(v)) for idx, v in row.items()]
+                     for row in rows]
+
+
+# ---------------------------------------------------------------------------
+# against the unfiltered oracles
+
+ROW_PROBLEMS = {
+    "generic": [(PG, "full", s, t, r) for s, t in PAIRINGS for r in (2, 3)],
+    "mu1=0": [(Params(0, Fraction(1, 5)), "full", s, t, 3) for s, t in PAIRINGS],
+    **{f"mu2={mu2}": [(Params(Fraction(1, 3), mu2), text, s, t, r)
+                      for text in SETS for s, t in PAIRINGS for r in (2, 3)]
+       for mu2 in (0, 3, -1)},
+    "Q(mu1), mu2=0": [(SYM0, text, s, t, r) for text in SETS
+                      for s, t in PAIRINGS for r in (1, 2)],
+    "Q(mu1, mu2)": [(Params.symbolic(), "full", s, t, 1) for s, t in PAIRINGS],
+}
+
+
+@pytest.mark.parametrize("group", list(ROW_PROBLEMS))
+def test_equations_are_the_oracle_rows_in_order_and_printed(group):
+    for params, text, sdual, tdual, r in ROW_PROBLEMS[group]:
+        src, tgt = _problem(params, text, sdual, tdual)
+        box = src.window(r)
+        assert (_printed_rows(intertwiner_equations(src, tgt, box))
+                == _printed_rows(oracle.intertwiner_equations(src, tgt, box))), (
+            text, sdual, tdual, r)
+
+
+def _outcome(solve, *args):
+    try:
+        sol = solve(*args)
+    except ObstructionAtIndex as e:
+        return ("obstruction", e.index, e.generator, e.detail)
+    except ValueError as e:
+        return ("unreachable", str(e))
+    return [(idx, type(v).__name__, str(v)) for idx, v in sorted(sol.x.items())]
+
+
+RECURRENCE_POINTS = {
+    "generic": (PG, ["full"]),
+    "mu1=0": (Params(0, Fraction(1, 5)), ["full"]),
+    **{f"mu2={mu2}": (Params(Fraction(1, 3), mu2), SETS) for mu2 in (0, 3)},
+}
+
+
+@pytest.mark.parametrize("params,sets", RECURRENCE_POINTS.values(),
+                         ids=list(RECURRENCE_POINTS))
+def test_recurrence_solutions_and_obstructions_are_the_oracles(params, sets):
+    rnd = random.Random(17)
+    outcomes = set()
+    for text in sets:
+        for sdual, tdual in PAIRINGS:
+            src, tgt = _problem(params, text, sdual, tdual)
+            for r in (2, 3):
+                box = src.window(r)
+                indices = src.indices(box)
+                for seed in [indices[len(indices) // 2]] + rnd.sample(indices, 2):
+                    args = (src, tgt, seed, Fraction(1), box)
+                    want = _outcome(oracle.solve_by_recurrence, *args)
+                    assert _outcome(solve_by_recurrence, *args) == want, (
+                        text, sdual, tdual, r, seed)
+                    outcomes.add(want[0] if isinstance(want[0], str) else "solved")
+    assert "solved" in outcomes
+    if params.mu1_integral() or params.mu2_integral():
+        assert "obstruction" in outcomes
+
+
+GENERATION_CASES = [(PG, None), (Params(0, Fraction(1, 5)), None)] + [
+    (P0, J) for J in (None, LBarSet.ge(0), LBarSet.eq(1), LBarSet.between(0, 1),
+                      LBarSet.le(-1), LBarSet.ge(2))]
+
+
+@pytest.mark.parametrize("params,J", GENERATION_CASES)
+def test_generation_reaches_the_oracles_indices_by_its_paths(params, J):
+    for dual in (False, True):
+        desc = ModuleDescriptor(params, dual=dual, J=J)
+        for r in (2, 3):
+            box = desc.window(r)
+            indices = desc.indices(box)
+            for start in (indices[0], indices[len(indices) // 2], indices[-1]):
+                got = generate([start], desc, box)
+                want = oracle.generate([start], desc, box)
+                assert got.reached == want.reached, (dual, r, start)
+                assert got.missing == want.missing, (dual, r, start)
+                assert got.paths == want.paths, (dual, r, start)
+
+
+CLOSURE_SETS = [LBarSet.ge(0), LBarSet.eq(0), LBarSet.between(0, 1), LBarSet.le(1),
+                LBarSet.ge(2), LBarSet.eq(1), LBarSet([(None, -2), (1, 1)])]
+
+
+@pytest.mark.parametrize("mu2", [0, 2])
+@pytest.mark.parametrize("basis", ["u", "w", "eta"])
+def test_closure_witnesses_are_the_oracles(basis, mu2):
+    p = Params(Fraction(1, 3), mu2)
+    for J in CLOSURE_SETS + [J.complement() for J in CLOSURE_SETS]:
+        for r in (2, 3, 4):
+            box = Box.radius(r, mu2)
+            got = is_closed(J, basis, box, p)
+            want = oracle.is_closed(J, basis, box, p)
+            assert (got.closed, got.witnesses) == (want.closed, want.witnesses), (
+                repr(J), r)
+
+
+# ---------------------------------------------------------------------------
+# which coefficients are evaluated
+
+def _logged(log, p, basis, gen, offset, coefficient):
+    def logged(kb, lb, m):
+        c = coefficient(kb, lb, m)
+        source = (int(kb + p.mu1), int(lb + p.mu2), m)
+        target = tuple(i + d for i, d in zip(source, offset))
+        log.append((basis, gen, source, target, c))
+        return c
+
+    return logged
+
+
+def _evaluations(monkeypatch, p):
+    """The list that every ACTION_TABLE coefficient, evaluated at the
+    specialized parameters p, appends (basis, generator, source index,
+    target index, coefficient) to."""
+    log = []
+    for basis, table in ACTION_TABLE.items():
+        for gen, entry in list(table.items()):
+            monkeypatch.setitem(table, gen, tuple(
+                (offset, _logged(log, p, basis, gen, offset, coefficient))
+                for offset, coefficient in entry))
+    return log
+
+
+EDGE_CASES = [(PG, "full", s, t) for s, t in PAIRINGS] + [
+    (P0, text, s, t) for text in ("full", "l01", "lbar>=0") for s, t in PAIRINGS]
+
+
+@pytest.mark.parametrize("params,text,sdual,tdual", EDGE_CASES)
+def test_no_coefficient_is_evaluated_toward_an_edge_that_has_a_row(
+        monkeypatch, params, text, sdual, tdual):
+    src, tgt = _problem(params, text, sdual, tdual)
+    log = _evaluations(monkeypatch, params)
+    indices, rows = intertwiner_equations(src, tgt, src.window(3))
+    inside = set(indices)
+    # an edge has a row once the (index, generator) call that gave it a
+    # nonzero coefficient, in either module, is over
+    built, call, fresh = set(), None, set()
+    for _, gen, a, j, c in log:
+        if (a, gen) != call:
+            built |= fresh
+            call, fresh = (a, gen), set()
+        edge = (min(a, j), max(a, j))
+        assert j in inside and edge not in built, (gen, a, j)
+        if c != 0:
+            fresh.add(edge)
+    assert len(built | fresh) == len(rows)
+
+
+@pytest.mark.parametrize("params,J", GENERATION_CASES)
+def test_no_coefficient_is_evaluated_toward_a_reached_index(monkeypatch, params, J):
+    log = _evaluations(monkeypatch, params)
+    for dual in (False, True):
+        desc = ModuleDescriptor(params, dual=dual, J=J)
+        box = desc.window(3)
+        allowed = set(desc.indices(box))
+        start = desc.indices(box)[len(allowed) // 2]
+        log.clear()
+        cert = generate([start], desc, box)
+        reached = {start}
+        for _, gen, idx, jdx, c in log:
+            assert jdx in allowed and jdx not in reached, (dual, gen, idx, jdx)
+            if c != 0:
+                reached.add(jdx)
+        assert sorted(reached) == cert.reached
+
+
+@pytest.mark.parametrize("basis", ["u", "w", "eta"])
+def test_no_coefficient_is_evaluated_toward_a_target_inside_the_set(monkeypatch, basis):
+    log = _evaluations(monkeypatch, P0)  # mu2 = 0, so lbar = l
+    for J in CLOSURE_SETS + [J.complement() for J in CLOSURE_SETS]:
+        log.clear()
+        verdict = is_closed(J, basis, Box.radius(3), P0)
+        assert log and not any(J.contains(jdx[1]) for _, _, _, jdx, _ in log), repr(J)
+        assert verdict.witnesses == [(idx, gen, jdx) for _, gen, idx, jdx, c in log
+                                     if c != 0]
+
+
+def test_recurrence_and_axis_certificate_evaluate_only_the_axis_step(monkeypatch):
+    step = {gen: tuple(sign * (i == axis) for i in range(3))
+            for axis, pair in enumerate(AXIS_PAIRS) for gen, sign in zip(pair, (-1, 1))}
+    log = _evaluations(monkeypatch, PG)
+    src, tgt = _problem(PG, "full", True, False)
+    solve_by_recurrence(src, tgt, (0, 0, 0), Fraction(1), Box.radius(2))
+    assert registry.run_check("simplicity-generic", window=2)["verdict"] == "pass"
+    assert log and all(tuple(j - i for i, j in zip(idx, jdx)) == step[gen]
+                       for _, gen, idx, jdx, _ in log)
