@@ -382,6 +382,13 @@ REGISTERED_HOM = {
                      for sdual, tdual in ((True, False), (False, True))],
     "same-basis full": [(PG, None, sdual, sdual, r)
                         for sdual in (False, True) for r in (2, 3)],
+    # plain -> dual problems with two free columns: pins which columns the
+    # solver leaves free and how it normalizes each basis vector
+    "dimension 2": [(Params(*mu), None, False, True, 2)
+                    for mu in ((Fraction(1, 3), 0), (Fraction(1, 3), 2),
+                               (0, Fraction(1, 5)))]
+                   + [(Params(Fraction(1, 3), t), parse_set_expr("lbar in -1..2"),
+                       False, True, 2) for t in (0, 2)],
 }
 GOLDEN_HOM = Path(__file__).parent / "golden" / "hom_solutions.json"
 
