@@ -33,6 +33,8 @@ from .serialize import (
 )
 from .subquotient import classify as classify_set
 
+MAX_WINDOW = 12  # README: hom takes about 15 s at this radius, verify-paper 100 s
+
 
 class _Parser(argparse.ArgumentParser):
     """Raises on a malformed command line, so that it reaches main's error
@@ -52,10 +54,13 @@ def _index_triple(text: str):
 
 
 def _radius(text: str) -> int:
-    """A --window value: a non-negative integer."""
+    """A --window value: an integer from 0 to MAX_WINDOW."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(
             f"window radius must be an integer >= 0, got {text!r}")
+    if len(text.lstrip("0")) > len(str(MAX_WINDOW)) or int(text) > MAX_WINDOW:
+        raise argparse.ArgumentTypeError(
+            f"window radius must be at most {MAX_WINDOW}, got {text}")
     return int(text)
 
 

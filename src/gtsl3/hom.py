@@ -24,6 +24,12 @@ The closed-form families are products of Pochhammer symbols
 x^(n) = Gamma(x+n)/Gamma(x), which ``raising_factorial`` gives for every
 integer n, so one formula covers both signs of k and l.
 
+``solve_intertwiner`` eliminates only the forest rows, those that join two
+trees of a union-find over the columns (a one-unknown row joins a zero
+node), and checks each other row once, against the one basis vector on its
+tree, dropping that vector if the row fails.  Eliminating every row gives
+the same basis: a cycle row reduces to zero or forces its tree to zero.
+
 Boundary policy: equations are assembled at every window index and an
 equation is skipped only when it touches an unknown outside the window.
 Skipping can only enlarge the solution space, and the expected dimensions
@@ -168,6 +174,33 @@ def intertwiner_equations(source, target, box: Box):
     return indices, list(edges.values())
 
 
+def _residual(row: dict, x: dict):
+    """The row's left-hand side at the values x (absent means zero)."""
+    return sum((coeff * x.get(idx, 0) for idx, coeff in row.items()), 0)
+
+
+def _forest_nullspace(rows, columns):
+    """nullspace(rows, columns), for rows of one or two unknowns (module docstring)."""
+    parent = {}
+
+    def root(c):
+        while c in parent:  # path halving
+            parent[c] = c = parent.get(parent[c], parent[c])
+        return c
+
+    forest, cycles = [], []
+    for row in rows:
+        a, b = (root(c) for c in (*row, None)[:2])
+        if a != b:
+            parent[a] = b
+        (forest if a != b else cycles).append(row)
+    basis = nullspace(forest, columns)
+    home = {c: n for n, vec in enumerate(basis) for c in vec}
+    broken = {home[c] for row in cycles if (c := next(iter(row))) in home
+              and not scalar_is_zero(_residual(row, basis[home[c]]))}
+    return [vec for n, vec in enumerate(basis) if n not in broken]
+
+
 def solve_intertwiner(source, target, box: Box):
     """Exact basis of diagonal intertwiners on the window, seed-normalized."""
     if box.kmax - box.kmin < 2 or box.mmax < 1:
@@ -175,23 +208,14 @@ def solve_intertwiner(source, target, box: Box):
     indices, rows = intertwiner_equations(source, target, box)
     if not indices:
         raise ValueError("window does not meet the index set")
-    basis = nullspace(rows, indices)
-    return [
-        HomSolution(source, target, box, vec).normalized() for vec in basis
-    ]
+    return [HomSolution(source, target, box, vec).normalized()
+            for vec in _forest_nullspace(rows, indices)]
 
 
 def verify_solution(sol: HomSolution):
     """Violated equations for a coefficient family; empty list means exact."""
     indices, rows = intertwiner_equations(sol.source, sol.target, sol.box)
-    bad = []
-    for row in rows:
-        total = 0
-        for idx, coeff in row.items():
-            total = total + coeff * sol.value(idx)
-        if not scalar_is_zero(total):
-            bad.append(row)
-    return bad
+    return [row for row in rows if not scalar_is_zero(_residual(row, sol.x))]
 
 
 def solve_by_recurrence(source, target, seed_idx, seed_value, box: Box):

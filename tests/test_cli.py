@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 from gtsl3 import registry
-from gtsl3.cli import main
+from gtsl3.cli import MAX_WINDOW, main
 
 
 def run_cli(capsys, *argv):
@@ -282,17 +282,35 @@ def test_negative_window_is_rejected(capsys):
                               "--window", "-1"))
 
 
+WINDOW_COMMANDS = (("hom", "--source", "full", "--target", "dual:full"),
+                   ("generate", "--start", "0,0,0"),
+                   ("--mu2", "0", "character"),
+                   ("classify", "--set", "lbar=1"),
+                   ("verify-paper", "--check", "casimir"))
+
+
 def test_every_window_flag_takes_only_a_non_negative_integer(capsys):
-    commands = (("hom", "--source", "full", "--target", "dual:full"),
-                ("generate", "--start", "0,0,0"),
-                ("--mu2", "0", "character"),
-                ("classify", "--set", "lbar=1"),
-                ("verify-paper", "--check", "casimir"))
-    for argv in commands:
+    for argv in WINDOW_COMMANDS:
         for bad in ("-1", "1.5", "abc", "", "+2"):
             code, lines = run_cli(capsys, *argv, "--window", bad)
             assert _rejected(code, lines), (argv, bad)
             assert lines[-1]["message"].startswith("argument --window"), (argv, bad)
+
+
+def test_every_window_flag_is_capped(capsys):
+    """A radius past the cap exits 2 before any work: the box of indices
+    alone would otherwise have about 10^60 entries.  A radius longer than
+    int() converts is refused by the same message."""
+    for argv in WINDOW_COMMANDS:
+        for big in (str(MAX_WINDOW + 1), "99999999999999999999", "9" * 5000):
+            code, lines = run_cli(capsys, *argv, "--window", big)
+            assert _rejected(code, lines), (argv, big)
+            assert lines[-1]["message"] == (
+                f"argument --window: window radius must be at most {MAX_WINDOW}, "
+                f"got {big}"), (argv, big)
+    code, lines = run_cli(capsys, "--mu2", "0", "classify", "--set", "lbar=1",
+                          "--window", f"00{MAX_WINDOW}")
+    assert code == 0 and lines[-1]["window"] == MAX_WINDOW
 
 
 def test_element_without_a_basis_names_both_ways_to_give_one(capsys):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from gtsl3 import hom
 from gtsl3.errors import ObstructionAtIndex
 from gtsl3.hom import (
     HomSolution,
@@ -23,7 +24,7 @@ from gtsl3.hom import (
     solve_intertwiner,
     verify_solution,
 )
-from gtsl3.module import OFF_DIAGONAL, Box, Params
+from gtsl3.module import ACTION_TABLE, OFF_DIAGONAL, Box, Params
 from gtsl3.registry import HOM_STATEMENTS
 from gtsl3.scalars import MU1, RatFunc
 from gtsl3.serialize import parse_set_expr
@@ -429,6 +430,52 @@ def test_solve_intertwiner_prints_the_oracle_solutions(group):
 @pytest.mark.parametrize("group", list(REGISTERED_HOM))
 def test_solve_intertwiner_prints_the_golden_solutions(group):
     assert _golden_entries(group) == json.loads(GOLDEN_HOM.read_text())[group]
+
+
+def _spy_on_nullspace(monkeypatch):
+    """[(rows, basis)] of each nullspace call that solve_intertwiner makes."""
+    calls = []
+
+    def spy(rows, columns):
+        calls.append((rows, nullspace(rows, columns)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(hom, "nullspace", spy)
+    return calls
+
+
+def test_solve_intertwiner_eliminates_only_the_forest_rows(monkeypatch):
+    calls = _spy_on_nullspace(monkeypatch)
+    src, tgt = ModuleDescriptor(PG, dual=True), ModuleDescriptor(PG)
+    box = Box.radius(3)
+    indices, rows = intertwiner_equations(src, tgt, box)
+    assert len(solve_intertwiner(src, tgt, box)) == 1
+    [(forest, _)] = calls
+    # one spanning tree of the 196 unknowns, its rows in assembly order
+    assert (len(indices), len(rows), len(forest)) == (196, 735, 195)
+    edges = {frozenset(row) for row in forest}
+    assert [row for row in rows if frozenset(row) in edges] == forest
+
+
+def test_a_broken_cycle_drops_its_tree_as_elimination_of_every_row_does(monkeypatch):
+    """The w-basis f1 coefficients doubled at lbar = 2, m = 1, inside the
+    second of the two trees of a dimension-2 problem: the forest solve
+    still finds both trees, and the check of the cycle rows drops the
+    broken one, as eliminating every row does."""
+    (off, coeff), side = ACTION_TABLE["w"]["f1"]
+
+    def doubled(kb, lb, m):
+        return 2 * coeff(kb, lb, m) if (lb, m) == (2, 1) else coeff(kb, lb, m)
+
+    monkeypatch.setitem(ACTION_TABLE["w"], "f1", ((off, doubled), side))
+    calls = _spy_on_nullspace(monkeypatch)
+    src, tgt, box = _problem(P0, None, False, True, 2)
+    got = _printed(solve_intertwiner(src, tgt, box))
+    [(_, forest_basis)] = calls
+    indices, rows = intertwiner_equations(src, tgt, box)
+    want = _printed([HomSolution(src, tgt, box, vec).normalized()
+                     for vec in nullspace_oracle(rows, indices)])
+    assert (len(forest_basis), len(got)) == (2, 1) and got == want
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gtsl3.hom import _forest_nullspace
 from gtsl3.scalars import MU1, MU2
 from gtsl3.solver import nullspace
 from nullspace_oracle import nullspace_oracle
@@ -23,21 +24,29 @@ def printed(basis):
 
 
 @st.composite
-def systems(draw):
+def systems(draw, two_unknowns=False):
     """(rows, columns) of a small sparse system over Fraction or over small
     RatFuncs, with proportional twins, non-proportional twins, third rows on
-    one support, one-unknown rows and explicit zero entries, shuffled."""
+    one support, one-unknown rows and explicit zero entries, shuffled.
+
+    two_unknowns: rows have one or two entries, all nonzero, as Hom rows
+    do, over more columns, so that trees, cycles and isolated columns
+    appear; a non-proportional twin is an inconsistent cycle."""
     scalars = draw(st.sampled_from([nonzero_fractions, small_ratfuncs]))
+    size = (4, 3) if two_unknowns else (3, 2)
     # column order differs from label order, so positions and labels differ
-    columns = draw(st.permutations([(k, 0, m) for k in range(3) for m in range(2)]))
+    columns = draw(st.permutations([(k, 0, m) for k in range(size[0])
+                                    for m in range(size[1])]))
     n = draw(st.integers(1, len(columns)))
     columns = columns[:n]
     labels = st.sampled_from(columns)
-    base = draw(st.lists(st.dictionaries(labels, scalars, min_size=1, max_size=3),
-                         max_size=8))
+    base = draw(st.lists(st.dictionaries(labels, scalars, min_size=1,
+                                         max_size=2 if two_unknowns else 3),
+                         max_size=12 if two_unknowns else 8))
+    kinds = ["none", "twin", "other"] + ([] if two_unknowns else ["third", "zero"])
     rows = list(base)
     for row in base:
-        kind = draw(st.sampled_from(["none", "twin", "other", "third", "zero"]))
+        kind = draw(st.sampled_from(kinds))
         if kind in ("twin", "third"):
             k = draw(scalars)
             rows.append({c: k * v for c, v in row.items()})
@@ -62,3 +71,9 @@ def test_nullspace_returns_exactly_the_oracle_basis(system):
         for row in rows:
             assert sum((v * vec.get(c, 0) for c, v in row.items()), 0) == 0
 
+
+@SETTINGS
+@given(systems(two_unknowns=True))
+def test_forest_solve_prints_what_nullspace_prints_on_all_rows(system):
+    rows, columns = system
+    assert printed(_forest_nullspace(rows, columns)) == printed(nullspace(rows, columns))
