@@ -180,6 +180,12 @@ def test_classify_output_matches_the_golden_file(capsys):
     assert capsys.readouterr().out == golden.read_text()
 
 
+def test_character_output_matches_the_golden_file(capsys):
+    main(["--mu2", "0", "character", "--set", "lbar>=0", "--dual", "--window", "6"])
+    golden = Path(__file__).parent / "golden" / "character_ge0_dual_w6.json"
+    assert capsys.readouterr().out == golden.read_text()
+
+
 def test_classify_of_a_set_that_misses_the_window_exits_2(capsys):
     for text, r in (("lbar=5", "3"), ("lbar>=9", "2"), ("lbar<=-7", "3")):
         code, lines = run_cli(capsys, "--mu2", "0", "classify", "--set", text,
