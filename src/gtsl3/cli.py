@@ -20,7 +20,7 @@ from . import registry
 from .errors import ObstructionAtIndex
 from .explore import character_table, generate
 from .hom import ModuleDescriptor, image_kernel, solve_by_recurrence, solve_intertwiner
-from .module import Box, ModuleElement, Params, act_word, pairing, u_to_w, w_to_u
+from .module import ModuleElement, Params, act_word, pairing, u_to_w, w_to_u
 from .scalars import format_scalar
 from .serialize import (
     box_to_json,
@@ -204,18 +204,12 @@ def cmd_generate(args) -> int:
 def cmd_character(args) -> int:
     params = _params_from_args(args)
     desc = _descriptor(args.set if not args.dual else f"dual:{args.set}", params)
-    r = args.window
-    table = character_table(desc, r)
-    keys = sorted(
-        (s, t)
-        for (s, t) in table
-        if abs(s) <= r and -r <= t <= 0
-    )
+    table = character_table(desc, args.window)
     _emit(
         {
             "params": params_to_json(params),
-            "window": r,
-            "table": {f"{s},{t}": table[(s, t)] for s, t in keys},
+            "window": args.window,
+            "table": {f"{s},{t}": table[(s, t)] for s, t in sorted(table)},
         }
     )
     return 0
@@ -228,14 +222,13 @@ def cmd_classify(args) -> int:
     J = parse_set_expr(args.set)
     if J is None:
         raise ValueError("classify needs a proper index set, not 'full'")
-    r = args.window
-    box = Box.radius(r, params.mu2_int())
+    box = ModuleDescriptor(params, J=J).window(args.window)
     kind = classify_set(J, box, params)
     _emit(
         {
             "set": indexset_to_json(J),
             "params": params_to_json(params),
-            "window": r,
+            "window": args.window,
             "classification": kind,
         }
     )

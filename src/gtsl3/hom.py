@@ -1,5 +1,9 @@
 """Intertwiner computation between (sub)quotients of the module and its dual.
 
+Each side of a Hom problem is a ``subquotient.ModuleDescriptor``, imported
+here as ``hom.ModuleDescriptor``; its ``action`` reads ACTION_TABLE with
+the targets outside its index set dropped before they are evaluated.
+
 Both sides of every Hom problem here decompose into one-dimensional
 simultaneous eigenspaces with matching eigenvalue triples, so an
 intertwiner is diagonal: phi(b_i) = x_i b'_i for one unknown scalar per
@@ -44,57 +48,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ObstructionAtIndex
-from .module import AXIS_PAIRS, BASIS_ACTIONS, OFF_DIAGONAL, Box, ModuleElement, Params
+from .module import AXIS_PAIRS, OFF_DIAGONAL, Box, Params
 from .scalars import raising_factorial, scalar_is_zero
 from .solver import nullspace
-from .subquotient import LBarSet
-
-
-@dataclass
-class ModuleDescriptor:
-    """A (sub)quotient of the module (w-basis) or of its dual (eta-basis)."""
-
-    params: Params
-    dual: bool = False
-    J: LBarSet | None = None
-
-    @property
-    def basis(self) -> str:
-        return "eta" if self.dual else "w"
-
-    def validate(self):
-        self.params.require_generic_sum()
-        if self.J is not None:
-            self.params.mu2_int()
-
-    def contains(self, idx) -> bool:
-        if self.J is None:
-            return True
-        return self.J.contains(idx[1] - self.params.mu2_int())
-
-    def indices(self, box: Box):
-        return [idx for idx in box if self.contains(idx)]
-
-    def action(self, gen: str, idx, want=None) -> dict:
-        """{target index: coefficient} for the generator on one basis vector:
-        the ambient action, which lists only nonzero coefficients, with the
-        targets outside J, and those want(target) rejects, dropped before
-        their coefficient is evaluated."""
-        def keep(jdx):
-            return self.contains(jdx) and (want is None or want(jdx))
-
-        return dict(BASIS_ACTIONS[self.basis](gen, self.params, idx, keep))
-
-    def window(self, r: int) -> Box:
-        lcenter = self.params.mu2_int() if self.params.mu2_integral() else 0
-        return Box.radius(r, lcenter)
-
-    def element(self, terms) -> ModuleElement:
-        return ModuleElement(self.params, self.basis, terms)
-
-    def describe(self) -> str:
-        name = "dual" if self.dual else "plain"
-        return f"{name}:{'full' if self.J is None else repr(self.J)}"
+from .subquotient import LBarSet, ModuleDescriptor, lbar_coordinates
 
 
 @dataclass
@@ -233,7 +190,7 @@ def solve_by_recurrence(source, target, seed_idx, seed_value, box: Box):
     if not box.contains(seed_idx):
         raise ValueError(f"seed index {seed_idx} is outside the window {box}")
     if not source.contains(seed_idx):
-        lbar = seed_idx[1] - source.params.mu2_int()
+        _, lbar, _ = lbar_coordinates(seed_idx, source.params)
         raise ValueError(f"seed index {seed_idx} has lbar = {lbar}, "
                          f"outside the source's index set {source.J!r}")
     x = {seed_idx: seed_value}
@@ -329,9 +286,7 @@ def closed_form_xabc(idx, p: Params):
 def closed_form_l01_phi(idx, p: Params):
     """Dual -> plain family on the lbar in {0,1} band: supported on lbar = 0,
     seed value 1 at (0, mu2, 0)."""
-    t = p.mu2_int()
-    k, l, m = idx
-    lb = l - t
+    k, lb, m = lbar_coordinates(idx, p)
     if lb == 1:
         return Fraction(0)
     if lb != 0:
@@ -357,9 +312,7 @@ def _plain_to_dual(k, lb, m, p: Params):
 def closed_form_l01_psi(idx, p: Params):
     """Plain -> dual family on the lbar in {0,1} band: supported on lbar = 1,
     seed value 1 at (0, mu2+1, 0)."""
-    t = p.mu2_int()
-    k, l, m = idx
-    lb = l - t
+    k, lb, m = lbar_coordinates(idx, p)
     if lb == 0:
         return Fraction(0)
     if lb != 1:
@@ -369,9 +322,7 @@ def closed_form_l01_psi(idx, p: Params):
 
 def closed_form_lge2(idx, p: Params):
     """Plain -> dual family supported on lbar >= 2, seed 1 at (0, mu2+2, 0)."""
-    t = p.mu2_int()
-    k, l, m = idx
-    lb = l - t
+    k, lb, m = lbar_coordinates(idx, p)
     if lb < 2:
         return Fraction(0)
     return (_plain_to_dual(k, lb, m, p) * lb * raising_factorial(1 - p.mu1, lb - 2)
@@ -384,9 +335,7 @@ def closed_form_lle_minus1(idx, p: Params):
     Satisfies the plain -> dual equation system exactly (solver-verified);
     the inverse coefficients give the dual -> plain direction.
     """
-    t = p.mu2_int()
-    k, l, m = idx
-    lb = l - t
+    k, lb, m = lbar_coordinates(idx, p)
     if lb > -1:
         raise ValueError(f"index {idx} outside lbar <= -1")
     return (_plain_to_dual(k, lb, m, p) * (-lb) * (math.factorial(1 - lb) // 2)

@@ -325,13 +325,12 @@ ACTION_TABLE = {
 }
 
 
-def _table_action(basis: str):
+def table_action(table: dict, generic: bool):
     """The (gen, params, idx[, want]) -> [(index, coefficient), ...] action
-    read from ACTION_TABLE[basis] at call time.  A target with m < 0, or
-    one that the optional predicate want(target) rejects, is dropped before
-    its coefficient is evaluated, and a zero coefficient after."""
-    table = ACTION_TABLE[basis]
-    generic = basis != "u"  # the w- and eta-bases need mu1 + mu2 not in Z
+    read from a table shaped as ACTION_TABLE[basis], at call time.  A target
+    with m < 0, or one that the optional predicate want(target) rejects, is
+    dropped before its coefficient is evaluated, and a zero coefficient
+    after.  A generic action needs mu1 + mu2 not in Z."""
 
     def action(gen: str, p: Params, idx, want=None):
         if generic:
@@ -354,10 +353,12 @@ def _table_action(basis: str):
     return action
 
 
-BASIS_ACTIONS = {basis: _table_action(basis) for basis in ACTION_TABLE}
+# the w- and eta-bases need mu1 + mu2 not in Z
+BASIS_ACTIONS = {basis: table_action(table, basis != "u")
+                 for basis, table in ACTION_TABLE.items()}
 
 
-def _accumulate(v: ModuleElement, expand, basis: str) -> ModuleElement:
+def accumulate(v: ModuleElement, expand, basis: str) -> ModuleElement:
     """Sum c * a over the (target, a) pairs expand(idx) lists for each term
     c of v at idx, dropping zero sums; the result is read in `basis`."""
     terms = {}
@@ -377,7 +378,7 @@ def act(gen: str, v: ModuleElement) -> ModuleElement:
     """Apply one generator symbol to an element, in the element's basis."""
     action = BASIS_ACTIONS[v.basis]
     p = v.params
-    return _accumulate(v, lambda idx: action(gen, p, idx), v.basis)
+    return accumulate(v, lambda idx: action(gen, p, idx), v.basis)
 
 
 def act_lie(x: dict, v: ModuleElement) -> ModuleElement:
@@ -458,7 +459,7 @@ def _change_basis(v: ModuleElement, source: str, target: str, sign: int, shift: 
             if not scalar_is_zero(a):
                 yield (k + n, l + n, m - n), a
 
-    return _accumulate(v, expand, target)
+    return accumulate(v, expand, target)
 
 
 def w_to_u(v: ModuleElement) -> ModuleElement:

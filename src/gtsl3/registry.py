@@ -39,6 +39,16 @@ is in the window.  The window is a box, so these edges join all of it, and
 by the eigenvalue separation in ``explore`` every vector generates it; this
 covers the generic start that ``dual-cyclicity`` once ran.
 
+``structure-constants`` checks the Jacobi identity, tau-compatibility and
+the Cartan matrix on ``liealg.STRUCTURE``.  It does not compare STRUCTURE
+with the bracket of the 3x3 matrices: STRUCTURE is built from that very
+bracket, so the comparison could not fail.  ``tests/test_liealg.py`` keeps
+hand-typed brackets against it.
+
+``relaxed-verma`` generates the layers of cases 4 and 5 and solves their
+self-duality on radius 3 whatever the window; its report names that radius
+``layer_window``.
+
 ``closed-forms`` proves the families' equations over Q(mu1) at mu2 = 0, and
 those of ``xabc`` over Q(mu1, mu2) on radius 2 whatever the window; its
 report names that radius ``symbolic_window``.  Each coefficient and value
@@ -53,6 +63,7 @@ from fractions import Fraction
 from . import liealg, sections
 from .errors import ObstructionAtIndex
 from .explore import (
+    LAYER_WINDOW,
     character_table,
     characters_agree,
     exact_sequence_check,
@@ -111,14 +122,6 @@ def check_structure_constants(**_):
     failures = []
     for x in liealg.GENERATORS:
         for y in liealg.GENERATORS:
-            table = liealg.STRUCTURE[(x, y)]
-            oracle = liealg.decompose(
-                liealg.mat_bracket(liealg.matrix_oracle(x), liealg.matrix_oracle(y))
-            )
-            if table != oracle:
-                failures.append(("pair", x, y))
-    for x in liealg.GENERATORS:
-        for y in liealg.GENERATORS:
             for z in liealg.GENERATORS:
                 jac = liealg.lie_add(
                     liealg.bracket({x: 1}, liealg.bracket({y: 1}, {z: 1})),
@@ -146,7 +149,7 @@ def _bracket_compat(elements):
     [x, y] v != x(y v) - y(x v).  Each X v and X(Y v) is computed once, and
     only one element's actions are held at a time."""
     gens = liealg.GENERATORS
-    brackets = {(x, y): liealg.bracket({x: 1}, {y: 1}) for x in gens for y in gens}
+    brackets = liealg.STRUCTURE  # [x, y] for every ordered pair, in gens order
     failing = []
     for v in elements:
         xv = {g: act(g, v) for g in gens}
@@ -256,8 +259,8 @@ NINE_SETS = [
 def check_closure_integral(window=3, **_):
     params = Params(*INTEGRAL_MU2)
     t0 = params.mu2_int()
-    box = Box.radius(window, t0)
     full = ModuleDescriptor(params, dual=False)
+    box = full.window(window)
     # the lbar levels the full module reaches from (0, mu2 + lv, 1)
     reached = {lv: {i[1] - t0 for i in generate([(0, t0 + lv, 1)], full, box).reached}
                for lv in range(-window, window + 1)}
@@ -278,8 +281,8 @@ def check_closure_integral(window=3, **_):
 
 def check_dual_cyclicity(window=3, **_):
     params = Params(*INTEGRAL_MU2)
-    box = Box.radius(window, params.mu2_int())
     dual = ModuleDescriptor(params, dual=True)
+    box = dual.window(window)
     bad = []
     for k0 in (-2, 0, 2):
         cert = generate([(k0, params.mu2_int(), 0)], dual, box)
@@ -397,7 +400,8 @@ def check_relaxed_verma(window=6, **_):
     reports = [relaxed_verma_check(case, params, r=window) for case in (1, 2, 3, 4, 5)]
     bad = [r for r in reports if r["verdict"] != "pass"]
     return _report("relaxed-verma", not bad, params=params, window=window,
-                   witnesses=[r["case"] for r in bad], cases=reports)
+                   witnesses=[r["case"] for r in bad], cases=reports,
+                   layer_window=LAYER_WINDOW)
 
 
 def check_casimir(window=4, **_):

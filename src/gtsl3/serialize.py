@@ -53,9 +53,13 @@ def _fields(obj: dict, keys, what: str):
     return [obj[key] for key in keys]
 
 
+MAX_M = 40  # README: change-basis takes about 0.6 s at this m over Q(mu1, mu2)
+
+
 def element_from_json(obj) -> ModuleElement:
-    """Decode an element, checking every term: indices are JSON integers,
-    coefficients are exact scalar strings or JSON integers (never floats)."""
+    """Decode an element, checking every term: indices are JSON integers
+    with m at most MAX_M, coefficients are exact scalar strings or JSON
+    integers (never floats)."""
     if not isinstance(obj, dict):
         raise ValueError(f"an element must be a JSON object, got {obj!r}")
     listed = obj.get("terms", [])
@@ -70,6 +74,8 @@ def element_from_json(obj) -> ModuleElement:
         k, l, m, c = _fields(t, "klmc", "a term")
         if type(k) is not int or type(l) is not int or type(m) is not int:
             raise ValueError(f"term {t!r} has an index that is not a JSON integer")
+        if m > MAX_M:
+            raise ValueError(f"a term's m must be at most {MAX_M}, got {m}")
         if type(c) is not int and not isinstance(c, str):
             raise ValueError(f"term {t!r} has a coefficient that is neither a string "
                              "nor a JSON integer")

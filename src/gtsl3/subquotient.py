@@ -5,11 +5,15 @@ lbar = l - mu2: half-lines, finite intervals, and finite unions of these.
 An LBarSet is stored as its cut points, the lbar at which membership
 changes, so union is one sweep over run ends, complement flips a flag,
 and difference is the complement of a union.
-A subquotient's action is the ambient w- or eta-action (module.act) with
-every term whose index leaves the set dropped; the paper's displayed
-formulas for the lbar in {0,1} band are kept in the test suite as an
-oracle for it.  The indices of a subquotient on a window are
-hom.ModuleDescriptor.indices.  Closure of a set under the ambient
+A ModuleDescriptor names the module (w-basis) or its dual (eta-basis) with
+an optional LBarSet J, and owns the lbar coordinate: ``lbar_coordinates``
+gives (k, lbar, m), the descriptor's ``contains`` reads J through it, its
+``window`` is the one box centred on mu2, and its ``action`` is the
+ambient table action with the targets outside J dropped before their
+coefficient is evaluated.  A subquotient's action on elements,
+``act_truncated``, is that action summed over the terms; the paper's
+displayed formulas for the lbar in {0,1} band are kept in the test suite as
+an oracle for it.  Closure of a set under the ambient
 action is checked exactly on a finite window.  The predicates only involve
 lbar, and no action term in the u-, w- or eta-basis moves l by more than
 one, so escapes in the k or m direction cannot change membership, and only
@@ -25,7 +29,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import BasisMismatch
-from .module import BASIS_ACTIONS, OFF_DIAGONAL, Box, ModuleElement, Params, act
+from .module import BASIS_ACTIONS, OFF_DIAGONAL, Box, ModuleElement, Params, accumulate
 
 
 class LBarSet:
@@ -137,21 +141,72 @@ _RUN_TEXT = {"all": "all", "le": "lbar<={}", "ge": "lbar>={}", "eq": "lbar={}",
 
 
 # ---------------------------------------------------------------------------
-# truncated actions
+# module descriptors and truncated actions
+
+def lbar_coordinates(idx, p: Params):
+    """(k, lbar, m) for the index (k, l, m), with lbar = l - mu2 for mu2 in Z."""
+    k, l, m = idx
+    return k, l - p.mu2_int(), m
+
+
+@dataclass
+class ModuleDescriptor:
+    """A (sub)quotient of the module (w-basis) or of its dual (eta-basis)."""
+
+    params: Params
+    dual: bool = False
+    J: LBarSet | None = None
+
+    @property
+    def basis(self) -> str:
+        return "eta" if self.dual else "w"
+
+    def validate(self):
+        self.params.require_generic_sum()
+        if self.J is not None:
+            self.params.mu2_int()
+
+    def contains(self, idx) -> bool:
+        return self.J is None or self.J.contains(lbar_coordinates(idx, self.params)[1])
+
+    def indices(self, box: Box):
+        return [idx for idx in box if self.contains(idx)]
+
+    def action(self, gen: str, idx, want=None) -> dict:
+        """{target index: coefficient} for the generator on one basis vector:
+        the ambient action, which lists only nonzero coefficients, with the
+        targets outside J, and those want(target) rejects, dropped before
+        their coefficient is evaluated."""
+        def keep(jdx):
+            return self.contains(jdx) and (want is None or want(jdx))
+
+        return dict(BASIS_ACTIONS[self.basis](gen, self.params, idx, keep))
+
+    def window(self, r: int) -> Box:
+        """The radius-r box, centred on l = mu2 when mu2 is an integer."""
+        lcenter = self.params.mu2_int() if self.params.mu2_integral() else 0
+        return Box.radius(r, lcenter)
+
+    def element(self, terms) -> ModuleElement:
+        return ModuleElement(self.params, self.basis, terms)
+
+    def describe(self) -> str:
+        name = "dual" if self.dual else "plain"
+        return f"{name}:{'full' if self.J is None else repr(self.J)}"
+
 
 def act_truncated(gen: str, v: ModuleElement, J: LBarSet) -> ModuleElement:
-    """Ambient action followed by projection to J; support must lie in J."""
+    """The action on the subquotient J: each term's descriptor action, so no
+    coefficient is evaluated toward a target outside J.  The support of v
+    must lie in J."""
     if v.basis not in ("w", "eta"):
         raise BasisMismatch("subquotients live in the w- or eta-basis")
-    p = v.params
-    t = p.mu2_int()
+    v.params.mu2_int()  # J reads lbar, even on the zero vector
+    desc = ModuleDescriptor(v.params, v.basis == "eta", J)
     for idx in v.terms:
-        if not J.contains(idx[1] - t):
+        if not desc.contains(idx):
             raise ValueError(f"support index {idx} outside {J!r}")
-    out = act(gen, v)
-    return ModuleElement(
-        p, v.basis, {jdx: c for jdx, c in out.terms.items() if J.contains(jdx[1] - t)}
-    )
+    return accumulate(v, lambda idx: desc.action(gen, idx).items(), v.basis)
 
 
 @dataclass

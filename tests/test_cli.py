@@ -5,8 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from gtsl3 import registry
+from gtsl3 import cli, registry
 from gtsl3.cli import MAX_WINDOW, main
+from gtsl3.serialize import MAX_M
 
 
 def run_cli(capsys, *argv):
@@ -317,6 +318,27 @@ def test_every_window_flag_is_capped(capsys):
     code, lines = run_cli(capsys, "--mu2", "0", "classify", "--set", "lbar=1",
                           "--window", f"00{MAX_WINDOW}")
     assert code == 0 and lines[-1]["window"] == MAX_WINDOW
+
+
+def test_a_payload_m_past_the_cap_exits_2_before_any_work(capsys, monkeypatch):
+    def refused(*_):
+        raise AssertionError("a refused payload reached the engine")
+
+    for name in ("u_to_w", "w_to_u", "act_word", "pairing"):
+        monkeypatch.setattr(cli, name, refused)
+    for m in (MAX_M + 1, 10**30):
+        u = json.dumps({"basis": "u", "terms": [{"k": 0, "l": 0, "m": m, "c": "1"}]})
+        w = u.replace('"u"', '"w"')
+        for argv in (("--symbolic", "change-basis", "--to", "w", "--element", u),
+                     ("act", "--gen", "e1", "--element", u),
+                     ("pair", "--eta", W000.replace('"w"', '"eta"'), "--w", w)):
+            code, lines = run_cli(capsys, *argv)
+            assert _rejected(code, lines), (argv, m)
+            assert lines[-1]["message"] == f"a term's m must be at most {MAX_M}, got {m}"
+    monkeypatch.undo()
+    u = json.dumps({"basis": "u", "terms": [{"k": 0, "l": 0, "m": MAX_M, "c": "1"}]})
+    code, lines = run_cli(capsys, "change-basis", "--to", "w", "--element", u)
+    assert code == 0 and len(lines[-1]["terms"]) == MAX_M + 1
 
 
 def test_element_without_a_basis_names_both_ways_to_give_one(capsys):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from gtsl3 import liealg
+from gtsl3 import explore, liealg
 from gtsl3.explore import (
     character_table,
     characters_agree,
@@ -260,3 +260,15 @@ def test_exact_sequence_report():
     assert rep["checks"]["witness-is-f1-to-m-plus-1"]
     assert rep["checks"]["quotient-action-matches-layer"]
     assert rep["witnesses"]
+
+
+def test_a_wrong_display_fails_its_check(monkeypatch):
+    """The displays are read by the ACTION_TABLE rule: e2 and e12 at m = 0
+    drop their m < 0 target, and a wrong coefficient or a missing term is
+    caught."""
+    ((offset, coeff),) = explore._LAYER_ONE["e2"]
+    monkeypatch.setitem(explore._LAYER_ONE, "e2",
+                        ((offset, lambda kb, lb, m: 2 * coeff(kb, lb, m)),))
+    assert not exact_sequence_check(P0)["checks"]["quotient-action-matches-layer"]
+    monkeypatch.setitem(explore._RV_STRINGS[2], "f2", explore._RV_STRINGS[2]["f2"][:1])
+    assert not relaxed_verma_check(2, P0, r=3)["checks"]["k-string"]

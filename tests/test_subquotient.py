@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from band_tables import act_l01_fastpath
-from gtsl3 import liealg
+from gtsl3 import hom, liealg, subquotient
 from gtsl3.errors import RequiresIntegralMu2
 from gtsl3.hom import ModuleDescriptor
 from gtsl3.module import (
@@ -111,6 +111,10 @@ def test_truncated_action_frozen_examples():
     out = act_truncated("f1", basis_vector(P0, "w", (0, 0, 0)), LBarSet.eq(0))
     assert out.terms == {(1, 0, 0): Fraction(-1, 3)}
     assert act_truncated("e2", basis_vector(P0, "w", (0, 0, 0)), LBarSet.ge(0)).is_zero()
+
+
+def test_hom_reads_the_one_descriptor_type_of_subquotient():
+    assert hom.ModuleDescriptor is subquotient.ModuleDescriptor is ModuleDescriptor
 
 
 def test_truncation_preconditions():

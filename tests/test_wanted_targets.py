@@ -12,14 +12,14 @@ from fractions import Fraction
 import pytest
 
 import unfiltered_oracle as oracle
-from gtsl3 import registry
+from gtsl3 import liealg, registry
 from gtsl3.errors import ObstructionAtIndex
 from gtsl3.explore import generate
 from gtsl3.hom import ModuleDescriptor, intertwiner_equations, solve_by_recurrence
-from gtsl3.module import ACTION_TABLE, AXIS_PAIRS, Box, Params
+from gtsl3.module import ACTION_TABLE, AXIS_PAIRS, Box, ModuleElement, Params
 from gtsl3.scalars import MU1, RatFunc
 from gtsl3.serialize import parse_set_expr
-from gtsl3.subquotient import LBarSet, is_closed
+from gtsl3.subquotient import LBarSet, act_truncated, is_closed
 
 PG = Params(Fraction(1, 3), Fraction(1, 5))
 P0 = Params(Fraction(1, 3), Fraction(0))
@@ -231,3 +231,17 @@ def test_recurrence_and_axis_certificate_evaluate_only_the_axis_step(monkeypatch
     assert registry.run_check("simplicity-generic", window=2)["verdict"] == "pass"
     assert log and all(tuple(j - i for i, j in zip(idx, jdx)) == step[gen]
                        for _, gen, idx, jdx, _ in log)
+
+
+@pytest.mark.parametrize("basis", ["w", "eta"])
+def test_truncated_action_evaluates_nothing_toward_a_target_outside_the_set(
+        monkeypatch, basis):
+    log = _evaluations(monkeypatch, P0)  # mu2 = 0, so lbar = l
+    for J in CLOSURE_SETS:
+        levels = [lv for lv in range(-3, 4) if J.contains(lv)]
+        v = ModuleElement(P0, basis, {(k, lv, m): Fraction(k + 5)
+                                      for k in (-1, 1) for lv in levels for m in (0, 2)})
+        log.clear()
+        for gen in liealg.GENERATORS:
+            act_truncated(gen, v, J)
+        assert log and all(J.contains(jdx[1]) for _, _, _, jdx, _ in log), repr(J)
