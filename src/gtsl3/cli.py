@@ -209,7 +209,7 @@ def cmd_character(args) -> int:
         {
             "params": params_to_json(params),
             "window": args.window,
-            "table": {f"{s},{t}": table[(s, t)] for s, t in sorted(table)},
+            "table": {f"{s},{t}": n for (s, t), n in table.items()},  # _emit sorts
         }
     )
     return 0

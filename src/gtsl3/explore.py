@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .hom import solve_intertwiner
-from .module import OFF_DIAGONAL, Box, ModuleElement, Params, gt_eigenvalue, table_action
+from .module import Box, ModuleElement, Params, gt_eigenvalue, table_action
 from .scalars import scalar_is_zero
 from .subquotient import LBarSet, ModuleDescriptor, act_truncated, is_closed
 
@@ -84,12 +84,9 @@ class GenerationCertificate:
 
 
 def generate(start, desc: ModuleDescriptor, box: Box) -> GenerationCertificate:
-    """Transitive closure of the action at basis-index granularity.
-
-    Only the raising and lowering generators are applied: h1 and h2 map
-    every basis vector to a multiple of itself, so they reach nothing new.
-    A coefficient is evaluated only toward an unreached window index.
-    """
+    """Transitive closure of the action at basis-index granularity, walked
+    through ``desc.steps`` (the raising and lowering generators).  A
+    coefficient is evaluated only toward an unreached window index."""
     start = [tuple(i) for i in start]
     if not start:
         raise ValueError("empty start set")
@@ -107,11 +104,10 @@ def generate(start, desc: ModuleDescriptor, box: Box) -> GenerationCertificate:
     while frontier:
         nxt = []
         for idx in frontier:
-            for gen in OFF_DIAGONAL:
-                for jdx in desc.action(gen, idx, unreached):  # one call lists a target once
-                    reached.add(jdx)
-                    paths[jdx] = (idx, gen)
-                    nxt.append(jdx)
+            for gen, jdx in desc.steps(idx, unreached):  # one call lists a target once
+                reached.add(jdx)
+                paths[jdx] = (idx, gen)
+                nxt.append(jdx)
         frontier = nxt
     missing = sorted(allowed - reached)
     return GenerationCertificate(
@@ -307,17 +303,20 @@ def exact_sequence_check(params: Params, r: int = 3) -> dict:
 
     Both closure statements are read off is_closed on the radius-r window:
     lbar = 0 is closed in the band when each of its escapes leaves the
-    band, and the escapes of lbar = 1 that land on lbar = 0 witness
-    non-splitness."""
+    band, and the escapes of lbar = 1 that stay in the band, so land on
+    lbar = 0, witness non-splitness."""
     t0 = params.mu2_int()
     box = ModuleDescriptor(params).window(r)
+    band = ModuleDescriptor(params, J=LBarSet.between(0, 1))
+
+    def escapes(level):
+        return is_closed(ModuleDescriptor(params, J=LBarSet.eq(level)), box).witnesses
+
     checks = {}
     # lbar = 0 is closed inside the band
-    out0 = is_closed(LBarSet.eq(0), "w", box, params).witnesses
-    checks["lbar0-closed-in-band"] = all(j[1] != t0 + 1 for _, _, j in out0)
+    checks["lbar0-closed-in-band"] = not any(band.contains(j) for _, _, j in escapes(0))
     # lbar = 1 escapes into lbar = 0 (non-splitness witness)
-    out1 = is_closed(LBarSet.eq(1), "w", box, params).witnesses
-    escape = [w for w in out1 if w[2][1] == t0]
+    escape = [w for w in escapes(1) if band.contains(w[2])]
     checks["lbar1-not-closed-in-band"] = bool(escape)
     checks["witness-is-f1-to-m-plus-1"] = any(
         gen == "f1" and j == (k, t0, m + 1) for (k, _, m), gen, j in escape

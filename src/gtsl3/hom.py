@@ -80,9 +80,7 @@ def _check_problem(source: ModuleDescriptor, target: ModuleDescriptor):
     target.validate()
     if source.params != target.params:
         raise ValueError("source and target need equal parameters")
-    if (source.J is None) != (target.J is None) or (
-        source.J is not None and source.J != target.J
-    ):
+    if source.J != target.J:
         raise ValueError("source and target must share one index set")
 
 
@@ -231,17 +229,18 @@ def image_kernel(sol: HomSolution):
     the descriptor's index set is unbounded there.
     """
     p = sol.source.params
-    t = p.mu2_int()
+    box = sol.box
     nonzero = {}
-    for idx in sol.source.indices(sol.box):
-        lev = idx[1] - t
+    for idx in sol.source.indices(box):
+        lev = lbar_coordinates(idx, p)[1]
         val = not scalar_is_zero(sol.x.get(idx, 0))
         if lev in nonzero and nonzero[lev] != val:
             return None, None
         nonzero[lev] = val
     J = sol.source.J if sol.source.J is not None else LBarSet.all()
-    lo_window = sol.box.lmin - t
-    hi_window = sol.box.lmax - t
+    # the lbar levels of the window's lowest and highest corners
+    _, lo_window, _ = lbar_coordinates((box.kmin, box.lmin, 0), p)
+    _, hi_window, _ = lbar_coordinates((box.kmax, box.lmax, box.mmax), p)
     unbounded_below = any(lo is None for lo, _ in J.intervals)
     unbounded_above = any(hi is None for _, hi in J.intervals)
 

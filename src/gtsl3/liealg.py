@@ -20,32 +20,11 @@ from .scalars import scalar_is_zero
 
 GENERATORS = ("e1", "e2", "e12", "f1", "f2", "f12", "h1", "h2")
 
-_E = {}
-
 
 def _unit(i, j):
-    m = [[Fraction(0)] * 3 for _ in range(3)]
-    m[i][j] = Fraction(1)
-    return tuple(tuple(row) for row in m)
-
-
-_E["e1"] = _unit(0, 1)
-_E["e2"] = _unit(1, 2)
-_E["e12"] = _unit(0, 2)
-_E["f1"] = _unit(1, 0)
-_E["f2"] = _unit(2, 1)
-_E["f12"] = _unit(2, 0)
-_E["h1"] = tuple(
-    tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(_unit(0, 0), _unit(1, 1))
-)
-_E["h2"] = tuple(
-    tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(_unit(1, 1), _unit(2, 2))
-)
-
-
-def matrix_oracle(gen: str):
-    """3x3 matrix realization of a basis symbol, rows as tuples."""
-    return _E[gen]
+    """The elementary matrix E_ij.  Its entries are ints, so building
+    STRUCTURE is integer arithmetic."""
+    return tuple(tuple(int((r, c) == (i, j)) for c in range(3)) for r in range(3))
 
 
 def mat_mul(x, y):
@@ -63,7 +42,20 @@ def mat_bracket(x, y):
     return mat_sub(mat_mul(x, y), mat_mul(y, x))
 
 
-def mat_trace(x) -> Fraction:
+_E = {
+    "e1": _unit(0, 1), "e2": _unit(1, 2), "e12": _unit(0, 2),
+    "f1": _unit(1, 0), "f2": _unit(2, 1), "f12": _unit(2, 0),
+    "h1": mat_sub(_unit(0, 0), _unit(1, 1)),
+    "h2": mat_sub(_unit(1, 1), _unit(2, 2)),
+}
+
+
+def matrix_oracle(gen: str):
+    """3x3 matrix realization of a basis symbol, rows as tuples."""
+    return _E[gen]
+
+
+def mat_trace(x) -> int:
     return x[0][0] + x[1][1] + x[2][2]
 
 
@@ -91,7 +83,7 @@ STRUCTURE = {
 
 # alpha_i(h_j) read off [h_j, e_i] = alpha_i(h_j) e_i
 CARTAN_MATRIX = {
-    (i, j): STRUCTURE[(f"h{j}", f"e{i}")].get(f"e{i}", Fraction(0))
+    (i, j): STRUCTURE[(f"h{j}", f"e{i}")].get(f"e{i}", 0)
     for i in (1, 2)
     for j in (1, 2)
 }
@@ -116,12 +108,7 @@ def bracket(x: dict, y: dict) -> dict:
     out = {}
     for gx, cx in x.items():
         for gy, cy in y.items():
-            for g, c in STRUCTURE[(gx, gy)].items():
-                s = out.get(g, 0) + cx * cy * c
-                if scalar_is_zero(s):
-                    out.pop(g, None)
-                else:
-                    out[g] = s
+            out = lie_add(out, {g: cx * cy * c for g, c in STRUCTURE[(gx, gy)].items()})
     return out
 
 
@@ -148,14 +135,15 @@ def tau(x) -> dict:
     return {g: c for g, c in out.items() if not scalar_is_zero(c)}
 
 
-def trace_form(x: str, y: str) -> Fraction:
+def trace_form(x: str, y: str) -> int:
     return mat_trace(mat_mul(_E[x], _E[y]))
 
 
 def _dual_basis():
-    """g^i with tr(g_i g^j) = delta_ij, via the inverse Gram matrix."""
+    """g^i with tr(g_i g^j) = delta_ij, via the inverse Gram matrix, which
+    is taken over Fraction so that the elimination stays exact."""
     gens = GENERATORS
-    gram = [[trace_form(a, b) for b in gens] for a in gens]
+    gram = [[Fraction(trace_form(a, b)) for b in gens] for a in gens]
     n = len(gens)
     aug = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(gram)]
     for col in range(n):

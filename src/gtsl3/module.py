@@ -405,14 +405,15 @@ def casimir_apply(v: ModuleElement) -> ModuleElement:
 
 
 def gt_eigenvalue(idx, p: Params):
-    """Eigenvalue triple of (h1, h2, f12*e12) on the w-basis vector at idx;
-    the eta-vector at idx carries the same triple."""
-    k, l, m = idx
-    kb = p.kbar(k)
-    lb = p.lbar(l)
-    ((_, h1),) = _WEIGHT["h1"]
-    ((_, h2),) = _WEIGHT["h2"]
-    return (h1(kb, lb, m), h2(kb, lb, m), -m * (kb + lb + m - 1))
+    """Eigenvalue triple of (h1, h2, f12*e12) on the w-basis vector at idx,
+    read from the w-table with no genericity gate, so that it is defined
+    where mu1 + mu2 is an integer too; f12*e12 is e12's entry followed by
+    f12's at its target.  The eta-vector at idx carries the same triple."""
+    w = table_action(ACTION_TABLE["w"], generic=False)
+    h1, h2 = (dict(w(h, p, idx)).get(idx, 0) for h in ("h1", "h2"))  # 0 is dropped
+    f12e12 = sum(down * up for jdx, down in w("e12", p, idx)  # no term at m = 0
+                 for _, up in w("f12", p, jdx, idx.__eq__))
+    return (h1, h2, f12e12)
 
 
 def pairing(d: ModuleElement, v: ModuleElement):

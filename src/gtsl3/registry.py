@@ -92,7 +92,7 @@ from .module import (
     w_to_u,
 )
 from .scalars import MU1, RatFunc, scalar_as_fraction
-from .subquotient import LBarSet, is_closed, classify
+from .subquotient import LBarSet, classify, lbar_coordinates
 
 GENERIC = (Fraction(1, 3), Fraction(1, 5))
 INTEGRAL_MU2 = (Fraction(1, 3), Fraction(0))
@@ -262,12 +262,13 @@ def check_closure_integral(window=3, **_):
     full = ModuleDescriptor(params, dual=False)
     box = full.window(window)
     # the lbar levels the full module reaches from (0, mu2 + lv, 1)
-    reached = {lv: {i[1] - t0 for i in generate([(0, t0 + lv, 1)], full, box).reached}
+    reached = {lv: {lbar_coordinates(i, params)[1]
+                    for i in generate([(0, t0 + lv, 1)], full, box).reached}
                for lv in range(-window, window + 1)}
     bad = []
     for J, expected in NINE_SETS:
-        verdict = bool(is_closed(J, "w", box, params))
         kind = classify(J, box, params)
+        verdict = kind == "submodule"  # classify decides J's closure first
         if kind != expected:
             bad.append((repr(J), "classified", kind, "expected", expected))
         # BFS containment must agree with closure on the window
@@ -389,8 +390,8 @@ def check_obstruction(**_):
             solve_by_recurrence(src, tgt, (0, 0, 0), Fraction(1), Box.radius(3))
             bad.append((case, "no obstruction raised"))
         except ObstructionAtIndex as e:
-            mu = (params.mu1, params.mu2)[axis]
-            if e.generator != gen or e.index[axis] - mu != 0:
+            coordinate = (params.kbar, params.lbar)[axis]
+            if e.generator != gen or coordinate(e.index[axis]) != 0:
                 bad.append((case, "wrong obstruction", str(e)))
     return _report("obstruction", not bad, window=3, witnesses=bad)
 

@@ -7,20 +7,23 @@ changes, so union is one sweep over run ends, complement flips a flag,
 and difference is the complement of a union.
 A ModuleDescriptor names the module (w-basis) or its dual (eta-basis) with
 an optional LBarSet J, and owns the lbar coordinate: ``lbar_coordinates``
-gives (k, lbar, m), the descriptor's ``contains`` reads J through it, its
-``window`` is the one box centred on mu2, and its ``action`` is the
-ambient table action with the targets outside J dropped before their
-coefficient is evaluated.  A subquotient's action on elements,
-``act_truncated``, is that action summed over the terms; the paper's
-displayed formulas for the lbar in {0,1} band are kept in the test suite as
-an oracle for it.  Closure of a set under the ambient
-action is checked exactly on a finite window.  The predicates only involve
-lbar, and no action term in the u-, w- or eta-basis moves l by more than
-one, so escapes in the k or m direction cannot change membership, and only
-a boundary level of J -- a level in J with a neighbouring level (lbar +- 1)
-outside J -- can send a vector out of J.  These are the levels next to
-J's cuts.  The window bounds which source indices on those levels get
-inspected.
+gives (k, lbar, m), and every reading of an index's lbar level goes
+through it, as ``contains`` does; ``window`` is the one box centred on
+mu2, and ``action`` is the ambient table action with the targets outside J
+dropped before their coefficient is evaluated.  It is the one door to
+ACTION_TABLE for every search: generation (``explore.generate``) and
+closure both walk ``steps``, the six raising and lowering generators.  A
+subquotient's action on elements, ``act_truncated``, is the action summed
+over the terms; the paper's displayed formulas for the lbar in {0,1} band
+are kept in the test suite as an oracle for it.
+
+Closure of desc.J under the ambient action, desc without J, is checked
+exactly on a finite window by ``is_closed(desc, box)``.  The predicates
+only involve lbar, and no action term moves l by more than one, so escapes
+in the k or m direction cannot change membership, and only a boundary
+level of J -- a level in J with a neighbouring level (lbar +- 1) outside J
+-- can send a vector out of J.  These are the levels next to J's cuts.
+The window bounds which source indices on those levels get inspected.
 """
 
 from __future__ import annotations
@@ -182,6 +185,15 @@ class ModuleDescriptor:
 
         return dict(BASIS_ACTIONS[self.basis](gen, self.params, idx, keep))
 
+    def steps(self, idx, want):
+        """(generator, target) for each target that action(gen, idx, want)
+        keeps, gen running over OFF_DIAGONAL: h1 and h2 map every basis
+        vector to a multiple of itself, so they reach nothing new.  A
+        generator is applied only once the previous one's targets are used."""
+        for gen in OFF_DIAGONAL:
+            for jdx in self.action(gen, idx, want):
+                yield gen, jdx
+
     def window(self, r: int) -> Box:
         """The radius-r box, centred on l = mu2 when mu2 is an integer."""
         lcenter = self.params.mu2_int() if self.params.mu2_integral() else 0
@@ -218,30 +230,24 @@ class ClosureVerdict:
         return self.closed
 
 
-def is_closed(J: LBarSet, basis: str, box: Box, p: Params) -> ClosureVerdict:
-    """Does the ambient action keep every J-supported vector inside J?
+def is_closed(desc: ModuleDescriptor, box: Box) -> ClosureVerdict:
+    """Does the ambient action keep every vector supported in desc.J inside J?
 
-    Only window indices on a boundary level of J are inspected: a level in
-    J whose neighbour lbar - 1 or lbar + 1 lies outside J, that is, the
-    level on J's side of one of its cuts.  An action term moves l by at
-    most one, so a vector on any other level of J cannot leave J.  A
-    coefficient is evaluated only toward a target outside J.  The
-    witnesses are (source, generator, target) triples in window order,
-    exactly those a sweep over every index of J would find.
+    The ambient module is desc without J, and its action is read through
+    ModuleDescriptor.action with the targets inside J dropped before their
+    coefficient is evaluated.  Only window indices on a boundary level of J
+    are inspected: a level in J whose neighbour lbar - 1 or lbar + 1 lies
+    outside J, that is, the level on J's side of one of its cuts.  An
+    action term moves l by at most one, so a vector on any other level of J
+    cannot leave J.  The witnesses are (source, generator, target) triples
+    in window order, exactly those a sweep over every index of J would find.
     """
-    action = BASIS_ACTIONS[basis]
-    t = p.mu2_int()
-    boundary = {t + c - (not J.contains(c)) for c in J.cuts}
-
-    def outside(jdx):
-        return not J.contains(jdx[1] - t)
-
-    witnesses = []
-    for idx in box:
-        if idx[1] not in boundary:
-            continue
-        for gen in OFF_DIAGONAL:
-            witnesses += [(idx, gen, jdx) for jdx, _ in action(gen, p, idx, outside)]
+    J = desc.J
+    ambient = ModuleDescriptor(desc.params, desc.dual)
+    t = desc.params.mu2_int()
+    rows = {t + c - (not J.contains(c)) for c in J.cuts}  # the boundary levels, as l
+    witnesses = [(idx, gen, jdx) for idx in box if idx[1] in rows
+                 for gen, jdx in ambient.steps(idx, lambda jdx: not desc.contains(jdx))]
     return ClosureVerdict(not witnesses, witnesses)
 
 
@@ -255,17 +261,20 @@ def classify(J: LBarSet, box: Box, p: Params) -> str:
     closure witnesses land on until none is left.  A set with no level in
     the window is refused: no index of it would be inspected.
     """
-    t = p.mu2_int()
-    if not any(J.contains(l - t) for l in range(box.lmin, box.lmax + 1)):
+    def closed(S):
+        return is_closed(ModuleDescriptor(p, J=S), box)
+
+    if not any(ModuleDescriptor(p, J=J).contains((box.kmin, l, 0))
+               for l in range(box.lmin, box.lmax + 1)):
         raise ValueError("window does not meet the index set")
-    verdict = is_closed(J, "w", box, p)
+    verdict = closed(J)
     if verdict:
         return "submodule"
-    if is_closed(J.complement(), "w", box, p):
+    if closed(J.complement()):
         return "quotient"
     closure = J
     while not verdict:
-        landed = [(jdx[1] - t, jdx[1] - t) for _, _, jdx in verdict.witnesses]
-        closure = LBarSet(closure.intervals + tuple(landed))
-        verdict = is_closed(closure, "w", box, p)
-    return "subquotient" if is_closed(closure.difference(J), "w", box, p) else "none"
+        landed = [lbar_coordinates(jdx, p)[1] for _, _, jdx in verdict.witnesses]
+        closure = LBarSet(closure.intervals + tuple((lb, lb) for lb in landed))
+        verdict = closed(closure)
+    return "subquotient" if closed(closure.difference(J)) else "none"

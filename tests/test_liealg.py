@@ -8,11 +8,46 @@ def test_matrix_oracle_images_are_traceless():
         assert liealg.mat_trace(liealg.matrix_oracle(g)) == 0
 
 
+# the 3x3 realization, typed out: e_ij is the unit matrix E_ij and
+# h1 = E_11 - E_22, h2 = E_22 - E_33
+MATRICES = {
+    "e1": ((0, 1, 0), (0, 0, 0), (0, 0, 0)),
+    "e2": ((0, 0, 0), (0, 0, 1), (0, 0, 0)),
+    "e12": ((0, 0, 1), (0, 0, 0), (0, 0, 0)),
+    "f1": ((0, 0, 0), (1, 0, 0), (0, 0, 0)),
+    "f2": ((0, 0, 0), (0, 0, 0), (0, 1, 0)),
+    "f12": ((0, 0, 0), (0, 0, 0), (1, 0, 0)),
+    "h1": ((1, 0, 0), (0, -1, 0), (0, 0, 0)),
+    "h2": ((0, 0, 0), (0, 1, 0), (0, 0, -1)),
+}
+
+
+def _commutator(x, y):
+    def product(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)]
+                for i in range(3)]
+
+    return [[p - q for p, q in zip(r, s)] for r, s in zip(product(x, y), product(y, x))]
+
+
+def _decompose(mat):
+    """A traceless matrix in the eight symbols: each root vector's
+    coefficient is its entry, and diag(a, b - a, -b) = a h1 + b h2."""
+    assert mat[0][0] + mat[1][1] + mat[2][2] == 0
+    coeffs = {"e1": mat[0][1], "e2": mat[1][2], "e12": mat[0][2],
+              "f1": mat[1][0], "f2": mat[2][1], "f12": mat[2][0],
+              "h1": mat[0][0], "h2": -mat[2][2]}
+    return {g: c for g, c in coeffs.items() if c}
+
+
 def test_structure_table_matches_matrix_commutators():
+    for g, mat in MATRICES.items():
+        assert liealg.matrix_oracle(g) == mat
+        assert _decompose(mat) == {g: 1}
     for x in liealg.GENERATORS:
         for y in liealg.GENERATORS:
-            mat = liealg.mat_bracket(liealg.matrix_oracle(x), liealg.matrix_oracle(y))
-            assert liealg.STRUCTURE[(x, y)] == liealg.decompose(mat)
+            expected = _decompose(_commutator(MATRICES[x], MATRICES[y]))
+            assert liealg.STRUCTURE[(x, y)] == expected, (x, y)
 
 
 def test_named_brackets():

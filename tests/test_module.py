@@ -171,6 +171,16 @@ def test_gt_word_realizes_eigenvalue_triple():
                 assert act("h2", b) == b.scale(ev[1]), b.basis
 
 
+def test_gt_eigenvalue_reads_f12_after_e12_from_the_w_table(monkeypatch):
+    before = gt_eigenvalue((1, 2, 3), P)
+    doubled = tuple((offset, lambda kb, lb, m, c=c: 2 * c(kb, lb, m))
+                    for offset, c in module.ACTION_TABLE["w"]["f12"])
+    monkeypatch.setitem(module.ACTION_TABLE["w"], "f12", doubled)
+    after = gt_eigenvalue((1, 2, 3), P)
+    assert after[:2] == before[:2]
+    assert after[2] == 2 * before[2] != 0
+
+
 def test_eigenvalue_collision_at_integral_sum():
     pc = Params(Fraction(1, 3), Fraction(2, 3))
     assert gt_eigenvalue((0, 0, 3), pc) == gt_eigenvalue((2, 2, 1), pc)

@@ -139,14 +139,14 @@ def test_closure_of_the_nine_sets():
     }
     for (kind, arg), closed in expected.items():
         J = getattr(LBarSet, kind)(*(arg if isinstance(arg, tuple) else (arg,)))
-        verdict = is_closed(J, "w", BOX, P0)
+        verdict = is_closed(ModuleDescriptor(P0, J=J), BOX)
         assert bool(verdict) is closed, (kind, arg)
         if not closed:
             assert verdict.witnesses
 
 
 def test_closure_witness_for_the_middle_layer():
-    verdict = is_closed(LBarSet.eq(1), "w", BOX, P0)
+    verdict = is_closed(ModuleDescriptor(P0, J=LBarSet.eq(1)), BOX)
     # f1 pushes w_{k, mu2+1, m} into the lbar = 0 level at m+1
     assert any(
         gen == "f1" and src[1] == 1 and dst == (src[0], 0, src[2] + 1)
@@ -156,10 +156,10 @@ def test_closure_witness_for_the_middle_layer():
 
 def test_eta_closure_mirrors_w_closure():
     # dual of a submodule is a quotient: closed sets swap accordingly
-    assert not is_closed(LBarSet.ge(0), "eta", BOX, P0).closed
-    assert is_closed(LBarSet.ge(1), "eta", BOX, P0).closed
-    assert is_closed(LBarSet.ge(2), "eta", BOX, P0).closed
-    assert is_closed(LBarSet.le(-1), "eta", BOX, P0).closed
+    assert not is_closed(ModuleDescriptor(P0, dual=True, J=LBarSet.ge(0)), BOX).closed
+    assert is_closed(ModuleDescriptor(P0, dual=True, J=LBarSet.ge(1)), BOX).closed
+    assert is_closed(ModuleDescriptor(P0, dual=True, J=LBarSet.ge(2)), BOX).closed
+    assert is_closed(ModuleDescriptor(P0, dual=True, J=LBarSet.le(-1)), BOX).closed
 
 
 def test_classification_matches_the_structure_list():
@@ -185,7 +185,7 @@ def test_classification_matches_the_structure_list():
 def _classify_by_interval_search(J, box, p):
     """The classification as a search over every interval J2 containing J
     for one with J2 and J2 minus J both closed."""
-    closed = lambda S: bool(is_closed(S, "w", box, p))
+    closed = lambda S: bool(is_closed(ModuleDescriptor(p, J=S), box))
     if closed(J):
         return "submodule"
     if closed(J.complement()):
@@ -300,6 +300,24 @@ NINE_SETS = (
 RAISING_LOWERING = ("e1", "e2", "f1", "f2", "e12", "f12")
 
 
+def test_classify_reads_the_action_only_through_the_descriptor(monkeypatch):
+    calls = {"descriptor": 0, "table": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(ModuleDescriptor, "action",
+                        counted("descriptor", ModuleDescriptor.action))
+    monkeypatch.setitem(BASIS_ACTIONS, "w", counted("table", BASIS_ACTIONS["w"]))
+    kinds = [classify(J, BOX, P0) for J in NINE_SETS]
+    assert kinds == ["submodule"] * 5 + ["quotient"] * 3 + ["subquotient"]
+    assert calls["table"] > 0 and calls["descriptor"] == calls["table"]
+
+
 def full_sweep_witnesses(J, action, box, t):
     """The closure sweep over every window index of J: the oracle for the
     boundary-level rule of is_closed."""
@@ -315,7 +333,7 @@ def full_sweep_witnesses(J, action, box, t):
 
 
 @pytest.mark.parametrize("mu2", [0, 2])
-@pytest.mark.parametrize("basis", ["u", "w", "eta"])
+@pytest.mark.parametrize("basis", ["w", "eta"])
 def test_boundary_level_closure_equals_the_full_sweep(basis, mu2):
     p = Params(Fraction(1, 3), Fraction(mu2))
     action = cache(lambda gen, idx: BASIS_ACTIONS[basis](gen, p, idx))
@@ -324,7 +342,7 @@ def test_boundary_level_closure_equals_the_full_sweep(basis, mu2):
         box = Box.radius(r, mu2)
         for J in sets:
             expected = full_sweep_witnesses(J, action, box, mu2)
-            verdict = is_closed(J, basis, box, p)
+            verdict = is_closed(ModuleDescriptor(p, basis == "eta", J), box)
             assert verdict.witnesses == expected, (repr(J), r)
             assert verdict.closed is not expected
 
