@@ -33,7 +33,7 @@ from .serialize import (
 )
 from .subquotient import classify as classify_set
 
-MAX_WINDOW = 12  # README: hom takes about 15 s at this radius, verify-paper 100 s
+MAX_WINDOW = 12  # README: hom takes about 15 s at this radius, verify-paper 9 s
 
 
 class _Parser(argparse.ArgumentParser):

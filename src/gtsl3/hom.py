@@ -341,16 +341,18 @@ def closed_form_lle_minus1(idx, p: Params):
             / raising_factorial(p.mu1 + 3, -lb - 1))
 
 
+CLOSED_FORMS = {
+    "xabc": closed_form_xabc,
+    "l01_phi": closed_form_l01_phi,
+    "l01_psi": closed_form_l01_psi,
+    "lge2": closed_form_lge2,
+    "lle_minus1": closed_form_lle_minus1,
+}
+
+
 def family_solution(name: str, source, target, box: Box) -> HomSolution:
     """Evaluate one named closed-form family over a window."""
-    funcs = {
-        "xabc": closed_form_xabc,
-        "l01_phi": closed_form_l01_phi,
-        "l01_psi": closed_form_l01_psi,
-        "lge2": closed_form_lge2,
-        "lle_minus1": closed_form_lle_minus1,
-    }
-    fn = funcs[name]
+    fn = CLOSED_FORMS[name]
     p = source.params
     x = {}
     for idx in source.indices(box):

@@ -356,6 +356,7 @@ def table_action(table: dict, generic: bool):
 # the w- and eta-bases need mu1 + mu2 not in Z
 BASIS_ACTIONS = {basis: table_action(table, basis != "u")
                  for basis, table in ACTION_TABLE.items()}
+_ungated_w = table_action(ACTION_TABLE["w"], generic=False)  # for gt_eigenvalue
 
 
 def accumulate(v: ModuleElement, expand, basis: str) -> ModuleElement:
@@ -409,10 +410,9 @@ def gt_eigenvalue(idx, p: Params):
     read from the w-table with no genericity gate, so that it is defined
     where mu1 + mu2 is an integer too; f12*e12 is e12's entry followed by
     f12's at its target.  The eta-vector at idx carries the same triple."""
-    w = table_action(ACTION_TABLE["w"], generic=False)
-    h1, h2 = (dict(w(h, p, idx)).get(idx, 0) for h in ("h1", "h2"))  # 0 is dropped
-    f12e12 = sum(down * up for jdx, down in w("e12", p, idx)  # no term at m = 0
-                 for _, up in w("f12", p, jdx, idx.__eq__))
+    h1, h2 = (dict(_ungated_w(h, p, idx)).get(idx, 0) for h in ("h1", "h2"))  # 0 dropped
+    f12e12 = sum(down * up for jdx, down in _ungated_w("e12", p, idx)  # none at m = 0
+                 for _, up in _ungated_w("f12", p, jdx, idx.__eq__))
     return (h1, h2, f12e12)
 
 

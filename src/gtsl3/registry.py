@@ -4,11 +4,10 @@ Every published structural statement that the engine re-verifies lives here
 as a named check returning a JSON-able report; the command line runs them
 through ``verify-paper`` and the acceptance test suite asserts each one.
 All checks are exact (zero tolerance) and draw nothing at random.  Most
-verdicts are finite-window statements at the recorded window.  A check
-reports ``"verdict": "refused"``, with the reason, on a window too small to
-decide it: below 2 for ``closure-integral``, ``dual-cyclicity`` and
-``hom-dims``, below 1 for ``exact-sequence`` and ``closed-forms`` (whose
-problems have no equation at 0).
+verdicts are finite-window statements at the recorded window.  Each id maps
+to one ``Check`` record of its windows, parameter point and claim fields;
+``run_check`` builds every report from it, and refuses (``"verdict":
+"refused"``, with the reason) a window outside the record's range.
 
 The orbit checks -- ``brackets-u``, ``brackets-w``, ``brackets-eta``,
 ``brackets-symbolic`` (the three at once), ``oracle-equivalence``,
@@ -59,6 +58,9 @@ specializes at mu1 = 1/3, and a pass at (1/3, 0) would prove no more.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
+from itertools import product
+from typing import Callable, NamedTuple
 
 from . import liealg, sections
 from .errors import ObstructionAtIndex
@@ -91,57 +93,40 @@ from .module import (
     u_to_w,
     w_to_u,
 )
-from .scalars import MU1, RatFunc, scalar_as_fraction
+from .scalars import MU1, MU2, RatFunc, scalar_as_fraction
 from .subquotient import LBarSet, classify, lbar_coordinates
 
+SYMBOLIC = (MU1, MU2)
 GENERIC = (Fraction(1, 3), Fraction(1, 5))
 INTEGRAL_MU2 = (Fraction(1, 3), Fraction(0))
 COLLISION = (Fraction(1, 3), Fraction(2, 3))
 
-# the least window that decides a check, where it is above 0
-LEAST_WINDOW = {"closure-integral": 2, "dual-cyclicity": 2, "hom-dims": 2,
-                "exact-sequence": 1, "closed-forms": 1}
 SYMBOLIC_XABC_WINDOW = 2  # closed-forms proves xabc over Q(mu1, mu2) on this radius
-
-
-def _report(check, verdict, params=None, window=None, **extra):
-    rep = {"check": check, "verdict": "pass" if verdict else "fail"}
-    if params is not None:
-        rep["params"] = {"mu1": str(params.mu1), "mu2": str(params.mu2)}
-    if window is not None:
-        rep["window"] = window
-    rep["witnesses"] = extra.pop("witnesses", [])
-    rep.update(extra)
-    return rep
+OBSTRUCTION_WINDOW = 3  # obstruction runs the recurrence on this radius
 
 
 # ---------------------------------------------------------------------------
 # individual checks
 
-def check_structure_constants(**_):
+def check_structure_constants():
     failures = []
-    for x in liealg.GENERATORS:
-        for y in liealg.GENERATORS:
-            for z in liealg.GENERATORS:
-                jac = liealg.lie_add(
-                    liealg.bracket({x: 1}, liealg.bracket({y: 1}, {z: 1})),
-                    liealg.lie_add(
-                        liealg.bracket({y: 1}, liealg.bracket({z: 1}, {x: 1})),
-                        liealg.bracket({z: 1}, liealg.bracket({x: 1}, {y: 1})),
-                    ),
-                )
-                if jac:
-                    failures.append(("jacobi", x, y, z))
-    for a in liealg.GENERATORS:
-        for b in liealg.GENERATORS:
-            lhs = liealg.tau(liealg.bracket({a: 1}, {b: 1}))
-            rhs = liealg.bracket(liealg.tau(a), liealg.tau(b))
-            if lhs != rhs:
-                failures.append(("tau", a, b))
-    cartan_ok = liealg.ALPHA1 == (2, -1) and liealg.ALPHA2 == (-1, 2)
-    if not cartan_ok:
+    for x, y, z in product(liealg.GENERATORS, repeat=3):
+        jac = liealg.lie_add(
+            liealg.bracket({x: 1}, liealg.bracket({y: 1}, {z: 1})),
+            liealg.lie_add(
+                liealg.bracket({y: 1}, liealg.bracket({z: 1}, {x: 1})),
+                liealg.bracket({z: 1}, liealg.bracket({x: 1}, {y: 1})),
+            ),
+        )
+        if jac:
+            failures.append(("jacobi", x, y, z))
+    for a, b in product(liealg.GENERATORS, repeat=2):
+        lhs = liealg.tau(liealg.bracket({a: 1}, {b: 1}))
+        if lhs != liealg.bracket(liealg.tau(a), liealg.tau(b)):
+            failures.append(("tau", a, b))
+    if (liealg.ALPHA1, liealg.ALPHA2) != ((2, -1), (-1, 2)):
         failures.append(("cartan", liealg.ALPHA1, liealg.ALPHA2))
-    return _report("structure-constants", not failures, witnesses=failures[:5])
+    return not failures, failures[:5]
 
 
 def _bracket_compat(elements):
@@ -166,68 +151,49 @@ def _bracket_compat(elements):
             for v, fails in zip(elements, failing) if (x, y) in fails]
 
 
-def _orbit_vectors(basis, m_max):
-    """The orbit representatives b_(0,0,m), m <= m_max, over Q(mu1, mu2)."""
-    params = Params.symbolic()
+def _orbit_vectors(basis, params, m_max):
+    """The orbit representatives b_(0,0,m), m <= m_max."""
     return [ModuleElement(params, basis, {(0, 0, m): 1}) for m in range(m_max + 1)]
 
 
-def _orbit_report(check, bad, m_max, every_m=True, **extra):
-    claim = {"k, l": "all", "m_max": m_max, "where": "mu1 + mu2 not in Z"}
-    if every_m and m_max >= 4:  # the degree bound in the module docstring
-        claim["m"] = "all"
-    return _report(check, not bad, params=Params.symbolic(), witnesses=bad[:5],
-                   **claim, **extra)
+def check_brackets(bases, params, window):
+    bad = [w for b in bases for w in _bracket_compat(_orbit_vectors(b, params, window))]
+    return not bad, bad[:5]
 
 
-def check_brackets(basis=None, window=4, **_):
-    """brackets-<basis>, or brackets-symbolic over all three bases."""
-    bad = [w for b in ((basis,) if basis else ("u", "w", "eta"))
-           for w in _bracket_compat(_orbit_vectors(b, window))]
-    return _orbit_report(f"brackets-{basis or 'symbolic'}", bad, window)
-
-
-def check_oracle_equivalence(window=4, **_):
-    bad = [(gen, v.support()) for v in _orbit_vectors("u", window)
+def check_oracle_equivalence(params, window):
+    bad = [(gen, v.support()) for v in _orbit_vectors("u", params, window)
            for gen in liealg.GENERATORS if sections.act_section(gen, v) != act(gen, v)]
-    return _orbit_report("oracle-equivalence", bad, window)
+    return not bad, bad[:5]
 
 
-def check_basis_roundtrip(window=5, **_):
+def check_basis_roundtrip(params, window):
     bad = [(basis, v.support()[0])
            for basis, there, back in (("w", w_to_u, u_to_w), ("u", u_to_w, w_to_u))
-           for v in _orbit_vectors(basis, window) if back(there(v)) != v]
-    return _orbit_report("basis-roundtrip", bad, window, every_m=False)
+           for v in _orbit_vectors(basis, params, window) if back(there(v)) != v]
+    return not bad, bad[:5]
 
 
-def check_gt_injectivity(window=5, **_):
-    params = Params(*GENERIC)
+def check_gt_injectivity(params, window):
     seen = {}
     collisions = []
-    for k in range(-window, window + 1):
-        for l in range(-window, window + 1):
-            for m in range(window + 1):
-                key = gt_eigenvalue((k, l, m), params)
-                if key in seen:
-                    collisions.append((seen[key], (k, l, m)))
-                seen[key] = (k, l, m)
-    return _report("gt-injectivity", not collisions, params=params,
-                   window=window, witnesses=collisions[:5])
+    for idx in Box.radius(window):
+        key = gt_eigenvalue(idx, params)
+        if key in seen:
+            collisions.append((seen[key], idx))
+        seen[key] = idx
+    return not collisions, collisions[:5]
 
 
-def check_lemma_collision(**_):
-    params = Params(*COLLISION)
+def check_lemma_collision(params):
     a, b = (0, 0, 3), (2, 2, 1)
+    generic = Params(*GENERIC)
     collide = gt_eigenvalue(a, params) == gt_eigenvalue(b, params)
-    distinct_generic = gt_eigenvalue(a, Params(*GENERIC)) != gt_eigenvalue(
-        b, Params(*GENERIC)
-    )
-    return _report("lemma-collision", collide and distinct_generic, params=params,
-                   witnesses=[(a, b)])
+    distinct_generic = gt_eigenvalue(a, generic) != gt_eigenvalue(b, generic)
+    return collide and distinct_generic, [(a, b)]
 
 
-def check_simplicity_generic(window=3, **_):
-    params = Params(*GENERIC)
+def check_simplicity_generic(params, window):
     box = Box.radius(window)
     bad = []  # (descriptor, index, generator) missing its axis neighbour
     for dual in (False, True):
@@ -238,8 +204,7 @@ def check_simplicity_generic(window=3, **_):
                     nxt = tuple(c + step * (i == axis) for i, c in enumerate(idx))
                     if box.contains(nxt) and not desc.action(gen, idx, nxt.__eq__):
                         bad.append((desc.describe(), idx, gen))
-    return _report("simplicity-generic", not bad, params=params, window=window,
-                   witnesses=bad[:5])
+    return not bad, bad[:5]
 
 
 # the nine lbar-sets named by the structure theory, with expected kinds
@@ -256,8 +221,7 @@ NINE_SETS = [
 ]
 
 
-def check_closure_integral(window=3, **_):
-    params = Params(*INTEGRAL_MU2)
+def check_closure_integral(params, window):
     t0 = params.mu2_int()
     full = ModuleDescriptor(params, dual=False)
     box = full.window(window)
@@ -276,12 +240,10 @@ def check_closure_integral(window=3, **_):
             stays = all(J.contains(level) for level in reached[lv])
             if stays != verdict:
                 bad.append((repr(J), "bfs-vs-closure", (0, t0 + lv, 1), stays, verdict))
-    return _report("closure-integral", not bad, params=params, window=window,
-                   witnesses=bad[:6])
+    return not bad, bad[:6]
 
 
-def check_dual_cyclicity(window=3, **_):
-    params = Params(*INTEGRAL_MU2)
+def check_dual_cyclicity(params, window):
     dual = ModuleDescriptor(params, dual=True)
     box = dual.window(window)
     bad = []
@@ -289,8 +251,7 @@ def check_dual_cyclicity(window=3, **_):
         cert = generate([(k0, params.mu2_int(), 0)], dual, box)
         if not cert.covers:
             bad.append((k0, cert.missing[:3]))
-    return _report("dual-cyclicity", not bad, params=params, window=window,
-                   witnesses=bad)
+    return not bad, bad
 
 
 # the six Hom statements: (source-J, source-dual, target-dual,
@@ -311,8 +272,8 @@ HOM_STATEMENTS = [
 ]
 
 
-def check_hom_dims(window=4, **_):
-    params = Params(*INTEGRAL_MU2)
+def check_hom_dims(params, window):
+    """The six statements at params, then the full self-duality at GENERIC."""
     bad = []
     for name, J, sdual, tdual, exp_img, exp_ker in HOM_STATEMENTS:
         src = ModuleDescriptor(params, dual=sdual, J=J)
@@ -331,8 +292,7 @@ def check_hom_dims(window=4, **_):
     sols = solve_intertwiner(src, tgt, Box.radius(window))
     if len(sols) != 1:
         bad.append(("full self-duality", "dimension", len(sols)))
-    return _report("hom-dims", not bad, params=params, window=window,
-                   witnesses=bad, statements=len(HOM_STATEMENTS) + 1)
+    return not bad, bad
 
 
 # (family, J, source-dual, target-dual), each solved over Q(mu1) at mu2 = 0
@@ -345,7 +305,7 @@ CLOSED_FORM_PROBLEMS = [
 ]
 
 
-def check_closed_forms(window=3, **_):
+def check_closed_forms(window):
     """Each closed-form family satisfies every in-window equation with mu1
     symbolic and mu2 = 0; the full-module family ``xabc`` over Q(mu1, mu2),
     and at (1/3, 1/5) it equals the recurrence from (0, 0, 0)."""
@@ -371,11 +331,10 @@ def check_closed_forms(window=3, **_):
             rec = solve_by_recurrence(src, tgt, (0, 0, 0), Fraction(1), box)
             if any(rec.value(i) != fam.value(i) for i in src.indices(box)):
                 bad.append(("xabc", "recurrence-mismatch"))
-    return _report("closed-forms", not bad, window=window, witnesses=bad,
-                   symbolic_window=SYMBOLIC_XABC_WINDOW)
+    return not bad, bad
 
 
-def check_obstruction(**_):
+def check_obstruction():
     # (case, params, generator, axis): the generator's comparison blocks
     # crossing the wall lbar = 0 (axis 1) or kbar = 0 (axis 0)
     walls = [
@@ -387,104 +346,136 @@ def check_obstruction(**_):
         src = ModuleDescriptor(params, dual=False)
         tgt = ModuleDescriptor(params, dual=True)
         try:
-            solve_by_recurrence(src, tgt, (0, 0, 0), Fraction(1), Box.radius(3))
+            solve_by_recurrence(src, tgt, (0, 0, 0), Fraction(1),
+                                Box.radius(OBSTRUCTION_WINDOW))
             bad.append((case, "no obstruction raised"))
         except ObstructionAtIndex as e:
             coordinate = (params.kbar, params.lbar)[axis]
             if e.generator != gen or coordinate(e.index[axis]) != 0:
                 bad.append((case, "wrong obstruction", str(e)))
-    return _report("obstruction", not bad, window=3, witnesses=bad)
+    return not bad, bad
 
 
-def check_relaxed_verma(window=6, **_):
-    params = Params(*INTEGRAL_MU2)
+def check_relaxed_verma(params, window):
     reports = [relaxed_verma_check(case, params, r=window) for case in (1, 2, 3, 4, 5)]
-    bad = [r for r in reports if r["verdict"] != "pass"]
-    return _report("relaxed-verma", not bad, params=params, window=window,
-                   witnesses=[r["case"] for r in bad], cases=reports,
-                   layer_window=LAYER_WINDOW)
+    bad = [r["case"] for r in reports if r["verdict"] != "pass"]
+    return not bad, bad, {"cases": reports}
 
 
-def check_casimir(window=4, **_):
+def check_casimir(params, window):
     """The quadratic Casimir acts by one rational constant, reported as the
     scalar, on every u- and w-basis b_(0,0,m), m <= window, over Q(mu1, mu2).
     The scalar is null unless every vector is diagonal with that one value."""
     bad, values = [], set()
     for basis in ("u", "w"):
-        for v in _orbit_vectors(basis, window):
+        for v in _orbit_vectors(basis, params, window):
             (idx,) = v.terms
             out = casimir_apply(v)
             if set(out.terms) - {idx}:
                 bad.append((basis, idx, "not diagonal"))
             else:
                 values.add(scalar_as_fraction(out.terms.get(idx, 0)))
-    value = next(iter(values)) if len(values) == 1 else None
-    if value is None:
+    if len(values) != 1:
         bad.append(("values", sorted(map(str, values))))
-    return _orbit_report("casimir", bad, window, scalar=None if bad else str(value))
+    return not bad, bad[:5], {"scalar": None if bad else str(values.pop())}
 
 
-def check_exact_sequence(window=3, **_):
-    params = Params(*INTEGRAL_MU2)
+def check_exact_sequence(params, window):
     rep = exact_sequence_check(params, r=window)
-    return _report("exact-sequence", rep["verdict"] == "pass", params=params,
-                   window=window, witnesses=rep["witnesses"][:3],
-                   checks=rep["checks"])
+    return rep["verdict"] == "pass", rep["witnesses"][:3], {"checks": rep["checks"]}
 
 
-def check_eigensplit(**_):
-    params = Params(*GENERIC)
+def check_eigensplit(params):
     v = ModuleElement(params, "w", {(0, 0, 0): Fraction(1), (1, 0, 0): Fraction(2)})
     comps, sep = split_eigencomponents(v)
     ok = len(comps) == 2 and sep == (1, 0, 0)
     single = ModuleElement(params, "w", {(0, 0, 0): Fraction(3)})
     comps2, _ = split_eigencomponents(single)
     ok = ok and len(comps2) == 1 and comps2[0][1] == single
-    return _report("eigensplit", ok, params=params)
+    return ok, []
 
 
-def check_character_formula(window=6, **_):
-    params = Params(*INTEGRAL_MU2)
+def check_character_formula(params, window):
     desc = ModuleDescriptor(params, dual=True, J=LBarSet.ge(0))
     lhs = character_table(desc, window)
     rhs = product_formula_character((0, 0), window)
     bad = characters_agree(lhs, rhs, window)
-    return _report("character-formula", not bad, params=params, window=window,
-                   witnesses=bad[:5])
+    return not bad, bad[:5]
+
+
+# ---------------------------------------------------------------------------
+# the records
+
+class Check(NamedTuple):
+    """One registered check.  ``run`` takes ``params`` and ``window`` by
+    keyword, where the record sets them, and returns whether the check passed,
+    its witnesses and, for some checks, a dict of fields of their own."""
+
+    run: Callable
+    window: int | None = None  # the default window; None: --window is ignored
+    least: int = 0  # the least window that decides the check
+    most: int | None = None  # the most window it runs in a few seconds
+    params: tuple | None = None  # the (mu1, mu2) the check runs at and reports
+    claim: dict = {}  # fixed claim fields of the report, never mutated
+    orbit: bool = False  # the window is m_max, over every (k, l) off mu1 + mu2 in Z
+    every_m: bool = True  # an orbit claim covers every m from m_max = 4 on
 
 
 CHECKS = {
-    "structure-constants": check_structure_constants,
-    "brackets-u": lambda **kw: check_brackets(basis="u", **kw),
-    "brackets-w": lambda **kw: check_brackets(basis="w", **kw),
-    "brackets-eta": lambda **kw: check_brackets(basis="eta", **kw),
-    "brackets-symbolic": check_brackets,
-    "oracle-equivalence": check_oracle_equivalence,
-    "basis-roundtrip": check_basis_roundtrip,
-    "gt-injectivity": check_gt_injectivity,
-    "lemma-collision": check_lemma_collision,
-    "eigensplit": check_eigensplit,
-    "simplicity-generic": check_simplicity_generic,
-    "closure-integral": check_closure_integral,
-    "dual-cyclicity": check_dual_cyclicity,
-    "hom-dims": check_hom_dims,
-    "closed-forms": check_closed_forms,
-    "obstruction": check_obstruction,
-    "relaxed-verma": check_relaxed_verma,
-    "character-formula": check_character_formula,
-    "casimir": check_casimir,
-    "exact-sequence": check_exact_sequence,
+    "structure-constants": Check(check_structure_constants),
+    "brackets-u": Check(partial(check_brackets, ("u",)), 4, params=SYMBOLIC, orbit=True),
+    "brackets-w": Check(partial(check_brackets, ("w",)), 4, params=SYMBOLIC, orbit=True),
+    "brackets-eta": Check(partial(check_brackets, ("eta",)), 4, params=SYMBOLIC,
+                          orbit=True),
+    "brackets-symbolic": Check(partial(check_brackets, ("u", "w", "eta")), 4,
+                               params=SYMBOLIC, orbit=True),
+    "oracle-equivalence": Check(check_oracle_equivalence, 4, params=SYMBOLIC, orbit=True),
+    "basis-roundtrip": Check(check_basis_roundtrip, 5, most=9, params=SYMBOLIC,
+                             orbit=True, every_m=False),
+    "gt-injectivity": Check(check_gt_injectivity, 5, params=GENERIC),
+    "lemma-collision": Check(check_lemma_collision, params=COLLISION),
+    "eigensplit": Check(check_eigensplit, params=GENERIC),
+    "simplicity-generic": Check(check_simplicity_generic, 3, params=GENERIC),
+    "closure-integral": Check(check_closure_integral, 3, least=2, params=INTEGRAL_MU2),
+    "dual-cyclicity": Check(check_dual_cyclicity, 3, least=2, params=INTEGRAL_MU2),
+    "hom-dims": Check(check_hom_dims, 4, least=2, most=8, params=INTEGRAL_MU2,
+                      claim={"statements": len(HOM_STATEMENTS) + 1}),
+    # the five closed-form problems assemble no equation at window 0
+    "closed-forms": Check(check_closed_forms, 3, least=1, most=7,
+                          claim={"symbolic_window": SYMBOLIC_XABC_WINDOW}),
+    "obstruction": Check(check_obstruction, claim={"window": OBSTRUCTION_WINDOW}),
+    "relaxed-verma": Check(check_relaxed_verma, 6, params=INTEGRAL_MU2,
+                           claim={"layer_window": LAYER_WINDOW}),
+    "character-formula": Check(check_character_formula, 6, params=INTEGRAL_MU2),
+    "casimir": Check(check_casimir, 4, params=SYMBOLIC, orbit=True),
+    "exact-sequence": Check(check_exact_sequence, 3, least=1, params=INTEGRAL_MU2),
 }
 
 
-def run_check(name: str, **overrides) -> dict:
-    """The check's report, or a refused one if the window cannot decide it."""
+def run_check(name: str, window: int | None = None) -> dict:
+    """The report of check `name` at `window`, by default the record's, or a
+    refused one if the window lies outside the record's range."""
     if name not in CHECKS:
         raise KeyError(f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}")
-    kwargs = {k: v for k, v in overrides.items() if v is not None}
-    least = LEAST_WINDOW.get(name, 0)
-    window = kwargs.get("window", least)  # every default window decides its check
-    if window < least:
-        return {"check": name, "verdict": "refused", "window": window,
-                "reason": f"{name} needs a window of at least {least}, not {window}"}
-    return CHECKS[name](**kwargs)
+    rec = CHECKS[name]
+    rep, kwargs = {"check": name}, {}
+    if rec.window is not None:
+        window = kwargs["window"] = rec.window if window is None else window
+        too_big = rec.most is not None and window > rec.most
+        if window < rec.least or too_big:
+            bound = f"at most {rec.most}" if too_big else f"at least {rec.least}"
+            return {**rep, "verdict": "refused", "window": window,
+                    "reason": f"{name} needs a window of {bound}, not {window}"}
+        if not rec.orbit:
+            rep["window"] = window
+        else:
+            rep.update({"k, l": "all", "m_max": window, "where": "mu1 + mu2 not in Z"})
+            if rec.every_m and window >= 4:  # the degree bound in the module docstring
+                rep["m"] = "all"
+    if rec.params is not None:
+        kwargs["params"] = Params(*rec.params)
+        rep["params"] = {"mu1": str(rec.params[0]), "mu2": str(rec.params[1])}
+    passed, witnesses, *extra = rec.run(**kwargs)
+    rep.update(rec.claim, verdict="pass" if passed else "fail", witnesses=witnesses)
+    rep.update(*extra)
+    return rep

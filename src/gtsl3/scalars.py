@@ -535,6 +535,7 @@ def format_scalar(x) -> str:
 
 
 _MONO_RE = re.compile(r"^(?P<coeff>\d+(?:/\d+)?)?(?P<rest>(?:\*?mu[12](?:\^\d+)?)*)$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def _parse_poly(text: str) -> BiPoly:
@@ -568,6 +569,8 @@ def parse_scalar(text: str):
     """Inverse of format_scalar.  Returns Fraction or RatFunc."""
     text = text.strip()
     if "mu" not in text and "(" not in text:
+        if not _RATIONAL_RE.fullmatch(text):  # Fraction takes 1e9999999, slowly
+            raise ValueError(f"cannot parse scalar {text!r}")
         return Fraction(text)
     if text.startswith("("):
         depth = 0

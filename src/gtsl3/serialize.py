@@ -1,7 +1,8 @@
 """JSON encoding and decoding for the wire-facing objects.
 
 Scalars cross the boundary as exact strings, never floats: rationals as
-"p/q" (denominator omitted when 1), symbolic values in the parenthesized
+"p/q" (denominator omitted when 1; read as [+-]digits[/digits], so no
+decimal point or exponent), symbolic values in the parenthesized
 polynomial-fraction form.  A parameter may also be the literal string
 "symbolic".  Term tables are emitted in lexicographic index order, so
 output is byte-deterministic.

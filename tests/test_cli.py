@@ -610,9 +610,44 @@ def test_a_refused_check_keeps_every_other_verdict(capsys):
 def test_a_failed_check_outranks_a_refused_one(monkeypatch, capsys):
     monkeypatch.setattr(registry, "CHECKS", {
         "hom-dims": registry.CHECKS["hom-dims"],
-        "lemma-collision": lambda **_: {"check": "lemma-collision",
-                                        "verdict": "fail"},
+        "lemma-collision": registry.Check(lambda: (False, [])),
     })
     code, lines = run_cli(capsys, "verify-paper", "--window", "1")
     assert code == 1
     assert [rep["verdict"] for rep in lines] == ["refused", "fail"]
+
+
+def test_a_rational_in_exponent_notation_exits_2_at_once():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    element = {"terms": [{"k": 0, "l": 0, "m": 0, "c": "1"}]}
+    for flags, c in ((("--mu1", "1e9999999"), "1"), ((), "1e9999999")):
+        element["terms"][0]["c"] = c
+        proc = subprocess.run(
+            [sys.executable, "-m", "gtsl3.cli", *flags, "act", "--basis", "w",
+             "--gen", "f1", "--element", json.dumps(element)],
+            capture_output=True, text=True, env=env, timeout=10)
+        assert proc.returncode == 2 and proc.stderr == ""
+        assert json.loads(proc.stdout) == {
+            "error": "ValueError", "message": "cannot parse scalar '1e9999999'"}
+
+
+def _raises(**_):
+    raise AssertionError("a refused window must not run the check")
+
+
+def test_the_window_cap_refuses_exactly_the_capped_checks(monkeypatch, capsys):
+    """At --window 12 the three costly checks refuse before they run; the
+    other 17 run (here as stubs: CI runs them for real) and still report."""
+    for name, rec in registry.CHECKS.items():
+        run = _raises if rec.most is not None else lambda **_: (True, [])
+        monkeypatch.setitem(registry.CHECKS, name, rec._replace(run=run))
+    code, lines = run_cli(capsys, "verify-paper", "--window", str(MAX_WINDOW))
+    assert code == 2
+    assert [rep["check"] for rep in lines] == list(registry.CHECKS)
+    refused = {rep["check"]: rep["reason"] for rep in lines
+               if rep["verdict"] == "refused"}
+    assert refused == {
+        "basis-roundtrip": "basis-roundtrip needs a window of at most 9, not 12",
+        "hom-dims": "hom-dims needs a window of at most 8, not 12",
+        "closed-forms": "closed-forms needs a window of at most 7, not 12",
+    }

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gtsl3 import hom, liealg, registry
+from gtsl3 import cli, hom, liealg, registry
 from gtsl3.explore import generate
 from gtsl3.hom import ModuleDescriptor, family_solution, intertwiner_equations
 from gtsl3.module import (
@@ -279,9 +279,41 @@ def test_closed_forms_fails_on_a_family_broken_only_from_lbar_3(monkeypatch):
         value = lge2(idx, p)
         return 2 * value if idx[1] - p.mu2_int() >= 3 else value
 
-    monkeypatch.setattr(hom, "closed_form_lge2", broken)
+    monkeypatch.setitem(hom.CLOSED_FORMS, "lge2", broken)
     rep = registry.run_check("closed-forms", window=3)
     assert rep["verdict"] == "fail"
     assert [w[:3] for w in rep["witnesses"]] == [("lge2", "lbar>=1", "symbolic"),
                                                  ("lge2", "lbar>=0", "symbolic")]
     assert registry.run_check("closed-forms", window=2)["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("name", list(registry.CHECKS))
+def test_each_default_window_lies_in_its_record_range(name):
+    rec = registry.CHECKS[name]
+    if rec.window is None:  # the check ignores --window and never refuses
+        assert (rec.least, rec.most) == (0, None)
+    else:
+        assert rec.least <= rec.window <= (rec.most or cli.MAX_WINDOW) <= cli.MAX_WINDOW
+
+
+def _raises(**_):
+    raise AssertionError("a refused window must not run the check")
+
+
+@pytest.mark.parametrize("name", [name for name, rec in registry.CHECKS.items()
+                                  if rec.least or rec.most is not None])
+def test_run_check_refuses_outside_the_range_without_running_the_check(
+        monkeypatch, name):
+    rec = registry.CHECKS[name]
+    monkeypatch.setitem(registry.CHECKS, name, rec._replace(run=_raises))
+    outside = []
+    if rec.least:
+        outside.append((rec.least - 1, f"at least {rec.least}"))
+    if rec.most is not None:
+        outside.append((rec.most + 1, f"at most {rec.most}"))
+    for window, bound in outside:
+        assert registry.run_check(name, window=window) == {
+            "check": name, "verdict": "refused", "window": window,
+            "reason": f"{name} needs a window of {bound}, not {window}"}
+    with pytest.raises(AssertionError):
+        registry.run_check(name)

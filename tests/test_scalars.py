@@ -125,6 +125,15 @@ def test_integrality_detection():
     assert not scalar_is_integer((MU1 * MU1 - 1) / (MU1 - 1))  # = mu1 + 1, not constant
 
 
+def test_parse_scalar_takes_only_the_wire_form_of_a_rational():
+    assert parse_scalar(" -12/34 ") == Fraction(-6, 17)
+    assert parse_scalar("+5") == 5
+    # cheap forms first; Fraction alone takes seconds over the last one
+    for text in ("1e5", "0.5", "1_000", "inf", "nan", "1 / 3", "", "1e9999999"):
+        with pytest.raises(ValueError, match="cannot parse scalar"):
+            parse_scalar(text)
+
+
 def test_format_parse_roundtrip():
     rnd = random.Random(3)
     for _ in range(30):
