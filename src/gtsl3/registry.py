@@ -318,7 +318,7 @@ def check_closed_forms(window):
         if viol:
             bad.append((name, repr(J), "symbolic", len(viol)))
     # the full-module family, fully symbolic and against the recurrence
-    for params in (Params.symbolic(), Params(*GENERIC)):
+    for params in (Params(*SYMBOLIC), Params(*GENERIC)):
         src = ModuleDescriptor(params, dual=True)
         tgt = ModuleDescriptor(params, dual=False)
         box = Box.radius(SYMBOLIC_XABC_WINDOW if params.is_symbolic else window)
@@ -375,7 +375,7 @@ def check_casimir(params, window):
                 bad.append((basis, idx, "not diagonal"))
             else:
                 values.add(scalar_as_fraction(out.terms.get(idx, 0)))
-    if len(values) != 1:
+    if len(values) != 1 or None in values:  # None: a non-constant value
         bad.append(("values", sorted(map(str, values))))
     return not bad, bad[:5], {"scalar": None if bad else str(values.pop())}
 
@@ -416,22 +416,24 @@ class Check(NamedTuple):
     least: int = 0  # the least window that decides the check
     most: int | None = None  # the most window it runs in a few seconds
     params: tuple | None = None  # the (mu1, mu2) the check runs at and reports
-    claim: dict = {}  # fixed claim fields of the report, never mutated
-    orbit: bool = False  # the window is m_max, over every (k, l) off mu1 + mu2 in Z
-    every_m: bool = True  # an orbit claim covers every m from m_max = 4 on
+    claim: tuple = ()  # (key, value) claim fields every report of the check carries
+    orbit: str | None = None  # orbit checks: their claim on m, "every m" or "m <= m_max"
 
 
 CHECKS = {
     "structure-constants": Check(check_structure_constants),
-    "brackets-u": Check(partial(check_brackets, ("u",)), 4, params=SYMBOLIC, orbit=True),
-    "brackets-w": Check(partial(check_brackets, ("w",)), 4, params=SYMBOLIC, orbit=True),
+    "brackets-u": Check(partial(check_brackets, ("u",)), 4, params=SYMBOLIC,
+                        orbit="every m"),
+    "brackets-w": Check(partial(check_brackets, ("w",)), 4, params=SYMBOLIC,
+                        orbit="every m"),
     "brackets-eta": Check(partial(check_brackets, ("eta",)), 4, params=SYMBOLIC,
-                          orbit=True),
+                          orbit="every m"),
     "brackets-symbolic": Check(partial(check_brackets, ("u", "w", "eta")), 4,
-                               params=SYMBOLIC, orbit=True),
-    "oracle-equivalence": Check(check_oracle_equivalence, 4, params=SYMBOLIC, orbit=True),
+                               params=SYMBOLIC, orbit="every m"),
+    "oracle-equivalence": Check(check_oracle_equivalence, 4, params=SYMBOLIC,
+                                orbit="every m"),
     "basis-roundtrip": Check(check_basis_roundtrip, 5, most=9, params=SYMBOLIC,
-                             orbit=True, every_m=False),
+                             orbit="m <= m_max"),
     "gt-injectivity": Check(check_gt_injectivity, 5, params=GENERIC),
     "lemma-collision": Check(check_lemma_collision, params=COLLISION),
     "eigensplit": Check(check_eigensplit, params=GENERIC),
@@ -439,15 +441,15 @@ CHECKS = {
     "closure-integral": Check(check_closure_integral, 3, least=2, params=INTEGRAL_MU2),
     "dual-cyclicity": Check(check_dual_cyclicity, 3, least=2, params=INTEGRAL_MU2),
     "hom-dims": Check(check_hom_dims, 4, least=2, most=8, params=INTEGRAL_MU2,
-                      claim={"statements": len(HOM_STATEMENTS) + 1}),
+                      claim=(("statements", len(HOM_STATEMENTS) + 1),)),
     # the five closed-form problems assemble no equation at window 0
     "closed-forms": Check(check_closed_forms, 3, least=1, most=7,
-                          claim={"symbolic_window": SYMBOLIC_XABC_WINDOW}),
-    "obstruction": Check(check_obstruction, claim={"window": OBSTRUCTION_WINDOW}),
+                          claim=(("symbolic_window", SYMBOLIC_XABC_WINDOW),)),
+    "obstruction": Check(check_obstruction, claim=(("window", OBSTRUCTION_WINDOW),)),
     "relaxed-verma": Check(check_relaxed_verma, 6, params=INTEGRAL_MU2,
-                           claim={"layer_window": LAYER_WINDOW}),
+                           claim=(("layer_window", LAYER_WINDOW),)),
     "character-formula": Check(check_character_formula, 6, params=INTEGRAL_MU2),
-    "casimir": Check(check_casimir, 4, params=SYMBOLIC, orbit=True),
+    "casimir": Check(check_casimir, 4, params=SYMBOLIC, orbit="every m"),
     "exact-sequence": Check(check_exact_sequence, 3, least=1, params=INTEGRAL_MU2),
 }
 
@@ -466,11 +468,11 @@ def run_check(name: str, window: int | None = None) -> dict:
             bound = f"at most {rec.most}" if too_big else f"at least {rec.least}"
             return {**rep, "verdict": "refused", "window": window,
                     "reason": f"{name} needs a window of {bound}, not {window}"}
-        if not rec.orbit:
+        if rec.orbit is None:
             rep["window"] = window
         else:
             rep.update({"k, l": "all", "m_max": window, "where": "mu1 + mu2 not in Z"})
-            if rec.every_m and window >= 4:  # the degree bound in the module docstring
+            if rec.orbit == "every m" and window >= 4:  # by the docstring's degree bound
                 rep["m"] = "all"
     if rec.params is not None:
         kwargs["params"] = Params(*rec.params)

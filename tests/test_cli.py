@@ -631,15 +631,12 @@ def test_a_rational_in_exponent_notation_exits_2_at_once():
             "error": "ValueError", "message": "cannot parse scalar '1e9999999'"}
 
 
-def _raises(**_):
-    raise AssertionError("a refused window must not run the check")
-
-
-def test_the_window_cap_refuses_exactly_the_capped_checks(monkeypatch, capsys):
+def test_the_window_cap_refuses_exactly_the_capped_checks(monkeypatch, capsys,
+                                                          raising_check):
     """At --window 12 the three costly checks refuse before they run; the
     other 17 run (here as stubs: CI runs them for real) and still report."""
     for name, rec in registry.CHECKS.items():
-        run = _raises if rec.most is not None else lambda **_: (True, [])
+        run = raising_check if rec.most is not None else lambda **_: (True, [])
         monkeypatch.setitem(registry.CHECKS, name, rec._replace(run=run))
     code, lines = run_cli(capsys, "verify-paper", "--window", str(MAX_WINDOW))
     assert code == 2

@@ -153,6 +153,14 @@ def test_orbit_checks_and_window_oracles_fail_together(monkeypatch):
     assert rep["verdict"] == "fail" and rep["scalar"] is None
 
 
+def test_casimir_fails_on_a_diagonal_but_non_constant_value(monkeypatch):
+    """mu1 times each vector: diagonal, with one value that is no constant."""
+    monkeypatch.setattr(registry, "casimir_apply", lambda v: v.scale(MU1))
+    rep = registry.run_check("casimir", window=2)
+    assert rep["verdict"] == "fail" and rep["scalar"] is None
+    assert rep["witnesses"] == [("values", ["None"])]
+
+
 def test_casimir_reports_no_scalar_when_a_vector_is_not_diagonal(monkeypatch):
     """The u-basis f12 with its (1, 1, 0) coefficient doubled for m > 3:
     the Casimir stays 0 on b_(0,0,m), m <= 3, and on the w-basis, but is
@@ -296,16 +304,12 @@ def test_each_default_window_lies_in_its_record_range(name):
         assert rec.least <= rec.window <= (rec.most or cli.MAX_WINDOW) <= cli.MAX_WINDOW
 
 
-def _raises(**_):
-    raise AssertionError("a refused window must not run the check")
-
-
 @pytest.mark.parametrize("name", [name for name, rec in registry.CHECKS.items()
                                   if rec.least or rec.most is not None])
 def test_run_check_refuses_outside_the_range_without_running_the_check(
-        monkeypatch, name):
+        monkeypatch, raising_check, name):
     rec = registry.CHECKS[name]
-    monkeypatch.setitem(registry.CHECKS, name, rec._replace(run=_raises))
+    monkeypatch.setitem(registry.CHECKS, name, rec._replace(run=raising_check))
     outside = []
     if rec.least:
         outside.append((rec.least - 1, f"at least {rec.least}"))
