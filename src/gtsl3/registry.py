@@ -59,7 +59,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import combinations, product
 from typing import Callable, NamedTuple
 
 from . import liealg, sections
@@ -131,21 +131,26 @@ def check_structure_constants():
 
 def _bracket_compat(elements):
     """Witnesses (x, y, support of v), in that order, where
-    [x, y] v != x(y v) - y(x v).  Each X v and X(Y v) is computed once, and
-    only one element's actions are held at a time."""
+    [x, y] v != x(y v) - y(x v).  Each identity is checked once per
+    unordered pair x < y (in ``liealg.GENERATORS`` order): the (y, x) one is
+    the (x, y) one negated, since ``liealg.STRUCTURE`` is the matrix
+    commutator, which ``tests/test_liealg.py`` pins against hand-typed
+    matrices, and the x = y one holds trivially.  A failing pair is reported
+    in both orders.  Each X v is computed once, X(Y v) once per ordered
+    pair with x != y, and only one element's actions are held at a time."""
     gens = liealg.GENERATORS
     brackets = liealg.STRUCTURE  # [x, y] for every ordered pair, in gens order
     failing = []
     for v in elements:
         xv = {g: act(g, v) for g in gens}
-        xyv = {(x, y): act(x, xv[y]) for x in gens for y in gens}
+        xyv = {(x, y): act(x, xv[y]) for x in gens for y in gens if x != y}
         fails = set()
-        for (x, y), bxy in brackets.items():
+        for x, y in combinations(gens, 2):
             lhs = ModuleElement(v.params, v.basis)
-            for g, c in bxy.items():
+            for g, c in brackets[x, y].items():
                 lhs = lhs + xv[g].scale(c)
             if lhs != xyv[x, y] - xyv[y, x]:
-                fails.add((x, y))
+                fails.update(((x, y), (y, x)))
         failing.append(fails)
     return [(x, y, v.support()) for x, y in brackets
             for v, fails in zip(elements, failing) if (x, y) in fails]

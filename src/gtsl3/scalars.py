@@ -5,16 +5,19 @@ Specialized computations run over arbitrary-precision rationals
 field of Q[mu1, mu2], with mu1, mu2 the two module parameters.  Symbolic
 fractions are never reduced to lowest terms (bivariate gcd is expensive);
 equality and zero tests go through exact cross-multiplication instead,
-which is all correctness needs.
+which is all correctness needs.  Two fractions over one denominator skip
+the cross-multiplication: their sum is the sum of the numerators over that
+denominator, and they are equal exactly when their numerators are.
 
 A RatFunc's normal form has no monomial common to num and den, and a den
 that is primitive over Z (coprime integer coefficients) with a positive
 coefficient on its lex-largest monomial.  The product of two such
 denominators has both properties again: primitive by Gauss's lemma, and
 positive-leading because lex order is multiplicative.  So a sum or product
-of two normal fractions, whose denominator is that product, only strips
-the common monomial; content and sign are normalized where an arbitrary
-polynomial becomes a denominator (construction, parsing, division).
+of two normal fractions, whose denominator is that product or their one
+shared denominator, only strips the common monomial; content and sign are
+normalized where an arbitrary polynomial becomes a denominator
+(construction, parsing, division).
 
 A BiPoly product takes one of three exact routes.  A one-term factor
 shifts and scales the other operand.  Otherwise both operands are scaled to
@@ -69,13 +72,14 @@ class BiPoly:
         data = {}
         if terms:
             for key, c in terms.items():
-                if c:
-                    data[key] = _slim(c if isinstance(c, (int, Fraction)) else Fraction(c))
+                if c:  # a bool is stored as the int it equals
+                    data[key] = _slim(c if type(c) is int or isinstance(c, Fraction)
+                                      else Fraction(c))
         self.terms = data
 
     @classmethod
     def constant(cls, c) -> "BiPoly":
-        return cls({(0, 0): c if isinstance(c, int) else Fraction(c)})
+        return cls({(0, 0): c})
 
     @classmethod
     def zero(cls) -> "BiPoly":
@@ -330,7 +334,9 @@ class RatFunc:
     Construction strips the common monomial factor and the denominator's
     rational content from num and den and makes the denominator's leading
     coefficient positive; no polynomial gcd is ever computed.  Equality
-    against any scalar is decided by cross-multiplication.
+    against any scalar is decided by cross-multiplication, except that two
+    fractions whose denominators have equal terms compare their numerators,
+    and their sum (or difference) keeps that one denominator.
     """
 
     __slots__ = ("num", "den")
@@ -354,6 +360,8 @@ class RatFunc:
         other = _coerce_rat(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den.terms == other.den.terms:
+            return _ratfunc(self.num + other.num, self.den)
         return _ratfunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -414,6 +422,8 @@ class RatFunc:
         other = _coerce_rat(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den.terms == other.den.terms:
+            return self.num.terms == other.num.terms
         # a/b == c/d  iff  a*d - c*b == 0, exactly
         return (self.num * other.den - other.num * self.den).is_zero()
 
@@ -478,7 +488,8 @@ def _normal(num: BiPoly, den: BiPoly, primitive: bool):
 
 def _ratfunc(num: BiPoly, den: BiPoly) -> RatFunc:
     """num/den for a den that is normal or a product of two normal
-    denominators (an int or Fraction operand keeps the other's den)."""
+    denominators (an int or Fraction operand, or a fraction over the same
+    den, keeps the other's den)."""
     out = RatFunc.__new__(RatFunc)
     out.num, out.den = _normal(num, den, primitive=True)
     return out

@@ -177,16 +177,38 @@ def normal_ratfuncs(draw):
     return RatFunc(num * shared * draw(monomials), den * shared * draw(monomials))
 
 
-def _cross_multiplied(a, b):
-    """Each operation's result through the full constructor."""
+@st.composite
+def pairs_over_one_den(draw):
+    """(a, b) with b's numerator over a's denominator.  The numerator is
+    drawn, or is a's own or its negative, so that a == b holds and the sum
+    or difference cancels in some draws; a common monomial of that numerator
+    and the denominator is stripped, which leaves b's denominator smaller."""
+    a = draw(normal_ratfuncs())
+    num = draw(st.one_of(polys, st.sampled_from([a.num, -a.num]),
+                         polys.map(lambda p: a.num + p)))
+    return a, RatFunc(num, a.den)
+
+
+def _constructor_results(a, b):
+    """Each operation's result through the full constructor; a sum or
+    difference over one denominator keeps it."""
+    if a.den.terms == b.den.terms:
+        plus, minus, den = a.num + b.num, a.num - b.num, a.den
+    else:
+        plus, minus = a.num * b.den + b.num * a.den, a.num * b.den - b.num * a.den
+        den = a.den * b.den
     out = {
-        "+": RatFunc(a.num * b.den + b.num * a.den, a.den * b.den),
-        "-": RatFunc(a.num * b.den - b.num * a.den, a.den * b.den),
+        "+": RatFunc(plus, den),
+        "-": RatFunc(minus, den),
         "*": RatFunc(a.num * b.num, a.den * b.den),
     }
     if not b.is_zero():
         out["/"] = RatFunc(a.num * b.den, a.den * b.num)
     return out
+
+
+def _equal_by_cross_multiplication(x, y):
+    return (x.num * y.den - y.num * x.den).is_zero()
 
 
 def _operations(a, b):
@@ -196,14 +218,30 @@ def _operations(a, b):
     return out
 
 
-@SETTINGS
-@given(normal_ratfuncs(), normal_ratfuncs())
-def test_operations_give_the_constructor_normal_form(a, b):
-    expected = _cross_multiplied(a, b)
+def _assert_constructor_normal_form(a, b):
+    expected = _constructor_results(a, b)
     for op, got in _operations(a, b).items():
         want = expected[op]
         assert (got.num.terms, got.den.terms) == (want.num.terms, want.den.terms), op
         assert str(got) == str(want), op
+
+
+@SETTINGS
+@given(normal_ratfuncs(), normal_ratfuncs())
+def test_operations_give_the_constructor_normal_form(a, b):
+    _assert_constructor_normal_form(a, b)
+
+
+@SETTINGS
+@given(pairs_over_one_den())
+def test_fractions_over_one_den_agree_with_cross_multiplication(pair):
+    a, b = pair
+    den = a.den * b.den
+    assert _equal_by_cross_multiplication(a + b, RatFunc(a.num * b.den + b.num * a.den, den))
+    assert _equal_by_cross_multiplication(a - b, RatFunc(a.num * b.den - b.num * a.den, den))
+    equal = _equal_by_cross_multiplication(a, b)
+    assert (a == b) is equal and (b == a) is equal and (a != b) is not equal
+    _assert_constructor_normal_form(a, b)
 
 
 @SETTINGS
@@ -256,6 +294,13 @@ def test_equality_with_scalars_and_printing_of_constants():
     assert (MU1 - MU1) == Fraction(0) and not (MU1 == 0)
     assert (2 * MU1) / MU1 == 2 and (MU1 + 1) / (MU1 + 1) == Fraction(1)
     assert str(RatFunc(Fraction(3, 2))) == "(3/2)" and str(MU1 / MU2) == "(mu1)/(mu2)"
+
+
+def test_a_bool_coefficient_is_stored_as_the_int_it_equals():
+    assert str(RatFunc(True)) == "(1)"
+    assert str(scalars._coerce_rat(True) + RatFunc(0)) == "(1)"
+    assert type(BiPoly.constant(True).terms[(0, 0)]) is int
+    assert type(BiPoly({(1, 0): True}).terms[(1, 0)]) is int
 
 
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
