@@ -44,6 +44,11 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+# flags whose valid values may start with "-", as "-1/3" and "-1,0,0" do;
+# argparse takes such a value for a flag unless it looks like a negative number
+_SIGNED_FLAGS = ("--mu1", "--mu2", "--start", "--seed")
+
+
 def _index_triple(text: str):
     """Parse 'k,l,m' into an index triple of integers."""
     try:
@@ -313,7 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):  # "--mu1 -1/3" as "--mu1=-1/3"
+        if argv[i - 1] in _SIGNED_FLAGS and argv[i][:1] == "-" and argv[i][:2] != "--":
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         try:
             parser = build_parser()

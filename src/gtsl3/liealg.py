@@ -1,10 +1,12 @@
 """The fixed sl3 presentation: eight basis symbols, structure constants,
 the involution tau, and the quadratic Casimir.
 
-Structure constants are not typed in by hand.  They are generated at import
-time from the 3x3 elementary-matrix realization (the oracle), which removes
-transcription risk; the test suite re-derives the table independently and
-checks the Jacobi identity on all 512 basis triples.
+The 3x3 elementary-matrix realization _E is the one place sl3 is written
+down.  Structure constants are not typed in by hand: they are generated at
+import time from it, which removes transcription risk; the test suite
+re-derives the table independently and checks the Jacobi identity on all
+512 basis triples.  The Casimir's dual basis is read off the same matrices,
+and so are the vector fields of ``sections``.
 
 tau (h_i -> -h_i, e_1 <-> f_1, e_2 <-> f_2, e_12 <-> -f_12) is validated by
 the oracle as a genuine automorphism: tau([x, y]) = [tau(x), tau(y)] holds
@@ -139,40 +141,23 @@ def trace_form(x: str, y: str) -> int:
     return mat_trace(mat_mul(_E[x], _E[y]))
 
 
-def _dual_basis():
-    """g^i with tr(g_i g^j) = delta_ij, via the inverse Gram matrix, which
-    is taken over Fraction so that the elimination stays exact."""
-    gens = GENERATORS
-    gram = [[Fraction(trace_form(a, b)) for b in gens] for a in gens]
-    n = len(gens)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(gram)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        aug[col] = [v / p for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    inv = [row[n:] for row in aug]
-    duals = []
-    for i in range(n):
-        duals.append({gens[j]: inv[j][i] for j in range(n) if inv[j][i]})
-    return duals
-
-
 @cache
 def casimir_word():
     """Quadratic Casimir as a tuple of (coefficient, word) pairs.
 
-    Words are generator tuples, leftmost applied last.  Built from dual
-    bases for the trace form, so it commutes with every generator; the
-    module layer checks that it acts by one common scalar.  The terms are
-    built on the first call and shared by every later one.
+    Words are generator tuples, leftmost applied last.  It is the sum of
+    g g^* over the basis, with g^* the dual of g for the trace form, so it
+    commutes with every generator; the module layer checks that it acts by
+    one common scalar.  The trace form pairs E_ij only with E_ji, to 1, so
+    a root vector's dual is its transpose; the duals of h1 and h2 come from
+    the closed-form inverse of their 2x2 Gram matrix.  The terms are built
+    on the first call and shared by every later one.
     """
+    (a, b), (_, d) = [[trace_form(x, y) for y in ("h1", "h2")] for x in ("h1", "h2")]
+    det = Fraction(a * d - b * b)
+    cartan = {"h1": {"h1": d / det, "h2": -b / det}, "h2": {"h1": -b / det, "h2": a / det}}
     return tuple(
-        (c, (g, h))
-        for g, dual in zip(GENERATORS, _dual_basis())
-        for h, c in dual.items()
+        (Fraction(c), (g, h))
+        for g in GENERATORS
+        for h, c in (cartan.get(g) or decompose(tuple(zip(*_E[g])))).items()
     )

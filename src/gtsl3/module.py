@@ -13,6 +13,7 @@ windows enter only in the search and solve layers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +23,6 @@ from .scalars import (
     MU1,
     MU2,
     RatFunc,
-    binomial,
     raising_factorial,
     scalar_is_integer,
     scalar_is_zero,
@@ -453,7 +453,7 @@ def _change_basis(v: ModuleElement, source: str, target: str, sign: int, shift: 
             s_n = base + (n - 1) if shift else base
             a = (
                 sign**n
-                * binomial(m, n)
+                * math.comb(m, n)
                 * raising_factorial(lb, n)
                 / raising_factorial(s_n, n)
             )

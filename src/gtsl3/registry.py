@@ -19,7 +19,9 @@ shifted by (k, l): they hold for every (k, l), off mu1 + mu2 in Z, where
 the w- and eta-bases are not defined.  For the actions this holds by
 construction: a coefficient of ``module.ACTION_TABLE`` receives only kbar,
 lbar and m.  ``sections._twisted_derivative`` reads k and l only through
-k - mu1 and l - mu2, so the lemma covers the sections too.
+k - mu1 and l - mu2, so the lemma covers the sections too.  Their vector
+fields are derived from ``liealg``'s 3x3 matrices, so ``oracle-equivalence``
+ties the u-table to those matrices.
 
 Degree in m: no denominator contains m and every coefficient has degree
 <= 1 in m (``tests/test_module.py`` checks both on the table).  For m >= 2

@@ -42,12 +42,6 @@ from array import array
 from fractions import Fraction
 
 
-def binomial(m: int, n: int) -> int:
-    if not 0 <= n <= m:
-        raise ValueError(f"binomial({m}, {n}) out of range")
-    return math.comb(m, n)
-
-
 def _slim(c):
     """Exact coefficients, stored as int whenever possible (int arithmetic
     is much cheaper than Fraction arithmetic)."""
@@ -77,30 +71,8 @@ class BiPoly:
                                       else Fraction(c))
         self.terms = data
 
-    @classmethod
-    def constant(cls, c) -> "BiPoly":
-        return cls({(0, 0): c})
-
-    @classmethod
-    def zero(cls) -> "BiPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "BiPoly":
-        return cls.constant(1)
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and (0, 0) in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        if self.is_constant():
-            return Fraction(self.terms[(0, 0)])
-        raise ValueError("not a constant polynomial")
 
     def __add__(self, other):
         other = _coerce_poly(other)
@@ -219,14 +191,14 @@ class BiPoly:
     __repr__ = __str__
 
 
-_ZERO, _ONE = BiPoly.zero(), BiPoly.one()  # shared: no BiPoly is changed in place
+_ZERO, _ONE = BiPoly(), BiPoly({(0, 0): 1})  # shared: no BiPoly is changed in place
 
 
 def _coerce_poly(x):
     if isinstance(x, BiPoly):
         return x
     if isinstance(x, (int, Fraction)):
-        return BiPoly.constant(x)
+        return BiPoly({(0, 0): x})
     return NotImplemented
 
 
@@ -439,8 +411,6 @@ class RatFunc:
         """Return the Fraction this scalar equals, or None if non-constant."""
         if self.num.is_zero():
             return Fraction(0)
-        if self.num.is_constant() and self.den.is_constant():
-            return self.num.constant_value() / self.den.constant_value()
         # candidate from leading monomials, verified exactly
         km = max(self.num.terms)
         kd = max(self.den.terms)
@@ -499,7 +469,7 @@ def _coerce_rat(x):
     if isinstance(x, RatFunc):
         return x
     if isinstance(x, (int, Fraction)):  # a constant over one is in normal form
-        return _ratfunc(BiPoly.constant(x), _ONE)
+        return _ratfunc(BiPoly({(0, 0): x}), _ONE)
     if isinstance(x, BiPoly):
         return RatFunc(x)
     return NotImplemented

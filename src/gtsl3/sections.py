@@ -2,50 +2,73 @@
 
 Sections of the rank-one local system on the triple big-cell intersection
 are spanned by x1^k 1_{mu1} (x) x2^l 1_{mu2} (x) x3^m, so they carry the
-same (k, l, m) indexing as the u-basis.  The sl3 action arrives here as
-first-order differential operators in the three coordinates, applied with
-the twisted derivative rule  d/dx (x^k 1_mu) = (k - mu) x^{k-1} 1_mu  in
-x1 (parameter mu1) and x2 (parameter mu2) and the ordinary derivative in
-x3.  No formula from module.py is reused, which is the point: agreement of
-the two paths on every section re-derives the whole u-basis action table.
-The ``oracle-equivalence`` check shows it on the orbit representatives
-x3^m over Q(mu1, mu2); the registry docstring says why those settle every
-section.
+same (k, l, m) indexing as the u-basis.  X in sl3 acts by the vector field
+(X f)(N) = d/dt f(exp(-tX) N) at t = 0 in the big-cell chart
+N(x) = exp(x1 E12) exp(x2 E23) exp(x3 E13), built from ``liealg``'s 3x3
+matrices alone.  exp(-tX) N = N(t) b(t) with b(t) lower triangular, so
+N^-1 dN/dt is the strictly upper part of N^-1 (-X) N; with a1, a2, a3 its
+entries at (0, 1), (1, 2), (0, 2), x1' = a1, x2' = a2 and x3' = a3 - x2 a1.
+The h fields have no constant term, so the weight lambda is 0.  The
+monodromy enters only in ``_twisted_derivative``: d/dx (x^k 1_mu) =
+(k - mu) x^{k-1} 1_mu in x1 and x2 (parameters mu1, mu2), the ordinary
+derivative in x3.  No formula from module.py is reused, which is the point:
+agreement of the two paths on every section re-derives the whole u-basis
+action table.  The ``oracle-equivalence`` check shows it on the orbit
+representatives x3^m over Q(mu1, mu2); the registry docstring says why
+those settle every section.
 
-Each operator is a list of (coefficient, (p, q, r), variable) triples
-standing for  coefficient * x1^p x2^q x3^r * d/d(variable).
+A field is a list of (coefficient, (p, q, r), variable) triples standing
+for coefficient * x1^p x2^q x3^r * d/d(variable); a polynomial in x1, x2,
+x3 is a dict {(p, q, r): coefficient}.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
-from .module import ModuleElement, Params
+from . import liealg
+from .module import ModuleElement, Params, accumulate
 
 _X1, _X2, _X3 = 1, 2, 3
 
-VECTOR_FIELDS = {
-    "e1": [(-1, (0, 0, 0), _X1)],
-    "e2": [(-1, (0, 0, 0), _X2), (1, (1, 0, 0), _X3)],
-    "e12": [(-1, (0, 0, 0), _X3)],
-    "f1": [
-        (1, (2, 0, 0), _X1),
-        (-1, (0, 0, 1), _X2),
-        (-1, (1, 1, 0), _X2),
-        (1, (1, 0, 1), _X3),
-    ],
-    "f2": [(1, (0, 2, 0), _X2), (1, (0, 0, 1), _X1)],
-    "f12": [
-        (1, (1, 0, 1), _X1),
-        (1, (0, 1, 1), _X2),
-        (1, (1, 2, 0), _X2),
-        (1, (0, 0, 2), _X3),
-    ],
-    # a(h) = -a1(h) x1 d1 - a2(h) x2 d2 - (a1+a2)(h) x3 d3 for h in the
-    # Cartan; h1 and h2 rows use a1 = (2, -1), a2 = (-1, 2)
-    "h1": [(-2, (1, 0, 0), _X1), (1, (0, 1, 0), _X2), (-1, (0, 0, 1), _X3)],
-    "h2": [(1, (1, 0, 0), _X1), (-2, (0, 1, 0), _X2), (-1, (0, 0, 1), _X3)],
-}
+
+def _poly_sum(polys):
+    out = {}
+    for poly in polys:
+        for e, c in poly.items():
+            out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _mat_mul(a, b):
+    return [[_poly_sum({tuple(map(add, ea, eb)): ca * cb} for k in range(3)
+                       for ea, ca in a[i][k].items() for eb, cb in b[k][j].items())
+             for j in range(3)] for i in range(3)]
+
+
+def _exp(gen, var, sign):
+    """exp(sign x_var E) = 1 + sign x_var E, for E = gen's matrix, with E^2 = 0."""
+    mono = tuple(int(v == var) for v in (_X1, _X2, _X3))
+    return [[_poly_sum(({(0, 0, 0): int(i == j)}, {mono: sign * x})) for j, x in enumerate(row)]
+            for i, row in enumerate(liealg.matrix_oracle(gen))]
+
+
+_CHART = (("e1", _X1), ("e2", _X2), ("e12", _X3))
+_N = reduce(_mat_mul, [_exp(g, var, 1) for g, var in _CHART])
+_N_INV = reduce(_mat_mul, [_exp(g, var, -1) for g, var in reversed(_CHART)])
+
+
+def _field(x):
+    """The vector field of the 3x3 matrix x."""
+    a = reduce(_mat_mul, (_N_INV, [[{(0, 0, 0): -c} if c else {} for c in row] for row in x], _N))
+    x3 = _poly_sum((a[0][2], {(p, q + 1, r): -c for (p, q, r), c in a[0][1].items()}))
+    return [(c, e, var) for var, poly in ((_X1, a[0][1]), (_X2, a[1][2]), (_X3, x3))
+            for e, c in sorted(poly.items())]
+
+
+VECTOR_FIELDS = {g: _field(liealg.matrix_oracle(g)) for g in liealg.GENERATORS}
 
 
 def _twisted_derivative(var: int, idx, p: Params):
@@ -65,20 +88,12 @@ def act_section(gen: str, v: ModuleElement) -> ModuleElement:
     if v.basis != "u":
         raise ValueError("sections are indexed like the u-basis")
     p = v.params
-    terms = {}
-    for idx, c in v.terms.items():
+
+    def expand(idx):
         for coeff, (dp, dq, dr), var in VECTOR_FIELDS[gen]:
             factor, shifted = _twisted_derivative(var, idx, p)
-            if shifted is None:
-                continue
-            value = c * coeff * factor
-            if value == 0:
-                continue
-            k, l, m = shifted
-            jdx = (k + dp, l + dq, m + dr)
-            s = terms.get(jdx, 0) + value
-            if s == 0:
-                terms.pop(jdx, None)
-            else:
-                terms[jdx] = s
-    return ModuleElement(p, "u", terms)
+            if shifted is not None:
+                k, l, m = shifted
+                yield (k + dp, l + dq, m + dr), coeff * factor
+
+    return accumulate(v, expand, "u")

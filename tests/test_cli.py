@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from gtsl3 import cli, registry
 from gtsl3.cli import MAX_WINDOW, main
 from gtsl3.serialize import MAX_M
@@ -357,7 +359,10 @@ def test_index_triples_that_are_not_k_l_m_are_rejected(capsys):
                  ("hom", "--source", "full", "--target", "dual:full",
                   "--recurrence", "--seed", "0,0"),
                  ("hom", "--source", "full", "--target", "dual:full",
-                  "--recurrence", "--seed", "0,0,0,0")):
+                  "--recurrence", "--seed", "0,0,0,0"),
+                 ("generate", "--start", "-1,0"),
+                 ("hom", "--source", "full", "--target", "dual:full",
+                  "--recurrence", "--seed", "-1,0,0,0")):
         code, lines = run_cli(capsys, *argv)
         assert _rejected(code, lines), argv
         assert lines[-1]["message"].startswith("expected k,l,m"), argv
@@ -372,6 +377,9 @@ def test_malformed_flags_exit_2_with_an_error_json(capsys):
                  ("generate", "--start", "0,0,0", "--window", "abc"),
                  ("--window", "3", "classify", "--set", "lbar=1"),
                  ("change-basis", "--to", "eta", "--element", W000),
+                 ("--mu1", "-x/3", "act", "--basis", "w", "--gen", "e1",
+                  "--element", '{"terms": []}'),
+                 ("--mu2", "--symbolic", "classify", "--set", "lbar=1"),
                  ("no-such-command",),
                  ()):
         code, lines = run_cli(capsys, *argv)
@@ -648,3 +656,24 @@ def test_the_window_cap_refuses_exactly_the_capped_checks(monkeypatch, capsys,
         "hom-dims": "hom-dims needs a window of at most 8, not 12",
         "closed-forms": "closed-forms needs a window of at most 7, not 12",
     }
+
+
+ACT_E1 = ("act", "--basis", "w", "--gen", "e1",
+          "--element", '{"terms":[{"k":0,"l":0,"m":0,"c":"1"}]}')
+
+
+@pytest.mark.parametrize("flag, value, before, after", [
+    ("--mu1", "-1/3", (), ("--mu2", "1/5", *ACT_E1)),
+    ("--mu2", "-1/2", (), ACT_E1),
+    ("--start", "-1,0,0", ("generate",), ()),
+    ("--seed", "-1,0,0", ("hom", "--source", "full", "--target", "dual:full",
+                          "--window", "2", "--recurrence"), ()),
+])
+def test_a_negative_value_may_follow_its_flag(capsys, flag, value, before, after):
+    """argparse reads "-1/3" after a flag as a flag; the CLI takes it as the
+    value, as it takes "--mu1=-1/3"."""
+    assert main([*before, f"{flag}={value}", *after]) == 0
+    joined = capsys.readouterr().out
+    assert main([*before, flag, value, *after]) == 0
+    assert capsys.readouterr().out == joined
+

@@ -107,6 +107,14 @@ def test_casimir_word_shape():
     assert words[("h1", "h2")] == Fraction(1, 3)
     assert len(terms) == 10
     assert liealg.casimir_word() is terms  # built once, then shared
+    # the whole tuple, in order and with Fraction coefficients
+    one, third = Fraction(1), Fraction(1, 3)
+    assert [(type(c), c, w) for c, w in terms] == [(Fraction, c, w) for c, w in (
+        (one, ("e1", "f1")), (one, ("e2", "f2")), (one, ("e12", "f12")),
+        (one, ("f1", "e1")), (one, ("f2", "e2")), (one, ("f12", "e12")),
+        (2 * third, ("h1", "h1")), (third, ("h1", "h2")),
+        (third, ("h2", "h1")), (2 * third, ("h2", "h2")),
+    )]
 
 
 def test_trace_form_pairs_opposite_roots():

@@ -1,11 +1,56 @@
 import random
 from fractions import Fraction
 
-from gtsl3 import liealg
+from gtsl3 import liealg, registry, sections
 from gtsl3.module import ModuleElement, Params, act, u_vector
 from gtsl3.sections import act_section
 
 P = Params(Fraction(1, 3), Fraction(1, 5))
+
+# The fields typed by hand from the chart, the oracle of their derivation
+# from the 3x3 matrices: (coefficient, (p, q, r), variable) stands for
+# coefficient * x1^p x2^q x3^r * d/dx_variable.
+X1, X2, X3 = 1, 2, 3
+HAND_FIELDS = {
+    "e1": [(-1, (0, 0, 0), X1)],
+    "e2": [(-1, (0, 0, 0), X2), (1, (1, 0, 0), X3)],
+    "e12": [(-1, (0, 0, 0), X3)],
+    "f1": [
+        (1, (2, 0, 0), X1),
+        (-1, (0, 0, 1), X2),
+        (-1, (1, 1, 0), X2),
+        (1, (1, 0, 1), X3),
+    ],
+    "f2": [(1, (0, 2, 0), X2), (1, (0, 0, 1), X1)],
+    "f12": [
+        (1, (1, 0, 1), X1),
+        (1, (0, 1, 1), X2),
+        (1, (1, 2, 0), X2),
+        (1, (0, 0, 2), X3),
+    ],
+    # a(h) = -a1(h) x1 d1 - a2(h) x2 d2 - (a1+a2)(h) x3 d3 for h in the
+    # Cartan; h1 and h2 rows use a1 = (2, -1), a2 = (-1, 2)
+    "h1": [(-2, (1, 0, 0), X1), (1, (0, 1, 0), X2), (-1, (0, 0, 1), X3)],
+    "h2": [(1, (1, 0, 0), X1), (-2, (0, 1, 0), X2), (-1, (0, 0, 1), X3)],
+}
+
+
+def test_derived_vector_fields_equal_the_hand_typed_table():
+    assert list(sections.VECTOR_FIELDS) == list(liealg.GENERATORS)
+    for gen, field in sections.VECTOR_FIELDS.items():
+        assert len(field) == len(set(field))
+        assert set(field) == set(HAND_FIELDS[gen]), gen
+
+
+def test_a_wrong_matrix_makes_the_oracle_check_fail(monkeypatch):
+    assert registry.run_check("oracle-equivalence")["verdict"] == "pass"
+    monkeypatch.setitem(liealg._E, "f1", liealg._E["f12"])  # E31, not E21
+    fields = {g: sections._field(liealg.matrix_oracle(g)) for g in liealg.GENERATORS}
+    assert set(fields["f1"]) != set(HAND_FIELDS["f1"])
+    assert {g: f for g, f in fields.items() if g != "f1"} == {
+        g: f for g, f in sections.VECTOR_FIELDS.items() if g != "f1"}
+    monkeypatch.setattr(sections, "VECTOR_FIELDS", fields)
+    assert registry.run_check("oracle-equivalence")["verdict"] == "fail"
 
 
 def test_twisted_derivative_rule():
