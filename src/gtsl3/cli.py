@@ -117,11 +117,8 @@ def _emit(obj) -> None:
 
 def cmd_act(args) -> int:
     v = _load_element(args, args.element, args.basis)
-    word = []
-    if args.word:
-        word = [g.strip() for g in args.word.split(",") if g.strip()]
-    elif args.gen:
-        word = [args.gen]
+    word = [args.gen] if args.gen is not None else [
+        g.strip() for g in args.word.split(",") if g.strip()]
     out = act_word(word, v)
     _emit(element_to_json(out))
     return 0
@@ -147,6 +144,8 @@ def cmd_pair(args) -> int:
 
 
 def cmd_hom(args) -> int:
+    if args.seed is not None and not args.recurrence:
+        raise ValueError("--seed needs --recurrence: only the recurrence starts from a seed")
     params = _params_from_args(args)
     source = _descriptor(args.source, params)
     target = _descriptor(args.target, params)
@@ -266,8 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("act", help="apply a generator or word to an element")
     p.add_argument("--basis", choices=("u", "w", "eta"),
                    help="basis tag when the element JSON omits one")
-    p.add_argument("--gen", help="one of e1,e2,e12,f1,f2,f12,h1,h2")
-    p.add_argument("--word", help="comma-separated word, leftmost acts last")
+    word = p.add_mutually_exclusive_group(required=True)
+    word.add_argument("--gen", help="one of e1,e2,e12,f1,f2,f12,h1,h2")
+    word.add_argument("--word", help="comma-separated word, leftmost acts last")
     p.add_argument("--element", required=True, help="element JSON, or - for stdin")
     p.set_defaults(func=cmd_act)
 
@@ -287,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=_radius, default=4)
     p.add_argument("--recurrence", action="store_true",
                    help="propagate ratio recurrences from a seed instead of solving")
-    p.add_argument("--seed", help="k,l,m of the seed index; default the window centre")
+    p.add_argument("--seed", help="k,l,m of the seed index, with --recurrence; "
+                   "default the window centre")
     p.set_defaults(func=cmd_hom)
 
     p = sub.add_parser("generate", help="BFS generation certificate")

@@ -20,19 +20,25 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .errors import BasisMismatch
 from .hom import solve_intertwiner
 from .module import Box, ModuleElement, Params, gt_eigenvalue, table_action
+from .scalars import combine
 from .subquotient import LBarSet, ModuleDescriptor, act_truncated, is_closed
 
 
 def split_eigencomponents(v: ModuleElement):
-    """Group a vector into simultaneous eigencomponents of (h1, h2, f12 e12).
+    """Group a w- or eta-vector into simultaneous eigencomponents of
+    (h1, h2, f12 e12).  u-vectors are refused: they are not eigenvectors
+    of f12 e12.
 
     Returns (components, separator) where components is a list of
     (eigenvalue triple, element) and separator = (a, b, c) are coordinates
     of an element a*h1 + b*h2 + c*f12e12 taking pairwise distinct values on
     the components.
     """
+    if v.basis == "u":
+        raise BasisMismatch("eigencomponents are split in the w- or eta-basis")
     p = v.params
     groups = []
     for idx, c in v.items():
@@ -165,10 +171,7 @@ def characters_agree(lhs: dict, rhs: dict, r: int):
 
 
 def character_difference(lhs: dict, rhs: dict) -> dict:
-    out = dict(lhs)
-    for key, v in rhs.items():
-        out[key] = out.get(key, 0) - v
-    return {k: v for k, v in out.items() if v}
+    return combine(itertools.chain(lhs.items(), ((key, -v) for key, v in rhs.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +224,7 @@ LAYER_WINDOW = 3  # cases 4 and 5 generate the layer and solve Hom on this radiu
 def _shows(desc: ModuleDescriptor, display: dict, strip) -> bool:
     """Is the truncated action of each displayed generator, on each basis
     vector of the strip, the display read by the ACTION_TABLE rule?"""
-    shown = table_action(display, generic=False)
+    shown = table_action(display)
     for idx in strip:
         v = desc.element({idx: Fraction(1)})
         for gen in display:

@@ -49,7 +49,7 @@ from fractions import Fraction
 
 from .errors import ObstructionAtIndex
 from .module import AXIS_PAIRS, OFF_DIAGONAL, Box, Params
-from .scalars import raising_factorial, scalar_is_zero
+from .scalars import raising_factorial
 from .solver import nullspace
 from .subquotient import LBarSet, ModuleDescriptor, lbar_coordinates
 
@@ -68,7 +68,7 @@ class HomSolution:
 
     def normalized(self) -> "HomSolution":
         for idx in sorted(self.x):
-            if not scalar_is_zero(self.x[idx]):
+            if self.x[idx]:
                 pivot = self.x[idx]
                 scaled = {i: v / pivot for i, v in self.x.items()}
                 return HomSolution(self.source, self.target, self.box, scaled)
@@ -76,8 +76,6 @@ class HomSolution:
 
 
 def _check_problem(source: ModuleDescriptor, target: ModuleDescriptor):
-    source.validate()
-    target.validate()
     if source.params != target.params:
         raise ValueError("source and target need equal parameters")
     if source.J != target.J:
@@ -152,7 +150,7 @@ def _forest_nullspace(rows, columns):
     basis = nullspace(forest, columns)
     home = {c: n for n, vec in enumerate(basis) for c in vec}
     broken = {home[c] for row in cycles if (c := next(iter(row))) in home
-              and not scalar_is_zero(_residual(row, basis[home[c]]))}
+              and _residual(row, basis[home[c]])}
     return [vec for n, vec in enumerate(basis) if n not in broken]
 
 
@@ -170,7 +168,7 @@ def solve_intertwiner(source, target, box: Box):
 def verify_solution(sol: HomSolution):
     """Violated equations for a coefficient family; empty list means exact."""
     indices, rows = intertwiner_equations(sol.source, sol.target, sol.box)
-    return [row for row in rows if not scalar_is_zero(_residual(row, sol.x))]
+    return [row for row in rows if _residual(row, sol.x)]
 
 
 def solve_by_recurrence(source, target, seed_idx, seed_value, box: Box):
@@ -233,7 +231,7 @@ def image_kernel(sol: HomSolution):
     nonzero = {}
     for idx in sol.source.indices(box):
         lev = lbar_coordinates(idx, p)[1]
-        val = not scalar_is_zero(sol.x.get(idx, 0))
+        val = bool(sol.x.get(idx, 0))
         if lev in nonzero and nonzero[lev] != val:
             return None, None
         nonzero[lev] = val
@@ -354,9 +352,5 @@ def family_solution(name: str, source, target, box: Box) -> HomSolution:
     """Evaluate one named closed-form family over a window."""
     fn = CLOSED_FORMS[name]
     p = source.params
-    x = {}
-    for idx in source.indices(box):
-        v = fn(idx, p)
-        if not scalar_is_zero(v):
-            x[idx] = v
+    x = {idx: v for idx in source.indices(box) if (v := fn(idx, p))}
     return HomSolution(source, target, box, x)

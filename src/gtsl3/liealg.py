@@ -15,10 +15,11 @@ on all 64 basis pairs.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import cache
 
-from .scalars import scalar_is_zero
+from .scalars import combine
 
 GENERATORS = ("e1", "e2", "e12", "f1", "f2", "f12", "h1", "h2")
 
@@ -95,23 +96,13 @@ ALPHA2 = (CARTAN_MATRIX[(2, 1)], CARTAN_MATRIX[(2, 2)])
 
 
 def lie_add(x: dict, y: dict) -> dict:
-    out = dict(x)
-    for g, c in y.items():
-        s = out.get(g, 0) + c
-        if scalar_is_zero(s):
-            out.pop(g, None)
-        else:
-            out[g] = s
-    return out
+    return combine(itertools.chain(x.items(), y.items()))
 
 
 def bracket(x: dict, y: dict) -> dict:
     """Bilinear extension of the structure-constant table."""
-    out = {}
-    for gx, cx in x.items():
-        for gy, cy in y.items():
-            out = lie_add(out, {g: cx * cy * c for g, c in STRUCTURE[(gx, gy)].items()})
-    return out
+    return combine((g, cx * cy * c) for gx, cx in x.items() for gy, cy in y.items()
+                   for g, c in STRUCTURE[(gx, gy)].items())
 
 
 _TAU = {
@@ -130,11 +121,7 @@ def tau(x) -> dict:
     """The standard involution, extended linearly."""
     if isinstance(x, str):
         return dict(_TAU[x])
-    out = {}
-    for g, c in x.items():
-        for h, s in _TAU[g].items():
-            out[h] = out.get(h, 0) + c * s
-    return {g: c for g, c in out.items() if not scalar_is_zero(c)}
+    return combine((h, c * s) for g, c in x.items() for h, s in _TAU[g].items())
 
 
 def trace_form(x: str, y: str) -> int:

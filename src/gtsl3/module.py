@@ -13,20 +13,14 @@ windows enter only in the search and solve layers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import liealg
 from .errors import BasisMismatch, NonGenericParameters, RequiresIntegralMu2
-from .scalars import (
-    MU1,
-    MU2,
-    RatFunc,
-    raising_factorial,
-    scalar_is_integer,
-    scalar_is_zero,
-)
+from .scalars import MU1, MU2, RatFunc, combine, raising_factorial, scalar_is_integer
 
 _UNKNOWN = object()  # a Params fact not yet worked out
 
@@ -42,9 +36,11 @@ class Params:
     Either both parameters are exact rationals (specialized mode) or at
     least one is a rational function (symbolic mode).  A symbolic parameter
     may still be an integer constant -- e.g. mu2 = 0 with mu1 left symbolic
-    -- and the predicates see through that exactly.  What the per-vector
-    actions consult, whether mu1 + mu2 is integral, the integer value of
-    mu2 and each kbar and lbar, is worked out on first use and then kept;
+    -- and the predicates see through that exactly.  What elements,
+    descriptors and the per-vector actions consult, whether mu1 + mu2 is
+    integral, the integer value of mu2 and each kbar and lbar, is worked
+    out on first use and then kept (not in __init__, which would add
+    RatFunc operations to every symbolic Params made);
     the kbar and lbar caches hold one value per k or l asked for, so they
     grow with a window's width, not its volume.
     """
@@ -151,7 +147,10 @@ class ModuleElement:
     """Finitely supported vector over one of the bases u, w, eta.
 
     Immutable by convention: operations return fresh elements, and stored
-    coefficients are exact and nonzero.
+    coefficients are exact and nonzero.  The w- and eta-bases exist only
+    off mu1 + mu2 in Z, so no element of them, not even zero, is made there;
+    every other operation on w or eta starts from such an element or from a
+    ModuleDescriptor, which refuses the same parameters.
     """
 
     __slots__ = ("params", "basis", "terms")
@@ -159,6 +158,8 @@ class ModuleElement:
     def __init__(self, params: Params, basis: str, terms=None):
         if basis not in ("u", "w", "eta"):
             raise ValueError(f"unknown basis {basis!r}")
+        if basis != "u":
+            params.require_generic_sum()
         self.params = params
         self.basis = basis
         data = {}
@@ -166,7 +167,7 @@ class ModuleElement:
             for idx, c in terms.items():
                 if idx[2] < 0:
                     raise ValueError(f"index {idx} has m < 0")
-                if not scalar_is_zero(c):
+                if c:
                     data[idx] = c
         self.terms = data
 
@@ -187,15 +188,9 @@ class ModuleElement:
 
     def __add__(self, other):
         self._check_compatible(other)
-        terms = dict(self.terms)
-        for idx, c in other.terms.items():
-            s = terms.get(idx, 0) + c
-            if scalar_is_zero(s):
-                terms.pop(idx, None)
-            else:
-                terms[idx] = s
         out = ModuleElement.__new__(ModuleElement)
-        out.params, out.basis, out.terms = self.params, self.basis, terms
+        out.params, out.basis = self.params, self.basis
+        out.terms = combine(itertools.chain(self.terms.items(), other.terms.items()))
         return out
 
     def __neg__(self):
@@ -208,7 +203,7 @@ class ModuleElement:
         return self + (-other)
 
     def scale(self, c) -> "ModuleElement":
-        if scalar_is_zero(c):
+        if not c:
             return ModuleElement(self.params, self.basis)
         out = ModuleElement.__new__(ModuleElement)
         out.params, out.basis = self.params, self.basis
@@ -237,8 +232,6 @@ class ModuleElement:
 
 
 def basis_vector(params: Params, basis: str, idx) -> ModuleElement:
-    if basis == "w":
-        params.require_generic_sum()
     return ModuleElement(params, basis, {tuple(idx): Fraction(1)})
 
 
@@ -325,16 +318,16 @@ ACTION_TABLE = {
 }
 
 
-def table_action(table: dict, generic: bool):
+def table_action(table: dict):
     """The (gen, params, idx[, want]) -> [(index, coefficient), ...] action
     read from a table shaped as ACTION_TABLE[basis], at call time.  A target
     with m < 0, or one that the optional predicate want(target) rejects, is
     dropped before its coefficient is evaluated, and a zero coefficient
-    after.  A generic action needs mu1 + mu2 not in Z."""
+    after.  It checks no parameters: the w- and eta-tables are read for an
+    element or a descriptor, which refuse mu1 + mu2 in Z when they are
+    made, and by gt_eigenvalue, which is defined there too."""
 
     def action(gen: str, p: Params, idx, want=None):
-        if generic:
-            p.require_generic_sum()
         entry = table.get(gen)
         if entry is None:
             raise ValueError(f"unknown generator {gen!r}")
@@ -346,33 +339,28 @@ def table_action(table: dict, generic: bool):
             jdx = (k + dk, l + dl, m + dm)
             if m + dm >= 0 and (want is None or want(jdx)):
                 c = coefficient(kb, lb, m)
-                if not scalar_is_zero(c):
+                if c:
                     out.append((jdx, c))
         return out
 
     return action
 
 
-# the w- and eta-bases need mu1 + mu2 not in Z
-BASIS_ACTIONS = {basis: table_action(table, basis != "u")
-                 for basis, table in ACTION_TABLE.items()}
-_ungated_w = table_action(ACTION_TABLE["w"], generic=False)  # for gt_eigenvalue
+BASIS_ACTIONS = {basis: table_action(table) for basis, table in ACTION_TABLE.items()}
 
 
 def accumulate(v: ModuleElement, expand, basis: str) -> ModuleElement:
     """Sum c * a over the (target, a) pairs expand(idx) lists for each term
     c of v at idx, dropping zero sums; the result is read in `basis`."""
-    terms = {}
-    for idx, c in v.terms.items():
-        for jdx, a in expand(idx):
-            s = c * a
-            if jdx in terms:
-                s = terms[jdx] + s
-            if scalar_is_zero(s):
-                terms.pop(jdx, None)
-            else:
-                terms[jdx] = s
-    return ModuleElement(v.params, basis, terms)
+    return ModuleElement(v.params, basis, combine(
+        (jdx, c * a) for idx, c in v.terms.items() for jdx, a in expand(idx)))
+
+
+def linear_combination(v: ModuleElement, scaled) -> ModuleElement:
+    """The sum of c * x over the (c, x) pairs, elements with v's parameters
+    and basis; zero when there are none."""
+    return ModuleElement(v.params, v.basis, combine(
+        (idx, c * a) for c, x in scaled for idx, a in x.terms.items()))
 
 
 def act(gen: str, v: ModuleElement) -> ModuleElement:
@@ -384,10 +372,7 @@ def act(gen: str, v: ModuleElement) -> ModuleElement:
 
 def act_lie(x: dict, v: ModuleElement) -> ModuleElement:
     """Linear extension to an arbitrary Lie algebra element {gen: coeff}."""
-    out = ModuleElement(v.params, v.basis)
-    for gen, c in x.items():
-        out = out + act(gen, v).scale(c)
-    return out
+    return linear_combination(v, ((c, act(gen, v)) for gen, c in x.items()))
 
 
 def act_word(word, v: ModuleElement) -> ModuleElement:
@@ -399,20 +384,18 @@ def act_word(word, v: ModuleElement) -> ModuleElement:
 
 
 def casimir_apply(v: ModuleElement) -> ModuleElement:
-    out = ModuleElement(v.params, v.basis)
-    for c, word in liealg.casimir_word():
-        out = out + act_word(word, v).scale(c)
-    return out
+    return linear_combination(v, ((c, act_word(word, v)) for c, word in liealg.casimir_word()))
 
 
 def gt_eigenvalue(idx, p: Params):
     """Eigenvalue triple of (h1, h2, f12*e12) on the w-basis vector at idx,
-    read from the w-table with no genericity gate, so that it is defined
+    read from the w-table, which checks no parameters, so that it is defined
     where mu1 + mu2 is an integer too; f12*e12 is e12's entry followed by
     f12's at its target.  The eta-vector at idx carries the same triple."""
-    h1, h2 = (dict(_ungated_w(h, p, idx)).get(idx, 0) for h in ("h1", "h2"))  # 0 dropped
-    f12e12 = sum(down * up for jdx, down in _ungated_w("e12", p, idx)  # none at m = 0
-                 for _, up in _ungated_w("f12", p, jdx, idx.__eq__))
+    w = BASIS_ACTIONS["w"]
+    h1, h2 = (dict(w(h, p, idx)).get(idx, 0) for h in ("h1", "h2"))  # 0 dropped
+    f12e12 = sum(down * up for jdx, down in w("e12", p, idx)  # none at m = 0
+                 for _, up in w("f12", p, jdx, idx.__eq__))
     return (h1, h2, f12e12)
 
 
@@ -427,9 +410,7 @@ def pairing(d: ModuleElement, v: ModuleElement):
         other = v.terms.get(idx)
         if other is not None:
             total = total + c * other
-    if scalar_is_zero(total):
-        return Fraction(0)
-    return total
+    return total or Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +438,7 @@ def _change_basis(v: ModuleElement, source: str, target: str, sign: int, shift: 
                 * raising_factorial(lb, n)
                 / raising_factorial(s_n, n)
             )
-            if not scalar_is_zero(a):
+            if a:
                 yield (k + n, l + n, m - n), a
 
     return accumulate(v, expand, target)

@@ -92,6 +92,7 @@ from .module import (
     act,
     casimir_apply,
     gt_eigenvalue,
+    linear_combination,
     u_to_w,
     w_to_u,
 )
@@ -148,9 +149,7 @@ def _bracket_compat(elements):
         xyv = {(x, y): act(x, xv[y]) for x in gens for y in gens if x != y}
         fails = set()
         for x, y in combinations(gens, 2):
-            lhs = ModuleElement(v.params, v.basis)
-            for g, c in brackets[x, y].items():
-                lhs = lhs + xv[g].scale(c)
+            lhs = linear_combination(v, ((c, xv[g]) for g, c in brackets[x, y].items()))
             if lhs != xyv[x, y] - xyv[y, x]:
                 fails.update(((x, y), (y, x)))
         failing.append(fails)

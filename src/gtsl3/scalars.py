@@ -320,10 +320,7 @@ class RatFunc:
             raise ZeroDivisionError("rational function with zero denominator")
         self.num, self.den = _normal(num, den, primitive=False)
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __bool__(self):
+    def __bool__(self):  # false exactly at zero, as for int and Fraction
         return not self.num.is_zero()
 
     def __add__(self, other):
@@ -491,10 +488,20 @@ def raising_factorial(x, n: int):
     return out if n else Fraction(1)
 
 
-def scalar_is_zero(x) -> bool:
-    if isinstance(x, RatFunc):
-        return x.is_zero()
-    return x == 0
+def combine(pairs) -> dict:
+    """{key: sum of its coefficients} over (key, coefficient) pairs, with
+    every zero sum dropped.  Each sum is added up in the order the pairs
+    come, and a key whose sum is zero is removed at once, so a later pair
+    starts it afresh.  int, Fraction and RatFunc are false exactly at zero."""
+    out = {}
+    for key, c in pairs:
+        if key in out:
+            c = out[key] + c
+        if c:
+            out[key] = c
+        else:
+            out.pop(key, None)
+    return out
 
 
 def scalar_as_fraction(x):
@@ -524,7 +531,7 @@ def _parse_poly(text: str) -> BiPoly:
     if not text:
         raise ValueError("empty polynomial")
     pieces = re.findall(r"[+-]?[^+-]+", text)
-    terms = {}
+    terms = []
     for piece in pieces:
         sign = 1
         if piece[0] in "+-":
@@ -541,9 +548,8 @@ def _parse_poly(text: str) -> BiPoly:
                 a += e
             else:
                 b += e
-        key = (a, b)
-        terms[key] = terms.get(key, Fraction(0)) + sign * coeff
-    return BiPoly(terms)
+        terms.append(((a, b), sign * coeff))
+    return BiPoly(combine(terms))
 
 
 def parse_scalar(text: str):

@@ -30,16 +30,13 @@ from operator import add
 
 from . import liealg
 from .module import ModuleElement, Params, accumulate
+from .scalars import combine
 
 _X1, _X2, _X3 = 1, 2, 3
 
 
 def _poly_sum(polys):
-    out = {}
-    for poly in polys:
-        for e, c in poly.items():
-            out[e] = out.get(e, 0) + c
-    return {e: c for e, c in out.items() if c}
+    return combine(term for poly in polys for term in poly.items())
 
 
 def _mat_mul(a, b):

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import scalar_is_zero
-
 
 def _reduce(row: dict, pivots: dict) -> dict:
     """Eliminate the row's leading column against known pivots until it is
@@ -28,10 +26,10 @@ def _reduce(row: dict, pivots: dict) -> dict:
             if c == col:
                 continue
             s = row.get(c, 0) - factor * v
-            if scalar_is_zero(s):
-                row.pop(c, None)
-            else:
+            if s:
                 row[c] = s
+            else:
+                row.pop(c, None)
     return row
 
 
@@ -45,7 +43,7 @@ def nullspace(rows, columns):
     pos = {c: i for i, c in enumerate(columns)}
     pivots = {}
     for raw in rows:
-        row = {pos[c]: v for c, v in raw.items() if not scalar_is_zero(v)}
+        row = {pos[c]: v for c, v in raw.items() if v}
         row = _reduce(row, pivots)
         if row:
             col = min(row)
@@ -64,12 +62,12 @@ def nullspace(rows, columns):
                 xc = x.get(c)
                 if xc is not None:
                     total = total + v * xc
-            if not scalar_is_zero(total):
+            if total:
                 x[col] = -total
         vec = {}
         for c, i in pos.items():
             v = x.get(i)
-            if v is not None and not scalar_is_zero(v):
+            if v:
                 vec[c] = v
         basis.append(vec)
     return basis

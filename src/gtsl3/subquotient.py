@@ -154,20 +154,23 @@ def lbar_coordinates(idx, p: Params):
 
 @dataclass
 class ModuleDescriptor:
-    """A (sub)quotient of the module (w-basis) or of its dual (eta-basis)."""
+    """A (sub)quotient of the module (w-basis) or of its dual (eta-basis).
+
+    Made only off mu1 + mu2 in Z, where the w- and eta-bases exist, and,
+    when J is given, only for mu2 in Z, since J reads lbar."""
 
     params: Params
     dual: bool = False
     J: LBarSet | None = None
 
-    @property
-    def basis(self) -> str:
-        return "eta" if self.dual else "w"
-
-    def validate(self):
+    def __post_init__(self):
         self.params.require_generic_sum()
         if self.J is not None:
             self.params.mu2_int()
+
+    @property
+    def basis(self) -> str:
+        return "eta" if self.dual else "w"
 
     def contains(self, idx) -> bool:
         return self.J is None or self.J.contains(lbar_coordinates(idx, self.params)[1])
@@ -213,7 +216,6 @@ def act_truncated(gen: str, v: ModuleElement, J: LBarSet) -> ModuleElement:
     must lie in J."""
     if v.basis not in ("w", "eta"):
         raise BasisMismatch("subquotients live in the w- or eta-basis")
-    v.params.mu2_int()  # J reads lbar, even on the zero vector
     desc = ModuleDescriptor(v.params, v.basis == "eta", J)
     for idx in v.terms:
         if not desc.contains(idx):

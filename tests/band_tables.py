@@ -10,7 +10,6 @@ from fractions import Fraction
 
 from gtsl3.errors import BasisMismatch
 from gtsl3.module import ModuleElement, Params
-from gtsl3.scalars import scalar_is_zero
 
 
 def act_l01_w_basis(gen: str, p: Params, idx):
@@ -118,8 +117,8 @@ def act_l01_fastpath(gen: str, v: ModuleElement) -> ModuleElement:
     for idx, c in v.terms.items():
         for jdx, a in table(gen, p, idx):
             s = terms.get(jdx, 0) + c * a
-            if scalar_is_zero(s):
-                terms.pop(jdx, None)
-            else:
+            if s:
                 terms[jdx] = s
+            else:
+                terms.pop(jdx, None)
     return ModuleElement(p, v.basis, terms)

@@ -241,14 +241,32 @@ def test_invalid_element_json_exits_2(capsys):
     assert "error" in lines[0]
 
 
+ONE_TERM = '{"terms": [{"k": 0, "l": 0, "m": 0, "c": "1"}]}'
+NO_TERMS = '{"terms": []}'
+
+
 def test_nongeneric_parameters_exit_2(capsys):
     bad = json.dumps(
         {"basis": "w", "mu1": "1/3", "mu2": "2/3",
          "terms": [{"k": 0, "l": 0, "m": 0, "c": "1"}]}
     )
-    code, lines = run_cli(capsys, "act", "--gen", "e1", "--element", bad)
-    assert code == 2
-    assert lines[0]["error"] == "NonGenericParameters"
+    for argv in (("act", "--gen", "e1", "--element", bad),
+                 ("act", "--basis", "eta", "--gen", "e1", "--element", NO_TERMS),
+                 ("act", "--basis", "w", "--word", "", "--element", ONE_TERM),
+                 ("pair", "--eta", NO_TERMS, "--w", NO_TERMS),
+                 ("pair", "--eta", ONE_TERM, "--w", ONE_TERM),
+                 ("change-basis", "--to", "w", "--element", '{"basis": "u", "terms": []}'),
+                 ("hom", "--source", "full", "--target", "dual:full", "--window", "1"),
+                 ("generate", "--start", "0,0,0", "--window", "1")):
+        code, lines = run_cli(capsys, "--mu1", "1/3", "--mu2", "2/3", *argv)
+        assert code == 2, argv
+        assert lines[0]["error"] == "NonGenericParameters", argv
+    # the u-basis exists on the line
+    code, lines = run_cli(capsys, "--mu1", "1/3", "--mu2", "2/3", "act", "--basis", "u",
+                          "--gen", "f1", "--element", ONE_TERM)
+    assert code == 0
+    assert lines[0]["terms"] == [{"k": 0, "l": -1, "m": 1, "c": "2/3"},
+                                 {"k": 1, "l": 0, "m": 0, "c": "1/3"}]
 
 
 def test_symbolic_element_roundtrip(capsys):
@@ -380,6 +398,11 @@ def test_malformed_flags_exit_2_with_an_error_json(capsys):
                  ("--mu1", "-x/3", "act", "--basis", "w", "--gen", "e1",
                   "--element", '{"terms": []}'),
                  ("--mu2", "--symbolic", "classify", "--set", "lbar=1"),
+                 ("hom", "--source", "full", "--target", "dual:full", "--seed", "0,0,0"),
+                 ("hom", "--source", "full", "--target", "dual:full", "--seed", "garbage"),
+                 ("act", "--basis", "w", "--gen", "e1", "--word", "f1",
+                  "--element", '{"terms": []}'),
+                 ("act", "--basis", "w", "--element", '{"terms": []}'),
                  ("no-such-command",),
                  ()):
         code, lines = run_cli(capsys, *argv)

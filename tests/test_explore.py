@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from gtsl3 import explore, liealg
+from gtsl3.errors import BasisMismatch
 from gtsl3.explore import (
     character_table,
     characters_agree,
@@ -39,11 +40,14 @@ class TestEigensplit:
         assert len(comps) == 1
         assert comps[0][1].terms == {(0, 0, 0): Fraction(3)}
 
-    def test_collision_parameters_need_a_casimir_style_separator(self):
+    def test_u_vectors_are_refused(self):
+        # f12 e12 u_(0,0,1) = -(kbar+lbar) u_(0,0,1) - lbar u_(1,1,0): no eigenvector
         pc = Params(Fraction(1, 3), Fraction(2, 3))
         v = ModuleElement(pc, "u", {(0, 0, 3): Fraction(1), (2, 2, 1): Fraction(1)})
-        comps, _ = split_eigencomponents(v)
-        assert len(comps) == 1  # the triples genuinely collide there
+        with pytest.raises(BasisMismatch):
+            split_eigencomponents(v)
+        with pytest.raises(BasisMismatch):
+            split_eigencomponents(ModuleElement(PG, "u", {(0, 0, 1): Fraction(1)}))
 
 
 class TestGeneration:

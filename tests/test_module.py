@@ -228,24 +228,33 @@ def test_casimir_scalar_is_constant_and_zero():
 
 def test_nongeneric_parameters_rejected_for_w():
     bad = Params(Fraction(1, 3), Fraction(2, 3))
-    with pytest.raises(NonGenericParameters):
-        w_vector(bad, 0, 0, 0)
-    with pytest.raises(NonGenericParameters):
-        act("e1", ModuleElement(bad, "w", {(0, 0, 0): Fraction(1)}))
-    with pytest.raises(NonGenericParameters):
-        u_to_w(u_vector(bad, 0, 0, 0))
-    # the u-basis action needs no genericity at all
-    act("f1", u_vector(bad, 0, 0, 0))
+    for make in (lambda: w_vector(bad, 0, 0, 0),
+                 lambda: eta_vector(bad, 0, 0, 0),
+                 lambda: ModuleElement(bad, "w", {(0, 0, 0): Fraction(1)}),
+                 lambda: ModuleElement(bad, "w", {}),
+                 lambda: ModuleElement(bad, "eta", {}),
+                 lambda: ModuleDescriptor(bad),
+                 lambda: ModuleDescriptor(bad, dual=True),
+                 lambda: u_to_w(u_vector(bad, 0, 0, 0)),
+                 lambda: u_to_w(ModuleElement(bad, "u"))):
+        with pytest.raises(NonGenericParameters):
+            make()
+    # the u-basis action needs no genericity at all, and gt_eigenvalue
+    # answers on the line too
+    assert act("f1", u_vector(bad, 0, 0, 0)) == ModuleElement(
+        bad, "u", {(1, 0, 0): Fraction(1, 3), (0, -1, 1): Fraction(2, 3)})
+    assert casimir_apply(ModuleElement(bad, "u")).is_zero()
+    # (-2 kbar + lbar - m, kbar - 2 lbar - m, -m (kbar + lbar + m - 1)) at (0, 0, 1)
+    assert gt_eigenvalue((0, 0, 1), bad) == (-1, 0, 1)
 
 
 def test_genericity_is_enforced_on_every_call():
     bad = Params(Fraction(1, 3), Fraction(2, 3))
-    w = ModuleElement(bad, "w", {(0, 0, 0): Fraction(1)})
     for _ in range(2):  # the first call works the fact out, the second reads it
         with pytest.raises(NonGenericParameters):
-            act("e1", w)
+            act("e1", ModuleElement(bad, "w", {(0, 0, 0): Fraction(1)}))
         with pytest.raises(NonGenericParameters):
-            w_to_u(w)
+            w_to_u(ModuleElement(bad, "w", {(0, 0, 0): Fraction(1)}))
         with pytest.raises(NonGenericParameters):
             solve_intertwiner(ModuleDescriptor(bad, dual=True),
                               ModuleDescriptor(bad), Box.radius(2))

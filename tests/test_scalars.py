@@ -76,7 +76,7 @@ def test_field_axioms_randomized():
         assert a * (b + c) == a * b + a * c
         assert a + b == b + a
         assert a * b == b * a
-        if not a.is_zero():
+        if a:
             assert a * (1 / a) == 1
         assert a + (-a) == 0
 
@@ -193,7 +193,7 @@ def _constructor_results(a, b):
         "-": RatFunc(minus, den),
         "*": RatFunc(a.num * b.num, a.den * b.den),
     }
-    if not b.is_zero():
+    if b:
         out["/"] = RatFunc(a.num * b.den, a.den * b.num)
     return out
 
@@ -204,7 +204,7 @@ def _equal_by_cross_multiplication(x, y):
 
 def _operations(a, b):
     out = {"+": a + b, "-": a - b, "*": a * b}
-    if not b.is_zero():
+    if b:
         out["/"] = a / b
     return out
 
