@@ -235,6 +235,28 @@ def test_verify_paper_unknown_check_is_a_usage_error(capsys):
         assert repr(name) in lines[0]["message"]
 
 
+@pytest.mark.parametrize("flags, named", [
+    (("--mu1", "1/2", "--symbolic"), "--mu1"),
+    (("--mu2", "0"), "--mu2"),
+    (("--symbolic",), "--symbolic"),
+])
+def test_verify_paper_refuses_the_parameter_flags(capsys, flags, named):
+    """Each check runs at its own pinned parameters, so a parameter flag
+    would be ignored; it is refused instead, before any check runs."""
+    code, lines = run_cli(capsys, *flags, "verify-paper", "--check", "lemma-collision")
+    assert _rejected(code, lines) and len(lines) == 1
+    assert named in lines[0]["message"]
+
+
+def test_verify_paper_reads_the_check_ids_when_it_runs(capsys, monkeypatch):
+    cli.build_parser()  # the shared parser exists before the registry changes
+    monkeypatch.setitem(registry.CHECKS, "added-check",
+                        registry.Check(lambda: (True, [])))
+    code, lines = run_cli(capsys, "verify-paper", "--check", "added-check")
+    assert code == 0
+    assert lines == [{"check": "added-check", "verdict": "pass", "witnesses": []}]
+
+
 def test_invalid_element_json_exits_2(capsys):
     code, lines = run_cli(capsys, "act", "--gen", "e1", "--element", "{not json")
     assert code == 2
@@ -700,3 +722,47 @@ def test_a_negative_value_may_follow_its_flag(capsys, flag, value, before, after
     assert main([*before, flag, value, *after]) == 0
     assert capsys.readouterr().out == joined
 
+
+def _fresh_process(argv):
+    """(exit code, stdout) of argv in a new python -m gtsl3.cli process."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-m", "gtsl3.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    return proc.returncode, proc.stdout
+
+
+def test_requests_in_one_process_answer_as_in_fresh_ones(capsys):
+    """The shared parser carries nothing from one request to the next: not
+    classify's mu2 = 0, not a parse that failed half way, not --symbolic."""
+    element = '{"terms":[{"k":0,"l":0,"m":0,"c":"1"}]}'
+    sequence = (
+        ("classify", "--set", "lbar=1"),
+        ("act", "--basis", "w", "--gen", "h1", "--element", element),
+        ("classify", "--set", "lbar=1", "--window", "abc"),
+        ("classify", "--set", "lbar=1", "--window", "2"),
+        ("--symbolic", "act", "--basis", "w", "--gen", "f12", "--element", element),
+        ("act", "--basis", "w", "--gen", "f12", "--element", element),
+    )
+    answers = []
+    for argv in sequence:
+        code = main(list(argv))
+        answers.append((code, capsys.readouterr().out))
+        assert answers[-1] == _fresh_process(argv), argv
+    assert json.loads(answers[1][1])["mu2"] == "1/5"
+    assert [code for code, _ in answers] == [0, 0, 2, 0, 0, 0]
+
+
+def test_twenty_requests_build_the_parser_once(capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    for _ in range(20):
+        assert main(list(ACT_E1)) == 0
+    capsys.readouterr()
+    assert built.count("gtsl3") == 1
