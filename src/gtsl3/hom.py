@@ -15,9 +15,9 @@ Each edge {a, j} of the index graph can give a row at both of its ends:
 from X at index a with target j, and from the opposite generator at j with
 target a.  The two rows are proportional, so ``intertwiner_equations``
 builds the first row on each edge and evaluates nothing more toward it.
-Between the module and its dual they are equal or negated: the eta-action
-is (X eta)(v) = -eta(tau(X) v), and tau(X) is the opposite generator
-(negated for e12 and f12), so the row built is the lower end's (j > a).
+Between the module and its dual they are equal or negated by construction:
+the eta-table is built from the w-table by (X eta)(v) = -eta(tau(X) v), with
+tau(X) = +-(opposite generator).  The row built is the lower end's (j > a).
 In a same-basis problem (plain->plain or dual->dual) source and target are
 one module and every row is c*(x_j - x_a); an edge has a row at one end
 only where the other end's coefficient vanishes.  A step of

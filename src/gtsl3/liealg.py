@@ -6,11 +6,11 @@ down.  Structure constants are not typed in by hand: they are generated at
 import time from it, which removes transcription risk; the test suite
 re-derives the table independently and checks the Jacobi identity on all
 512 basis triples.  The Casimir's dual basis is read off the same matrices,
-and so are the vector fields of ``sections``.
-
-tau (h_i -> -h_i, e_1 <-> f_1, e_2 <-> f_2, e_12 <-> -f_12) is validated by
-the oracle as a genuine automorphism: tau([x, y]) = [tau(x), tau(y)] holds
-on all 64 basis pairs.
+and so are the vector fields of ``sections`` and the involution tau
+(h_i -> -h_i, e_1 <-> f_1, e_2 <-> f_2, e_12 <-> -f_12), X -> -D X^T D with
+D = diag(1, -1, 1).  That is a composite of automorphisms, so
+tau([x, y]) = [tau(x), tau(y)] by construction; the tests keep tau typed
+by hand as the oracle.
 """
 
 from __future__ import annotations
@@ -105,16 +105,9 @@ def bracket(x: dict, y: dict) -> dict:
                    for g, c in STRUCTURE[(gx, gy)].items())
 
 
-_TAU = {
-    "h1": {"h1": Fraction(-1)},
-    "h2": {"h2": Fraction(-1)},
-    "e1": {"f1": Fraction(1)},
-    "f1": {"e1": Fraction(1)},
-    "e2": {"f2": Fraction(1)},
-    "f2": {"e2": Fraction(1)},
-    "e12": {"f12": Fraction(-1)},
-    "f12": {"e12": Fraction(-1)},
-}
+# tau(X) = -D X^T D with D = diag(1, -1, 1): entry (i, j) is -(-1)^(i+j) X_ji
+_TAU = {g: decompose(tuple(tuple(Fraction(-(-1) ** (i + j) * x[j][i]) for j in range(3))
+                           for i in range(3))) for g, x in _E.items()}
 
 
 def tau(x) -> dict:

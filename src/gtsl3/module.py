@@ -4,11 +4,11 @@ the dual, the pairing of the dual with the module, change of basis, and
 Gelfand-Tsetlin eigenvalue data.
 
 Indices are plain tuples (k, l, m).  The action in all three bases is one
-table, ACTION_TABLE, of index offsets and coefficients in (kbar, lbar, m),
-read by one rule for every caller; kbar = k - mu1 and lbar = l - mu2.  No
-offset moves an index by more than one step, so finite support is
-preserved and the full module action is computed exactly -- finite
-windows enter only in the search and solve layers.
+table, ACTION_TABLE, of index offsets and coefficients in kbar = k - mu1,
+lbar = l - mu2 and m, read by one rule; its eta-part is built from its
+w-part through tau.  No offset moves an index by more than one step, so
+finite support is preserved and the full module action is computed
+exactly -- finite windows enter only in the search and solve layers.
 """
 
 from __future__ import annotations
@@ -254,10 +254,6 @@ def _w_den(kb, lb):
     return (kb + lb) * (kb + lb - 1)
 
 
-def _eta_den(kb, lb):
-    return (kb + lb - 1) * (kb + lb - 2)
-
-
 # h1 and h2 act by the weight, the same in the u-, w- and eta-bases
 _WEIGHT = {
     "h1": (((0, 0, 0), lambda kb, lb, m: -2 * kb + lb - m),),
@@ -266,9 +262,7 @@ _WEIGHT = {
 
 # basis -> generator -> ((offset, coefficient(kbar, lbar, m)), ...): the
 # generator sends b_(k,l,m) to the sum of coefficient * b_((k,l,m) + offset).
-# The eta-basis is the dual's, with eta_{k,l,m}(w_{k,l,m}) = 1 and the
-# twist by the involution tau: (X eta)(v) = -eta(tau(X) v), as ``pairing``
-# checks.
+# The u- and w-tables hold the paper's formulas; eta's is derived below.
 ACTION_TABLE = {
     "u": {
         **_WEIGHT,
@@ -298,24 +292,30 @@ ACTION_TABLE = {
         "e12": (((0, 0, -1), lambda kb, lb, m: Fraction(-m)),),
         "f12": (((0, 0, 1), lambda kb, lb, m: kb + lb + m),),
     },
-    "eta": {
-        **_WEIGHT,
-        "e1": (((-1, 0, 0), lambda kb, lb, m:
-                -(kb - 1) * (kb - 2) * (kb + lb + m - 1) / _eta_den(kb, lb)),
-               ((0, 1, -1), lambda kb, lb, m: lb + 1)),
-        "e2": (((0, -1, 0), lambda kb, lb, m:
-                -(lb - 1) * (lb - 2) * (kb + lb + m - 1) / _eta_den(kb, lb)),
-               ((1, 0, -1), lambda kb, lb, m: -(kb + 1))),
-        "f1": (((1, 0, 0), lambda kb, lb, m: kb + 1),
-               ((0, -1, 1), lambda kb, lb, m:
-                (m + 1) * (lb - 1) * (lb - 2) / _eta_den(kb, lb))),
-        "f2": (((0, 1, 0), lambda kb, lb, m: lb + 1),
-               ((-1, 0, 1), lambda kb, lb, m:
-                -(m + 1) * (kb - 1) * (kb - 2) / _eta_den(kb, lb))),
-        "e12": (((0, 0, -1), lambda kb, lb, m: kb + lb + m - 1),),
-        "f12": (((0, 0, 1), lambda kb, lb, m: Fraction(-(m + 1))),),
-    },
 }
+
+
+def _transposed(c, dk, dl, dm, s):
+    """-s c(kbar - dk, lbar - dl, m - dm), s = +-1: one call frame and at most
+    one negation, or c itself where neither is needed."""
+    if s < 0 and not (dk or dl or dm):
+        return c
+    if s > 0:
+        return lambda kb, lb, m: -c(kb - dk if dk else kb, lb - dl if dl else lb, m - dm)
+    return lambda kb, lb, m: c(kb - dk if dk else kb, lb - dl if dl else lb, m - dm)
+
+
+def _dual_table(w: dict) -> dict:
+    """The eta-table: eta_{k,l,m}(w_{k,l,m}) = 1 and (X eta)(v) =
+    -eta(tau(X) v), as ``pairing`` checks.  With tau(X) = s Y, each w-entry
+    (o, c) of Y gives eta[X] the entry (-o, -s c(. - o)), in Y's order (the
+    axis entry first); the w-coefficients are read once, here."""
+    return {x: tuple(((-dk, -dl, -dm), _transposed(c, dk, dl, dm, s))
+                     for (dk, dl, dm), c in w[y])
+            for x in w for (y, s), in [liealg.tau(x).items()]}
+
+
+ACTION_TABLE["eta"] = _dual_table(ACTION_TABLE["w"])
 
 
 def table_action(table: dict):
@@ -364,7 +364,10 @@ def linear_combination(v: ModuleElement, scaled) -> ModuleElement:
 
 
 def act(gen: str, v: ModuleElement) -> ModuleElement:
-    """Apply one generator symbol to an element, in the element's basis."""
+    """Apply one generator symbol to an element, in the element's basis;
+    an unknown symbol is refused at once, even on zero."""
+    if gen not in liealg.GENERATORS:
+        raise ValueError(f"unknown generator {gen!r}")
     action = BASIS_ACTIONS[v.basis]
     p = v.params
     return accumulate(v, lambda idx: action(gen, p, idx), v.basis)

@@ -43,8 +43,12 @@ covers the generic start that ``dual-cyclicity`` once ran.
 ``structure-constants`` checks the Jacobi identity, tau-compatibility and
 the Cartan matrix on ``liealg.STRUCTURE``.  It does not compare STRUCTURE
 with the bracket of the 3x3 matrices: STRUCTURE is built from that very
-bracket, so the comparison could not fail.  ``tests/test_liealg.py`` keeps
-hand-typed brackets against it.
+bracket, so the comparison could not fail; tau is X -> -D X^T D on the same
+matrices, so its part holds by construction too.  ``tests/test_liealg.py``
+keeps hand-typed brackets and tau against them.  ``brackets-eta`` cannot
+fail where ``brackets-w`` (every m) and ``structure-constants`` pass: X acts
+on eta as minus the transpose of tau(X) on w.  Both checks stay while
+``perfbench/answers.py`` lists them.
 
 ``relaxed-verma`` generates the layers of cases 4 and 5 and solves their
 self-duality on radius 3 whatever the window; its report names that radius

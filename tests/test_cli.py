@@ -433,6 +433,15 @@ def test_malformed_flags_exit_2_with_an_error_json(capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_an_unknown_generator_exits_2_even_where_it_reaches_zero(capsys):
+    for argv in (("act", "--basis", "w", "--gen", "zz", "--element", NO_TERMS),
+                 ("act", "--basis", "w", "--word", "zz,e12", "--element", ONE_TERM),
+                 ("act", "--basis", "w", "--word", "e12,zz", "--element", ONE_TERM)):
+        code, lines = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert lines == [{"error": "ValueError", "message": "unknown generator 'zz'"}], argv
+
+
 def test_help_still_exits_0(capsys):
     for argv in (("--help",), ("classify", "--help")):
         try:

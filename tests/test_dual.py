@@ -1,3 +1,12 @@
+"""The eta-basis against the w-basis.
+
+``module.ACTION_TABLE["eta"]`` is built from the w-table through
+``liealg.tau``, so the duality contract below tests that transform with the
+derivation's own tau.  The independent evidence that the eta-action is the
+paper's is the two hand-typed oracles: the eta formulas in
+``tests/test_module.py`` and tau in ``tests/test_liealg.py``.
+"""
+
 import random
 from fractions import Fraction
 
@@ -60,6 +69,7 @@ def test_pairing_concrete_duality_instance():
 
 
 def test_duality_contract_all_generators_random():
+    # holds by construction of the eta-table, for whatever tau it was built with
     rnd = random.Random(77)
     for _ in range(15):
         d = rand_element(rnd, "eta")

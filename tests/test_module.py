@@ -362,6 +362,104 @@ def test_every_generator_is_in_the_table_and_moves_each_index_by_at_most_one():
         assert all(abs(d) <= 1 for d in offset), (basis, gen, offset)
 
 
+def test_an_unknown_generator_is_refused_before_any_term_is_read():
+    for v in (ModuleElement(P, "w"), ModuleElement(P, "eta"), w_vector(P, 0, 0, 0),
+              u_vector(P, 0, 0, 0)):
+        with pytest.raises(ValueError, match="unknown generator 'zz'"):
+            act("zz", v)
+    for word in (("zz", "e12"), ("e12", "zz")):  # e12 kills m = 0 first
+        with pytest.raises(ValueError, match="unknown generator 'zz'"):
+            act_word(word, w_vector(P, 0, 0, 0))
+    with pytest.raises(ValueError, match="unknown generator 'zz'"):
+        act_lie({"zz": 1}, ModuleElement(P, "u"))
+
+
+# ---------------------------------------------------------------------------
+# the eta-table is derived from the w-table through tau; the paper's eta
+# formulas, typed by hand, are the oracle of that derivation
+
+def _eta_den(kb, lb):
+    return (kb + lb - 1) * (kb + lb - 2)
+
+
+HAND_ETA = {
+    "h1": (((0, 0, 0), lambda kb, lb, m: -2 * kb + lb - m),),
+    "h2": (((0, 0, 0), lambda kb, lb, m: kb - 2 * lb - m),),
+    "e1": (((-1, 0, 0), lambda kb, lb, m:
+            -(kb - 1) * (kb - 2) * (kb + lb + m - 1) / _eta_den(kb, lb)),
+           ((0, 1, -1), lambda kb, lb, m: lb + 1)),
+    "e2": (((0, -1, 0), lambda kb, lb, m:
+            -(lb - 1) * (lb - 2) * (kb + lb + m - 1) / _eta_den(kb, lb)),
+           ((1, 0, -1), lambda kb, lb, m: -(kb + 1))),
+    "f1": (((1, 0, 0), lambda kb, lb, m: kb + 1),
+           ((0, -1, 1), lambda kb, lb, m:
+            (m + 1) * (lb - 1) * (lb - 2) / _eta_den(kb, lb))),
+    "f2": (((0, 1, 0), lambda kb, lb, m: lb + 1),
+           ((-1, 0, 1), lambda kb, lb, m:
+            -(m + 1) * (kb - 1) * (kb - 2) / _eta_den(kb, lb))),
+    "e12": (((0, 0, -1), lambda kb, lb, m: kb + lb + m - 1),),
+    "f12": (((0, 0, 1), lambda kb, lb, m: Fraction(-(m + 1))),),
+}
+
+
+def _rational_points(seed, count=6):
+    """(kbar, lbar) pairs of random rationals with kbar + lbar not in Z."""
+    rnd = random.Random(seed)
+    points = []
+    while len(points) < count:
+        kb, lb = (Fraction(rnd.randint(-40, 40), rnd.randint(1, 12)) for _ in "kl")
+        if (kb + lb).denominator != 1:
+            points.append((kb, lb))
+    return points
+
+
+def _eta_mismatches(table):
+    """(generator, offset, where) for each way the eta-table differs from
+    HAND_ETA: the generators, the offsets in entry order, the values at
+    random rational (kbar, lbar) for m = 0..30, and the values over
+    Q(mu1, mu2) at b_(0,0,m), m <= 4."""
+    if set(table) != set(HAND_ETA):
+        return [("generators", sorted(table))]
+    points = [(kb, lb, m) for kb, lb in _rational_points(26) for m in range(31)]
+    points += [(-MU1, -MU2, m) for m in range(5)]
+    bad = []
+    for gen, hand in HAND_ETA.items():
+        if [o for o, _ in table[gen]] != [o for o, _ in hand]:
+            bad.append((gen, [o for o, _ in table[gen]], "offsets"))
+            continue
+        for (offset, c), (_, h) in zip(table[gen], hand):
+            wrong = [point for point in points if c(*point) != h(*point)]
+            if wrong:
+                bad.append((gen, offset, wrong[0]))
+    return bad
+
+
+def test_the_derived_eta_table_is_the_hand_typed_one():
+    assert _eta_mismatches(module.ACTION_TABLE["eta"]) == []
+    # the h entries are w's coefficients themselves, so no call is added
+    for h in ("h1", "h2"):
+        assert module.ACTION_TABLE["eta"][h] == module.ACTION_TABLE["w"][h]
+
+
+@pytest.mark.parametrize("mutate, broken", [
+    (lambda args: (*args[:4], 1), {"h1", "h2", "e12", "f12"}),  # s dropped: -c
+    (lambda args: (args[0], 0, 0, 0, args[4]), {"e1", "e2", "f1", "f2", "e12", "f12"}),
+], ids=["sign-dropped", "unshifted"])
+def test_the_eta_oracle_fails_on_a_mutant_derivation(monkeypatch, mutate, broken):
+    """_transposed(c, dk, dl, dm, s) with its arguments mutated: the sign s
+    dropped, or the shift by the offset."""
+    transposed = module._transposed
+    monkeypatch.setattr(module, "_transposed", lambda *args: transposed(*mutate(args)))
+    mutated = module._dual_table(module.ACTION_TABLE["w"])
+    assert {gen for gen, *_ in _eta_mismatches(mutated)} == broken
+
+
+def test_the_eta_oracle_fails_when_one_sign_of_tau_is_dropped(monkeypatch):
+    monkeypatch.setitem(liealg._TAU, "e12", {"f12": Fraction(1)})
+    mutated = module._dual_table(module.ACTION_TABLE["w"])
+    assert [gen for gen, *_ in _eta_mismatches(mutated)] == ["e12"]
+
+
 # ---------------------------------------------------------------------------
 # every basis and generator on the orbit representatives, specialized and
 # symbolic, and on the walls kbar or lbar in {0, 1, 2}, where coefficients
