@@ -17,7 +17,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import registry
+from . import liealg, registry
 from .errors import ObstructionAtIndex
 from .explore import character_table, generate
 from .hom import ModuleDescriptor, image_kernel, solve_by_recurrence, solve_intertwiner
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", choices=("u", "w", "eta"),
                    help="basis tag when the element JSON omits one")
     word = p.add_mutually_exclusive_group(required=True)
-    word.add_argument("--gen", help="one of e1,e2,e12,f1,f2,f12,h1,h2")
+    word.add_argument("--gen", help="one of " + ",".join(liealg.GENERATORS))
     word.add_argument("--word", help="comma-separated word, leftmost acts last")
     p.add_argument("--element", required=True, help="element JSON, or - for stdin")
     p.set_defaults(func=cmd_act)

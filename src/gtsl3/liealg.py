@@ -2,15 +2,16 @@
 the involution tau, and the quadratic Casimir.
 
 The 3x3 elementary-matrix realization _E is the one place sl3 is written
-down.  Structure constants are not typed in by hand: they are generated at
-import time from it, which removes transcription risk; the test suite
-re-derives the table independently and checks the Jacobi identity on all
-512 basis triples.  The Casimir's dual basis is read off the same matrices,
-and so are the vector fields of ``sections`` and the involution tau
-(h_i -> -h_i, e_1 <-> f_1, e_2 <-> f_2, e_12 <-> -f_12), X -> -D X^T D with
-D = diag(1, -1, 1).  That is a composite of automorphisms, so
-tau([x, y]) = [tau(x), tau(y)] by construction; the tests keep tau typed
-by hand as the oracle.
+down; the rest is derived from it at import time, which removes
+transcription risk.  One trace-form dual basis, read off the matrices'
+nonzero entries, gives both the coordinates of a matrix in the eight
+symbols and the Casimir.  The structure constants are the decomposed
+commutators, and the Cartan matrix is read off them; the tests re-derive
+the table from hand-typed coordinates and check the Jacobi identity on all
+512 basis triples.  The vector fields of ``sections`` and the involution
+tau (h_i -> -h_i, e_1 <-> f_1, e_2 <-> f_2, e_12 <-> -f_12) come from the
+same matrices, tau as X -> -D X^T D with D = diag(1, -1, 1): a composite
+of automorphisms, so tau([x, y]) = [tau(x), tau(y)] by construction.
 """
 
 from __future__ import annotations
@@ -24,59 +25,69 @@ from .scalars import combine
 GENERATORS = ("e1", "e2", "e12", "f1", "f2", "f12", "h1", "h2")
 
 
+def require_generator(gen: str) -> None:
+    """Refuse a symbol outside GENERATORS, before any term is read."""
+    if gen not in GENERATORS:
+        raise ValueError(f"unknown generator {gen!r}")
+
+
 def _unit(i, j):
-    """The elementary matrix E_ij.  Its entries are ints, so building
-    STRUCTURE is integer arithmetic."""
+    """The elementary matrix E_ij, with int entries."""
     return tuple(tuple(int((r, c) == (i, j)) for c in range(3)) for r in range(3))
 
 
-def mat_mul(x, y):
-    return tuple(
-        tuple(sum(x[i][k] * y[k][j] for k in range(3)) for j in range(3))
-        for i in range(3)
-    )
-
-
-def mat_sub(x, y):
-    return tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(x, y))
-
-
 def mat_bracket(x, y):
-    return mat_sub(mat_mul(x, y), mat_mul(y, x))
+    """The commutator xy - yx of two 3x3 matrices."""
+    return tuple(tuple(sum(x[i][k] * y[k][j] - y[i][k] * x[k][j] for k in range(3))
+                       for j in range(3)) for i in range(3))
 
 
+# h_i = [e_i, f_i]
 _E = {
     "e1": _unit(0, 1), "e2": _unit(1, 2), "e12": _unit(0, 2),
     "f1": _unit(1, 0), "f2": _unit(2, 1), "f12": _unit(2, 0),
-    "h1": mat_sub(_unit(0, 0), _unit(1, 1)),
-    "h2": mat_sub(_unit(1, 1), _unit(2, 2)),
+    "h1": mat_bracket(_unit(0, 1), _unit(1, 0)),
+    "h2": mat_bracket(_unit(1, 2), _unit(2, 1)),
 }
 
 
-def matrix_oracle(gen: str):
-    """3x3 matrix realization of a basis symbol, rows as tuples."""
-    return _E[gen]
+def _entries(x) -> dict:
+    """The nonzero entries {(row, column): value} of a 3x3 matrix."""
+    return {(i, j): v for i, row in enumerate(x) for j, v in enumerate(row) if v}
 
 
-def mat_trace(x) -> int:
-    return x[0][0] + x[1][1] + x[2][2]
+def _pair(x: dict, y: dict):
+    """The trace form tr(xy) of two matrices given by their nonzero entries."""
+    return sum(v * y[j, i] for (i, j), v in x.items() if (j, i) in y)
+
+
+def trace_form(x: str, y: str) -> int:
+    return _pair(_entries(_E[x]), _entries(_E[y]))
+
+
+def _dual_basis() -> dict:
+    """{gen: nonzero entries of its trace-form dual}: tr(E_ij E_kl) is 1 if
+    (k, l) = (j, i), else 0, so a root vector's dual is its transpose; h1
+    and h2 take the closed-form inverse of their Gram matrix."""
+    (a, b), (_, d) = [[trace_form(x, y) for y in ("h1", "h2")] for x in ("h1", "h2")]
+    det = Fraction(a * d - b * b)
+    inverse = {"h1": (d / det, -b / det), "h2": (-b / det, a / det)}
+    return {g: combine((ij, c * v) for c, h in zip(inverse[g], ("h1", "h2"))
+                       for ij, v in _entries(_E[h]).items())
+            if g in inverse else {(j, i): v for (i, j), v in _entries(x).items()}
+            for g, x in _E.items()}
+
+
+_DUAL = _dual_basis()
 
 
 def decompose(mat) -> dict:
-    """Write a traceless 3x3 matrix in the eight-symbol basis."""
-    if mat_trace(mat) != 0:
+    """Write a traceless 3x3 matrix in the eight-symbol basis: the
+    coefficient of g is the trace form of the matrix with g's dual."""
+    if mat[0][0] + mat[1][1] + mat[2][2] != 0:
         raise ValueError("matrix is not traceless")
-    coeffs = {
-        "e1": mat[0][1],
-        "e2": mat[1][2],
-        "e12": mat[0][2],
-        "f1": mat[1][0],
-        "f2": mat[2][1],
-        "f12": mat[2][0],
-        "h1": mat[0][0],
-        "h2": -mat[2][2],
-    }
-    return {g: c for g, c in coeffs.items() if c}
+    entries = _entries(mat)
+    return {g: c for g, dual in _DUAL.items() if (c := _pair(entries, dual))}
 
 
 # {(x, y): {gen: coeff}} for all 64 ordered pairs
@@ -117,27 +128,11 @@ def tau(x) -> dict:
     return combine((h, c * s) for g, c in x.items() for h, s in _TAU[g].items())
 
 
-def trace_form(x: str, y: str) -> int:
-    return mat_trace(mat_mul(_E[x], _E[y]))
-
-
 @cache
 def casimir_word():
-    """Quadratic Casimir as a tuple of (coefficient, word) pairs.
-
-    Words are generator tuples, leftmost applied last.  It is the sum of
-    g g^* over the basis, with g^* the dual of g for the trace form, so it
-    commutes with every generator; the module layer checks that it acts by
-    one common scalar.  The trace form pairs E_ij only with E_ji, to 1, so
-    a root vector's dual is its transpose; the duals of h1 and h2 come from
-    the closed-form inverse of their 2x2 Gram matrix.  The terms are built
-    on the first call and shared by every later one.
-    """
-    (a, b), (_, d) = [[trace_form(x, y) for y in ("h1", "h2")] for x in ("h1", "h2")]
-    det = Fraction(a * d - b * b)
-    cartan = {"h1": {"h1": d / det, "h2": -b / det}, "h2": {"h1": -b / det, "h2": a / det}}
-    return tuple(
-        (Fraction(c), (g, h))
-        for g in GENERATORS
-        for h, c in (cartan.get(g) or decompose(tuple(zip(*_E[g])))).items()
-    )
+    """Quadratic Casimir as (coefficient, word) pairs, words leftmost applied
+    last: the sum of g g^*, g^* the trace-form dual of g, so it commutes with
+    every generator.  The coefficient of h in g^* is the trace form of the
+    duals of g and h.  Built on the first call, then shared."""
+    return tuple((Fraction(c), (g, h)) for g in GENERATORS for h in GENERATORS
+                 if (c := _pair(_DUAL[g], _DUAL[h])))

@@ -366,8 +366,7 @@ def linear_combination(v: ModuleElement, scaled) -> ModuleElement:
 def act(gen: str, v: ModuleElement) -> ModuleElement:
     """Apply one generator symbol to an element, in the element's basis;
     an unknown symbol is refused at once, even on zero."""
-    if gen not in liealg.GENERATORS:
-        raise ValueError(f"unknown generator {gen!r}")
+    liealg.require_generator(gen)
     action = BASIS_ACTIONS[v.basis]
     p = v.params
     return accumulate(v, lambda idx: action(gen, p, idx), v.basis)

@@ -49,7 +49,7 @@ def _exp(gen, var, sign):
     """exp(sign x_var E) = 1 + sign x_var E, for E = gen's matrix, with E^2 = 0."""
     mono = tuple(int(v == var) for v in (_X1, _X2, _X3))
     return [[_poly_sum(({(0, 0, 0): int(i == j)}, {mono: sign * x})) for j, x in enumerate(row)]
-            for i, row in enumerate(liealg.matrix_oracle(gen))]
+            for i, row in enumerate(liealg._E[gen])]
 
 
 _CHART = (("e1", _X1), ("e2", _X2), ("e12", _X3))
@@ -65,7 +65,7 @@ def _field(x):
             for e, c in sorted(poly.items())]
 
 
-VECTOR_FIELDS = {g: _field(liealg.matrix_oracle(g)) for g in liealg.GENERATORS}
+VECTOR_FIELDS = {g: _field(liealg._E[g]) for g in liealg.GENERATORS}
 
 
 def _twisted_derivative(var: int, idx, p: Params):
@@ -82,6 +82,7 @@ def _twisted_derivative(var: int, idx, p: Params):
 
 def act_section(gen: str, v: ModuleElement) -> ModuleElement:
     """Apply a generator to a section term-by-term via its vector field."""
+    liealg.require_generator(gen)
     if v.basis != "u":
         raise ValueError("sections are indexed like the u-basis")
     p = v.params

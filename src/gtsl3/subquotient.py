@@ -32,6 +32,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import BasisMismatch
+from .liealg import require_generator
 from .module import BASIS_ACTIONS, OFF_DIAGONAL, Box, ModuleElement, Params, accumulate
 
 
@@ -213,7 +214,8 @@ class ModuleDescriptor:
 def act_truncated(gen: str, v: ModuleElement, J: LBarSet) -> ModuleElement:
     """The action on the subquotient J: each term's descriptor action, so no
     coefficient is evaluated toward a target outside J.  The support of v
-    must lie in J."""
+    must lie in J, and an unknown symbol is refused at once, even on zero."""
+    require_generator(gen)
     if v.basis not in ("w", "eta"):
         raise BasisMismatch("subquotients live in the w- or eta-basis")
     desc = ModuleDescriptor(v.params, v.basis == "eta", J)

@@ -276,3 +276,19 @@ def test_a_wrong_display_fails_its_check(monkeypatch):
     assert not exact_sequence_check(P0)["checks"]["quotient-action-matches-layer"]
     monkeypatch.setitem(explore._RV_STRINGS[2], "f2", explore._RV_STRINGS[2]["f2"][:1])
     assert not relaxed_verma_check(2, P0, r=3)["checks"]["k-string"]
+
+
+def test_a_wrong_weight_shift_fails_the_weights_and_the_character(monkeypatch):
+    """Each lambda is stored once, as its (s, t) shift, and its values on h1
+    and h2 go through the Cartan matrix: a wrong shift is caught by the
+    weight checks as well as by the character.  A shift wrong only along
+    alpha1 is caught by the weights alone: the product formula sums
+    e^{(n + mu1) alpha1} over every integer n, so it does not move."""
+    J, start, _ = explore._RV_CASES[2]
+    monkeypatch.setitem(explore._RV_CASES, 2, (J, start, (-1, 0)))  # not (-1, -1)
+    checks = relaxed_verma_check(2, P0, r=3)["checks"]
+    assert not checks["weight-h1"] and not checks["weight-h2"]
+    assert not checks["character"]
+    monkeypatch.setitem(explore._RV_CASES, 2, (J, start, (0, -1)))
+    checks = relaxed_verma_check(2, P0, r=3)["checks"]
+    assert not checks["weight-h1"] and not checks["weight-h2"]

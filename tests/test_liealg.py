@@ -1,11 +1,13 @@
 from fractions import Fraction
 
+import pytest
+
 from gtsl3 import liealg
 
 
 def test_matrix_oracle_images_are_traceless():
     for g in liealg.GENERATORS:
-        assert liealg.mat_trace(liealg.matrix_oracle(g)) == 0
+        assert sum(liealg._E[g][i][i] for i in range(3)) == 0
 
 
 # the 3x3 realization, typed out: e_ij is the unit matrix E_ij and
@@ -42,12 +44,36 @@ def _decompose(mat):
 
 def test_structure_table_matches_matrix_commutators():
     for g, mat in MATRICES.items():
-        assert liealg.matrix_oracle(g) == mat
+        assert liealg._E[g] == mat
         assert _decompose(mat) == {g: 1}
     for x in liealg.GENERATORS:
         for y in liealg.GENERATORS:
             expected = _decompose(_commutator(MATRICES[x], MATRICES[y]))
             assert liealg.STRUCTURE[(x, y)] == expected, (x, y)
+
+
+def test_decompose_refuses_a_matrix_with_nonzero_trace():
+    with pytest.raises(ValueError, match="not traceless"):
+        liealg.decompose(((1, 0, 0), (0, 0, 0), (0, 0, 0)))
+
+
+def test_the_coordinates_follow_a_permuted_realization(monkeypatch):
+    # swap the e1 and e2 matrices and rebuild the dual basis from them: the
+    # coordinates follow the matrices, and the commutator table is the old
+    # one with e1 and e2 renamed
+    swap = {"e1": "e2", "e2": "e1"}
+    e1, e2 = liealg._E["e1"], liealg._E["e2"]
+    monkeypatch.setitem(liealg._E, "e1", e2)
+    monkeypatch.setitem(liealg._E, "e2", e1)
+    monkeypatch.setattr(liealg, "_DUAL", liealg._dual_basis())
+    for g in liealg.GENERATORS:
+        assert liealg.decompose(liealg._E[g]) == {g: 1}, g
+    for x in liealg.GENERATORS:
+        for y in liealg.GENERATORS:
+            got = liealg.decompose(liealg.mat_bracket(liealg._E[x], liealg._E[y]))
+            renamed = {swap.get(g, g): c
+                       for g, c in liealg.STRUCTURE[(swap.get(x, x), swap.get(y, y))].items()}
+            assert got == renamed, (x, y)
 
 
 def test_named_brackets():

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from gtsl3 import liealg, registry, sections
 from gtsl3.module import ModuleElement, Params, act, u_vector
 from gtsl3.sections import act_section
@@ -45,12 +47,18 @@ def test_derived_vector_fields_equal_the_hand_typed_table():
 def test_a_wrong_matrix_makes_the_oracle_check_fail(monkeypatch):
     assert registry.run_check("oracle-equivalence")["verdict"] == "pass"
     monkeypatch.setitem(liealg._E, "f1", liealg._E["f12"])  # E31, not E21
-    fields = {g: sections._field(liealg.matrix_oracle(g)) for g in liealg.GENERATORS}
+    fields = {g: sections._field(liealg._E[g]) for g in liealg.GENERATORS}
     assert set(fields["f1"]) != set(HAND_FIELDS["f1"])
     assert {g: f for g, f in fields.items() if g != "f1"} == {
         g: f for g, f in sections.VECTOR_FIELDS.items() if g != "f1"}
     monkeypatch.setattr(sections, "VECTOR_FIELDS", fields)
     assert registry.run_check("oracle-equivalence")["verdict"] == "fail"
+
+
+def test_the_section_action_refuses_an_unknown_generator_even_on_zero():
+    for v in (ModuleElement(P, "u"), u_vector(P, 0, 0, 0)):
+        with pytest.raises(ValueError, match="unknown generator 'zz'"):
+            act_section("zz", v)
 
 
 def test_twisted_derivative_rule():

@@ -113,6 +113,13 @@ def test_truncated_action_frozen_examples():
     assert act_truncated("e2", basis_vector(P0, "w", (0, 0, 0)), LBarSet.ge(0)).is_zero()
 
 
+@pytest.mark.parametrize("basis", ["w", "eta"])
+def test_the_truncated_action_refuses_an_unknown_generator_even_on_zero(basis):
+    for v in (ModuleElement(P0, basis), basis_vector(P0, basis, (0, 0, 0))):
+        with pytest.raises(ValueError, match="unknown generator 'zz'"):
+            act_truncated("zz", v, LBarSet.eq(0))
+
+
 def test_hom_reads_the_one_descriptor_type_of_subquotient():
     assert hom.ModuleDescriptor is subquotient.ModuleDescriptor is ModuleDescriptor
 
