@@ -84,12 +84,12 @@ def _params_from_args(args) -> Params:
 
 
 def _descriptor(text: str, params: Params) -> ModuleDescriptor:
-    text = text.strip()
-    dual = False
-    if text.startswith("dual:"):
-        dual = True
-        text = text[5:]
-    return ModuleDescriptor(params, dual=dual, J=parse_set_expr(text))
+    """Read a descriptor as ModuleDescriptor.describe prints it: an index
+    set, after "dual:" or "plain:" (the default)."""
+    kind, colon, rest = text.strip().partition(":")
+    if colon and kind in ("dual", "plain"):
+        return ModuleDescriptor(params, dual=kind == "dual", J=parse_set_expr(rest))
+    return ModuleDescriptor(params, J=parse_set_expr(text))
 
 
 def _load_element(args, payload: str, basis: str | None = None) -> ModuleElement:

@@ -20,7 +20,8 @@ from fractions import Fraction
 
 from . import liealg
 from .errors import BasisMismatch, NonGenericParameters, RequiresIntegralMu2
-from .scalars import MU1, MU2, RatFunc, combine, raising_factorial, scalar_is_integer
+from .scalars import (MU1, MU2, RatFunc, combine, exact, raising_factorial,
+                      scalar_is_integer)
 
 _UNKNOWN = object()  # a Params fact not yet worked out
 
@@ -48,8 +49,8 @@ class Params:
     __slots__ = ("mu1", "mu2", "_sum_integral", "_mu2_int", "_kbar", "_lbar")
 
     def __init__(self, mu1, mu2):
-        self.mu1 = mu1 if isinstance(mu1, RatFunc) else Fraction(mu1)
-        self.mu2 = mu2 if isinstance(mu2, RatFunc) else Fraction(mu2)
+        self.mu1 = mu1 if isinstance(mu1, RatFunc) else Fraction(exact(mu1))
+        self.mu2 = mu2 if isinstance(mu2, RatFunc) else Fraction(exact(mu2))
         self._sum_integral = _UNKNOWN
         self._mu2_int = _UNKNOWN
         self._kbar, self._lbar = {}, {}
@@ -167,6 +168,7 @@ class ModuleElement:
             for idx, c in terms.items():
                 if idx[2] < 0:
                     raise ValueError(f"index {idx} has m < 0")
+                c = c if isinstance(c, RatFunc) else exact(c)
                 if c:
                     data[idx] = c
         self.terms = data

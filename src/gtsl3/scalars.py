@@ -31,6 +31,19 @@ The packed integers grow with the degrees, not with the term count, so a
 sparse product of high degree would take far more memory than its terms:
 _PACKED_BYTES caps the packed product and sends larger ones to the
 schoolbook.
+
+Symbolic values cross the wire as text of one grammar, which
+BiPoly.__str__ writes and parse_scalar reads, both from VARIABLES:
+
+    rational := digits ["/" digits]           factor := ("mu1" | "mu2") ["^" digits]
+    term     := rational | [rational ["*"]] factor {["*"] factor}
+    poly     := [sign] term {sign term}       sign   := "+" | "-"
+    scalar   := [sign] rational | "(" poly ")" | "(" poly ")/(" poly ")" | poly
+
+with digits := [0-9]+.  Spaces may stand only around a sign, a parenthesis
+or the slash, and not in a bare rational.  The printer writes c*mu1^a*mu2^b
+with no coefficient or power 1, in descending (a, b) order, " + " or " - "
+between terms, and (num), or (num)/(den) when den is not 1.
 """
 
 from __future__ import annotations
@@ -41,6 +54,8 @@ import sys
 from array import array
 from fractions import Fraction
 
+VARIABLES = ("mu1", "mu2")  # the parameters' names in the text form
+
 
 def _slim(c):
     """Exact coefficients, stored as int whenever possible (int arithmetic
@@ -50,6 +65,14 @@ def _slim(c):
     if c.denominator == 1:
         return c.numerator
     return c
+
+
+def exact(x):
+    """x if it is an int or a Fraction, a bool as the int it equals; else
+    TypeError, so that no float or string becomes a scalar."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"{x!r} is not an exact scalar; read text with parse_scalar")
+    return int(x) if type(x) is bool else x
 
 
 class BiPoly:
@@ -63,13 +86,11 @@ class BiPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        data = {}
-        if terms:
-            for key, c in terms.items():
-                if c:  # a bool is stored as the int it equals
-                    data[key] = _slim(c if type(c) is int or isinstance(c, Fraction)
-                                      else Fraction(c))
-        self.terms = data
+        self.terms = {}
+        for key, c in (terms or {}).items():
+            c = exact(c)
+            if c:
+                self.terms[key] = _slim(c)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -143,50 +164,22 @@ class BiPoly:
         out.terms = {k: _slim(factor * c) for k, c in self.terms.items()}
         return out
 
-    def monomial_gcd(self):
-        a = min(k[0] for k in self.terms)
-        b = min(k[1] for k in self.terms)
-        return (a, b)
-
     def shift_down(self, mono) -> "BiPoly":
         a0, b0 = mono
         out = BiPoly.__new__(BiPoly)
         out.terms = {(a - a0, b - b0): c for (a, b), c in self.terms.items()}
         return out
 
-    def lead_coeff(self) -> Fraction:
-        """Coefficient of the lexicographically largest monomial."""
-        if not self.terms:
-            return Fraction(0)
-        return self.terms[max(self.terms)]
-
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (a, b) in sorted(self.terms, reverse=True):
-            c = self.terms[(a, b)]
-            mono = []
-            if a:
-                mono.append("mu1" if a == 1 else f"mu1^{a}")
-            if b:
-                mono.append("mu2" if b == 1 else f"mu2^{b}")
-            if not mono:
-                piece = str(c)
-            elif c == 1:
-                piece = "*".join(mono)
-            elif c == -1:
-                piece = "-" + "*".join(mono)
-            else:
-                piece = str(c) + "*" + "*".join(mono)
-            parts.append(piece)
-        out = parts[0]
-        for piece in parts[1:]:
-            if piece.startswith("-"):
-                out += " - " + piece[1:]
-            else:
-                out += " + " + piece
-        return out
+        text = ""
+        for key in sorted(self.terms, reverse=True):
+            c = self.terms[key]
+            mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(VARIABLES, key) if e)
+            size = str(abs(c))
+            term = size if not mono else mono if size == "1" else f"{size}*{mono}"
+            text += (" - " if c < 0 else " + ") + term
+        # the first sign is written without spaces, and a + not at all
+        return "-" + text[3:] if text.startswith(" -") else text[3:] or "0"
 
     __repr__ = __str__
 
@@ -436,9 +429,8 @@ def _normal(num: BiPoly, den: BiPoly, primitive: bool):
     if num.is_zero():
         return _ZERO, _ONE
     if (0, 0) not in den.terms:  # else no monomial divides den
-        ma, mb = num.monomial_gcd()
-        na, nb = den.monomial_gcd()
-        mono = (min(ma, na), min(mb, nb))
+        keys = (*num.terms, *den.terms)
+        mono = (min(a for a, _ in keys), min(b for _, b in keys))
         if mono != (0, 0):
             num = num.shift_down(mono)
             den = den.shift_down(mono)
@@ -447,7 +439,7 @@ def _normal(num: BiPoly, den: BiPoly, primitive: bool):
         if cd != 1:
             num = num.scaled(1 / cd)
             den = den.scaled(1 / cd)
-        if den.lead_coeff() < 0:
+        if den.terms[max(den.terms)] < 0:
             num = -num
             den = -den
     return num, den
@@ -522,59 +514,37 @@ def format_scalar(x) -> str:
     return str(Fraction(x))
 
 
-_MONO_RE = re.compile(r"^(?P<coeff>\d+(?:/\d+)?)?(?P<rest>(?:\*?mu[12](?:\^\d+)?)*)$")
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+_RATIONAL = "[0-9]+(?:/[0-9]+)?"
+_FACTOR = rf"(?:{'|'.join(VARIABLES)})(?:\^[0-9]+)?"
+_TERM = rf"(?:(?:{_RATIONAL}\*?)?{_FACTOR}(?:\*?{_FACTOR})*|{_RATIONAL})"
+_POLY = rf"[+-]? *{_TERM}(?: *[+-] *{_TERM})*"
+_SCALAR_RE = re.compile(rf"\( *({_POLY}) *\)(?: */ *\( *({_POLY}) *\))?|({_POLY})")
+_RATIONAL_RE = re.compile(f"[+-]?{_RATIONAL}")
+_SIGN_RE = re.compile(" *([+-]) *")
+_NAME_RE = re.compile(f"({'|'.join(VARIABLES)})")
 
 
-def _parse_poly(text: str) -> BiPoly:
-    text = text.strip().replace(" ", "")
-    if not text:
-        raise ValueError("empty polynomial")
-    pieces = re.findall(r"[+-]?[^+-]+", text)
+def _poly(text: str) -> BiPoly:
+    """The polynomial of a text that matched _POLY, read term by term."""
+    pieces = _SIGN_RE.split(text if text[0] in "+-" else "+" + text)  # "", sign, term, ...
     terms = []
-    for piece in pieces:
-        sign = 1
-        if piece[0] in "+-":
-            sign = -1 if piece[0] == "-" else 1
-            piece = piece[1:]
-        m = _MONO_RE.match(piece)
-        if not m or (not m.group("coeff") and not m.group("rest")):
-            raise ValueError(f"cannot parse monomial {piece!r}")
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
-        a = b = 0
-        for var, exp in re.findall(r"mu([12])(?:\^(\d+))?", m.group("rest")):
-            e = int(exp) if exp else 1
-            if var == "1":
-                a += e
-            else:
-                b += e
-        terms.append(((a, b), sign * coeff))
+    for sign, term in zip(pieces[1::2], pieces[2::2]):
+        head, *factors = _NAME_RE.split(term)  # [rational, name, power, ...]
+        key = [0, 0]
+        for name, power in zip(factors[::2], factors[1::2]):
+            key[VARIABLES.index(name)] += int(power.strip("^*") or 1)
+        c = Fraction(head.rstrip("*") or 1)
+        terms.append((tuple(key), -c if sign == "-" else c))
     return BiPoly(combine(terms))
 
 
 def parse_scalar(text: str):
-    """Inverse of format_scalar.  Returns Fraction or RatFunc."""
+    """Inverse of format_scalar, by the grammar in the module docstring."""
     text = text.strip()
-    if "mu" not in text and "(" not in text:
-        if not _RATIONAL_RE.fullmatch(text):  # Fraction takes 1e9999999, slowly
-            raise ValueError(f"cannot parse scalar {text!r}")
-        return Fraction(text)
-    if text.startswith("("):
-        depth = 0
-        for i, ch in enumerate(text):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0:
-                    num = _parse_poly(text[1:i])
-                    rest = text[i + 1:].strip()
-                    if not rest:
-                        return RatFunc(num)
-                    if rest.startswith("/"):
-                        rest = rest.strip()[1:].strip()
-                        if rest.startswith("(") and rest.endswith(")"):
-                            return RatFunc(num, _parse_poly(rest[1:-1]))
-                    raise ValueError(f"cannot parse scalar {text!r}")
-        raise ValueError(f"unbalanced parentheses in {text!r}")
-    return RatFunc(_parse_poly(text))
+    if "mu" not in text and "(" not in text:  # a rational
+        if _RATIONAL_RE.fullmatch(text):  # first, as Fraction takes 1e9999999 slowly
+            return Fraction(text)
+    elif match := _SCALAR_RE.fullmatch(text):
+        num, den, bare = match.groups()
+        return RatFunc(_poly(num or bare), den and _poly(den))
+    raise ValueError(f"cannot parse scalar {text!r}")

@@ -1,11 +1,12 @@
 """JSON encoding and decoding for the wire-facing objects.
 
-Scalars cross the boundary as exact strings, never floats: rationals as
-"p/q" (denominator omitted when 1; read as [+-]digits[/digits], so no
-decimal point or exponent), symbolic values in the parenthesized
-polynomial-fraction form.  A parameter may also be the literal string
-"symbolic".  Term tables are emitted in lexicographic index order, so
-output is byte-deterministic.
+Scalars cross the boundary as exact strings, never floats, in the grammar
+of the scalars docstring: rationals as "p/q" (denominator omitted when 1;
+no decimal point or exponent), symbolic values as "(p)" or "(p)/(q)".  A
+doubled, stray or trailing sign, a leading "*", a token split by a space
+and a tab or newline are refused.  A parameter may also be the literal
+string "symbolic".  Term tables are emitted in lexicographic index order,
+so output is byte-deterministic.
 """
 
 from __future__ import annotations

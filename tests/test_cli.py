@@ -3,13 +3,16 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from gtsl3 import cli, registry
 from gtsl3.cli import MAX_WINDOW, main
+from gtsl3.module import Params
 from gtsl3.serialize import MAX_M
+from gtsl3.subquotient import LBarSet, ModuleDescriptor
 
 
 def run_cli(capsys, *argv):
@@ -597,6 +600,33 @@ def test_malformed_index_sets_exit_2_naming_the_set(capsys):
         code, lines = run_cli(capsys, "classify", "--set", text)
         assert _rejected(code, lines), text
         assert lines[-1]["message"].startswith(f"cannot parse index set {text!r}"), text
+
+
+@pytest.mark.parametrize("J", [None, LBarSet.ge(-1), LBarSet.le(2), LBarSet.eq(0),
+                               LBarSet.between(-1, 2)])
+@pytest.mark.parametrize("dual", [False, True])
+def test_a_printed_descriptor_reads_back_as_itself(dual, J):
+    p = Params(Fraction(1, 3), Fraction(0))
+    d = ModuleDescriptor(p, dual=dual, J=J)
+    assert cli._descriptor(d.describe(), p) == d
+
+
+def test_generate_reads_the_descriptor_it_prints(capsys):
+    argv = ("generate", "--start", "0,0,0", "--window", "1")
+    code, (first,) = run_cli(capsys, *argv)
+    assert code == 0 and first["descriptor"] == "plain:full"
+    assert run_cli(capsys, *argv, "--set", first["descriptor"]) == (0, [first])
+
+
+@pytest.mark.parametrize("c", ["mu1+", "--mu1", "+-mu1", "mu1++mu2", "(mu1-)/(mu2)",
+                               "(1 2)", "(mu 1)", "(1)/(mu1+)", "mu1 mu2"])
+def test_a_malformed_symbolic_scalar_exits_2(capsys, c):
+    for flags, c_text in ((("--symbolic",), c), ((f"--mu1={c}",), "1")):
+        element = json.dumps({"terms": [{"k": 0, "l": 0, "m": 0, "c": c_text}]})
+        code, lines = run_cli(capsys, *flags, "act", "--basis", "w", "--gen", "h1",
+                              "--element", element)
+        assert _rejected(code, lines)
+        assert lines[-1]["message"] == f"cannot parse scalar {c!r}"
 
 
 def test_character_of_a_set_unbounded_below_exits_2(capsys):

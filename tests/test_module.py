@@ -277,6 +277,22 @@ def test_basis_mismatch_and_m_guard():
         ModuleElement(P, "u", {(0, 0, -1): Fraction(1)})
 
 
+@pytest.mark.parametrize("mu1, mu2", [(1 / 3, 1 / 5), ("1/3", "0.1"), (Fraction(1, 3), 0.0)])
+def test_parameters_are_exact_scalars(mu1, mu2):
+    with pytest.raises(TypeError, match="is not an exact scalar"):
+        Params(mu1, mu2)
+    p = Params(True, Fraction(1, 5))  # a bool is the int it equals
+    assert p.mu1 == 1 and type(p.mu1) is Fraction
+
+
+@pytest.mark.parametrize("c", [0.5, 0.0, "1/2"])
+def test_element_coefficients_are_exact_scalars(c):
+    with pytest.raises(TypeError, match=f"{c!r} is not an exact scalar"):
+        ModuleElement(P, "u", {(0, 0, 0): c})
+    v = ModuleElement(P, "u", {(0, 0, 0): True, (1, 0, 0): MU1})
+    assert type(v.terms[(0, 0, 0)]) is int and v.terms[(1, 0, 0)] == MU1
+
+
 def test_element_algebra_drops_zeros():
     v = u_vector(P, 0, 0, 0)
     assert (v - v).is_zero()

@@ -1,6 +1,9 @@
+import json
 import operator
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -136,6 +139,58 @@ def test_format_parse_roundtrip():
     assert parse_scalar("(2*mu1^2*mu2 - 1/3)/(mu2 + 1)") == (
         2 * MU1**2 * MU2 - Fraction(1, 3)
     ) / (MU2 + 1)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("2mu1", 2 * MU1),  # a product needs no *
+    ("mu1mu2^2*mu1", MU1**2 * MU2**2),
+    ("1/2*mu2 - 3mu1^0", Fraction(1, 2) * MU2 - 3),
+    ("( - mu1 +  1 ) /  ( mu2 )", (1 - MU1) / MU2),  # spaces around signs, ( ) and /
+    ("+mu1", MU1),
+    ("-3", Fraction(-3)),
+    ("(0*mu1 + 4/6)", Fraction(2, 3)),
+])
+def test_the_grammar_reads_each_form_it_allows(text, value):
+    assert parse_scalar(text) == value
+
+
+MALFORMED = [
+    "--mu1", "+-mu1", "(mu1 - + 2)", "mu1++mu2",  # a doubled sign
+    "mu1+", "(mu1-)/(mu2)", "(1)/(mu1+)", "(-)", "(+)",  # a sign with no term
+    "*mu1", "(2*)", "mu1**mu2", "mu1^", "mu1^-1", "mu3", "2/mu1",  # a broken term
+    "(1 2)", "(mu 1)", "mu1 mu2", "(2 * mu1)", "(1 / 3)", "mu1 ^2",  # a split token
+    "(mu1\n+ 1)", "(٣)",  # a space that is not " ", a digit that is not 0-9
+    "()", "((mu1))", "(mu1)/mu2", "mu1/(mu2)", "(mu1)(mu2)", "(mu1)/", "(mu1)/(mu2)/(mu1)",
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED)
+def test_malformed_scalars_are_refused(text):
+    with pytest.raises(ValueError, match="cannot parse scalar"):
+        parse_scalar(text)
+
+
+def _golden_poly(terms):
+    return BiPoly({(a, b): Fraction(c) for a, b, c in terms})
+
+
+def test_scalars_print_as_the_golden_forms_and_parse_back():
+    """Seeded random values in normal form, stored as terms with the text
+    they print as: the printed form is part of the wire format."""
+    with open(Path(__file__).parent / "golden" / "scalar_forms.json") as f:
+        corpus = json.load(f)
+    assert len(corpus) == 240
+    for row in corpus:
+        x = RatFunc(_golden_poly(row["num"]), _golden_poly(row["den"]))
+        assert str(x) == format_scalar(x) == row["text"]
+        back = parse_scalar(row["text"])
+        assert back == x and str(back) == row["text"]
+
+
+@pytest.mark.parametrize("c", [0.1, 0.0, "1/3", MU1, None])
+def test_a_polynomial_coefficient_is_an_int_or_a_fraction(c):
+    with pytest.raises(TypeError, match=re.escape(f"{c!r} is not an exact scalar")):
+        BiPoly({(0, 0): c})
 
 
 def test_symbolic_fractions_not_reduced_but_normalized():
