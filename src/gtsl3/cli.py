@@ -24,17 +24,20 @@ from .hom import ModuleDescriptor, image_kernel, solve_by_recurrence, solve_inte
 from .module import ModuleElement, Params, act_word, pairing, u_to_w, w_to_u
 from .scalars import format_scalar
 from .serialize import (
+    MAX_WINDOW,
     box_to_json,
     element_from_json,
     element_to_json,
     indexset_to_json,
     param_from_json,
     params_to_json,
+    parse_descriptor,
+    parse_indices,
     parse_set_expr,
+    parse_window,
+    parse_word,
 )
 from .subquotient import classify as classify_set
-
-MAX_WINDOW = 12  # the README gives the time of hom and verify-paper at this radius
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,24 +53,12 @@ class _Parser(argparse.ArgumentParser):
 _SIGNED_FLAGS = ("--mu1", "--mu2", "--start", "--seed")
 
 
-def _index_triple(text: str):
-    """Parse 'k,l,m' into an index triple of integers."""
-    try:
-        k, l, m = (int(x) for x in text.split(","))
-    except ValueError:
-        raise ValueError(f"expected k,l,m (three integers), got {text!r}") from None
-    return k, l, m
-
-
 def _radius(text: str) -> int:
-    """A --window value: an integer from 0 to MAX_WINDOW."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(
-            f"window radius must be an integer >= 0, got {text!r}")
-    if len(text.lstrip("0")) > len(str(MAX_WINDOW)) or int(text) > MAX_WINDOW:
-        raise argparse.ArgumentTypeError(
-            f"window radius must be at most {MAX_WINDOW}, got {text}")
-    return int(text)
+    """parse_window for argparse, which would replace a ValueError's message."""
+    try:
+        return parse_window(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(e) from None
 
 
 def _param(args, which: int) -> str:
@@ -81,15 +72,6 @@ def _param(args, which: int) -> str:
 
 def _params_from_args(args) -> Params:
     return Params(*(param_from_json(_param(args, which), which) for which in (1, 2)))
-
-
-def _descriptor(text: str, params: Params) -> ModuleDescriptor:
-    """Read a descriptor as ModuleDescriptor.describe prints it: an index
-    set, after "dual:" or "plain:" (the default)."""
-    kind, colon, rest = text.strip().partition(":")
-    if colon and kind in ("dual", "plain"):
-        return ModuleDescriptor(params, dual=kind == "dual", J=parse_set_expr(rest))
-    return ModuleDescriptor(params, J=parse_set_expr(text))
 
 
 def _load_element(args, payload: str, basis: str | None = None) -> ModuleElement:
@@ -118,8 +100,7 @@ def _emit(obj) -> None:
 
 def cmd_act(args) -> int:
     v = _load_element(args, args.element, args.basis)
-    word = [args.gen] if args.gen is not None else [
-        g.strip() for g in args.word.split(",") if g.strip()]
+    word = [args.gen] if args.gen is not None else parse_word(args.word)
     out = act_word(word, v)
     _emit(element_to_json(out))
     return 0
@@ -148,8 +129,8 @@ def cmd_hom(args) -> int:
     if args.seed is not None and not args.recurrence:
         raise ValueError("--seed needs --recurrence: only the recurrence starts from a seed")
     params = _params_from_args(args)
-    source = _descriptor(args.source, params)
-    target = _descriptor(args.target, params)
+    source = parse_descriptor(args.source, params)
+    target = parse_descriptor(args.target, params)
     box = source.window(args.window)
     result = {
         "source": args.source,
@@ -159,7 +140,8 @@ def cmd_hom(args) -> int:
         "obstructions": [],
     }
     if args.recurrence:
-        seed = _index_triple(args.seed) if args.seed else (0, (box.lmin + box.lmax) // 2, 0)
+        seed = (parse_indices(args.seed, joined=False)[0] if args.seed is not None
+                else (0, (box.lmin + box.lmax) // 2, 0))
         try:
             sol = solve_by_recurrence(source, target, seed, Fraction(1), box)
             sols = [sol]
@@ -188,10 +170,9 @@ def cmd_hom(args) -> int:
 
 def cmd_generate(args) -> int:
     params = _params_from_args(args)
-    desc = _descriptor(args.set if not args.dual else f"dual:{args.set}", params)
+    desc = parse_descriptor(args.set if not args.dual else f"dual:{args.set}", params)
     box = desc.window(args.window)
-    start = [_index_triple(chunk) for chunk in args.start.split(";")]
-    cert = generate(start, desc, box)
+    cert = generate(parse_indices(args.start), desc, box)
     _emit(
         {
             "descriptor": cert.descriptor,
@@ -208,7 +189,7 @@ def cmd_generate(args) -> int:
 
 def cmd_character(args) -> int:
     params = _params_from_args(args)
-    desc = _descriptor(args.set if not args.dual else f"dual:{args.set}", params)
+    desc = parse_descriptor(args.set if not args.dual else f"dual:{args.set}", params)
     table = character_table(desc, args.window)
     _emit(
         {
@@ -246,6 +227,10 @@ def cmd_verify_paper(args) -> int:
             raise ValueError(f"verify-paper takes no {flag}: each check runs at "
                              "its own pinned parameters, which its report prints")
     names = registry.CHECKS if args.check in (None, "all") else [args.check]
+    rec = registry.CHECKS.get(args.check)
+    if rec is not None and rec.window is None and args.window is not None:
+        raise ValueError(f"verify-paper --check {args.check} takes no --window: "
+                         "the check has no window to set")
     verdicts = set()
     for name in names:
         rep = registry.run_check(name, window=args.window)

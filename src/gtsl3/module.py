@@ -205,6 +205,7 @@ class ModuleElement:
         return self + (-other)
 
     def scale(self, c) -> "ModuleElement":
+        c = c if isinstance(c, RatFunc) else exact(c)
         if not c:
             return ModuleElement(self.params, self.basis)
         out = ModuleElement.__new__(ModuleElement)

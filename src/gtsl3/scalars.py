@@ -142,7 +142,8 @@ class BiPoly:
             return NotImplemented
         return self.terms == other.terms
 
-    def evaluate(self, v1: Fraction, v2: Fraction) -> Fraction:
+    def evaluate(self, v1, v2) -> Fraction:
+        v1, v2 = exact(v1), exact(v2)
         total = Fraction(0)
         for (a, b), c in self.terms.items():
             total += c * v1**a * v2**b
@@ -307,8 +308,9 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        num = _coerce_poly(num)
-        den = _ONE if den is None else _coerce_poly(den)
+        # BiPoly refuses, through exact(), a part that is not an exact scalar
+        num = num if isinstance(num, BiPoly) else BiPoly({(0, 0): num})
+        den = _ONE if den is None else den if isinstance(den, BiPoly) else BiPoly({(0, 0): den})
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         self.num, self.den = _normal(num, den, primitive=False)
@@ -392,10 +394,10 @@ class RatFunc:
     __hash__ = None
 
     def evaluate(self, v1, v2) -> Fraction:
-        d = self.den.evaluate(Fraction(v1), Fraction(v2))
+        d = self.den.evaluate(v1, v2)
         if d == 0:
             raise ZeroDivisionError("denominator vanishes at evaluation point")
-        return self.num.evaluate(Fraction(v1), Fraction(v2)) / d
+        return self.num.evaluate(v1, v2) / d
 
     def as_constant(self):
         """Return the Fraction this scalar equals, or None if non-constant."""

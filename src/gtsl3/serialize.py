@@ -1,12 +1,25 @@
-"""JSON encoding and decoding for the wire-facing objects.
+"""JSON encoding and decoding of the wire-facing objects, and the grammar
+of every command-line token.
 
 Scalars cross the boundary as exact strings, never floats, in the grammar
-of the scalars docstring: rationals as "p/q" (denominator omitted when 1;
-no decimal point or exponent), symbolic values as "(p)" or "(p)/(q)".  A
-doubled, stray or trailing sign, a leading "*", a token split by a space
-and a tab or newline are refused.  A parameter may also be the literal
-string "symbolic".  Term tables are emitted in lexicographic index order,
-so output is byte-deterministic.
+of the scalars docstring; a parameter may also be the literal "symbolic".
+Term tables are emitted in lexicographic index order, so output is
+byte-deterministic.  Every other token is read by an anchored match:
+
+    index  := int "," int "," int         (--start joins indices by ";")
+    window := [0-9]+, at most MAX_WINDOW  int := [+-]?[0-9]{1,4300} (ASCII)
+    word   := [name {"," name}]           name := [a-z0-9]+
+    set    := "full" | "l01" | run {"|" run}
+    run    := "all" | "lbar<=" int | "lbar>=" int | "lbar=" int
+            | "lbar in " int ".." int, the first int at most the second
+    descriptor := ["plain:" | "dual:"] set
+
+The runs are the texts in subquotient.RUN_FORMS, which LBarSet.__repr__
+prints, so every printed set reads back; a set of every lbar is the full
+module.  Spaces may stand around a separator or operator, and one stands
+between "lbar" and "in", but none inside a number or keyword.  Outer
+whitespace is stripped, but for a window, and other text raises a
+ValueError naming it.
 """
 
 from __future__ import annotations
@@ -16,7 +29,7 @@ import re
 
 from .module import Box, ModuleElement, Params
 from .scalars import MU1, MU2, format_scalar, parse_scalar
-from .subquotient import LBarSet
+from .subquotient import RUN_FORMS, LBarSet, ModuleDescriptor
 
 
 def param_to_json(value, which: int) -> str:
@@ -95,28 +108,68 @@ def indexset_to_json(J: LBarSet) -> dict:
     return {"lbar": {"union": parts}}
 
 
-_INT = r"([+-]?[0-9]+)"
-_SET_EXPR = re.compile(rf"lbar(?:(>=|<=|=){_INT}|in{_INT}\.\.{_INT})")
-_BOUNDED = {">=": LBarSet.ge, "<=": LBarSet.le, "=": LBarSet.eq}
+_INT = "[+-]?[0-9]{1,4300}"  # int() reads at most 4300 digits
+_INDEX = rf"{_INT} *, *{_INT} *, *{_INT}"
+_INDICES = re.compile(rf"{_INDEX}(?: *; *{_INDEX})*")
+MAX_WINDOW = 12  # the README gives the time of hom and verify-paper at this radius
+
+
+def parse_indices(text: str, joined: bool = True) -> list:
+    """The k,l,m triples of a text: several joined by ";", or one unless joined."""
+    if not _INDICES.fullmatch(text.strip()) or (";" in text and not joined):
+        raise ValueError(f"expected k,l,m (three integers), got {text!r}")
+    ends = [int(n) for n in re.findall(_INT, text)]
+    return list(zip(ends[::3], ends[1::3], ends[2::3]))
+
+
+def parse_window(text: str) -> int:
+    if not re.fullmatch("[0-9]+", text):
+        raise ValueError(f"window radius must be an integer >= 0, got {text!r}")
+    if len(text.lstrip("0")) > len(str(MAX_WINDOW)) or int(text) > MAX_WINDOW:
+        raise ValueError(f"window radius must be at most {MAX_WINDOW}, got {text}")
+    return int(text)
+
+
+def parse_word(text: str) -> list:
+    """The generator names of a word, leftmost first."""
+    names = re.split(" *, *", text.strip()) if text.strip() else []
+    if not all(re.fullmatch("[a-z0-9]+", name) for name in names):
+        raise ValueError(f"cannot parse word {text!r}: expected names joined by ','")
+    return names
+
+
+def _run_pattern(printed: str) -> re.Pattern:
+    """The pattern of a RUN_FORMS text: each {} an integer, and spaces allowed
+    between tokens, and needed between two words."""
+    tokens = re.findall(r"[a-z]+|\{\}|[^a-z{} ]+", printed)
+    gaps = [""] + [" +" if (a + b).isalpha() else " *" for a, b in zip(tokens, tokens[1:])]
+    pieces = [f"({_INT})" if token == "{}" else re.escape(token) for token in tokens]
+    return re.compile(" *" + "".join(g + p for g, p in zip(gaps, pieces)) + " *")
+
+
+_RUNS = [(_run_pattern(printed), make) for printed, make in RUN_FORMS.values()]
 
 
 def parse_set_expr(text: str) -> LBarSet | None:
-    """Command-line index set grammar, spaces ignored: full | all | l01 |
-    lbar>=N | lbar<=N | lbar=N | lbar in A..B with A <= B."""
-    compact = text.strip().replace(" ", "")
-    if compact in ("full", "all"):
-        return None
-    if compact == "l01":
-        return LBarSet.between(0, 1)
-    match = _SET_EXPR.fullmatch(compact)
-    if match is None:
+    """The index set a text names, None for the full module."""
+    compact = text.strip()
+    if compact in ("full", "l01"):
+        return None if compact == "full" else LBarSet.between(0, 1)
+    pieces = compact.split("|")
+    sets = [make(*map(int, match.groups())) for piece in pieces
+            for pattern, make in _RUNS if (match := pattern.fullmatch(piece))]
+    if len(sets) < len(pieces):
         raise ValueError(f"cannot parse index set {text!r}")
-    op, n, a, b = match.groups()
-    if op is not None:
-        return _BOUNDED[op](int(n))
-    if int(a) > int(b):
-        raise ValueError(f"cannot parse index set {text!r}: empty interval {a}..{b}")
-    return LBarSet.between(int(a), int(b))
+    if not all(S.intervals for S in sets):
+        raise ValueError(f"cannot parse index set {text!r}: an interval is empty")
+    J = LBarSet([run for S in sets for run in S.intervals])
+    return None if J == LBarSet.all() else J
+
+
+def parse_descriptor(text: str, params: Params) -> ModuleDescriptor:
+    """A descriptor as ModuleDescriptor.describe prints it."""
+    kind, rest = re.fullmatch(r"(?:(plain|dual) *: *)?(.*)", text.strip(), re.S).groups()
+    return ModuleDescriptor(params, kind == "dual", parse_set_expr(rest))
 
 
 def box_to_json(box: Box) -> dict:

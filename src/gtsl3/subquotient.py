@@ -136,12 +136,15 @@ class LBarSet:
         return hash((self.low, self.cuts))
 
     def __repr__(self):
-        bits = [_RUN_TEXT[form].format(*ends) for form, ends in self.runs()]
+        bits = [RUN_FORMS[form][0].format(*ends) for form, ends in self.runs()]
         return " | ".join(bits) if bits else "lbar in {}"
 
 
-_RUN_TEXT = {"all": "all", "le": "lbar<={}", "ge": "lbar>={}", "eq": "lbar={}",
-             "in": "lbar in {}..{}"}
+# each run form: the text repr prints it as, a {} for each end, and the
+# set of one run made from its ends; serialize reads sets from these texts
+RUN_FORMS = {"all": ("all", LBarSet.all), "le": ("lbar<={}", LBarSet.le),
+             "ge": ("lbar>={}", LBarSet.ge), "eq": ("lbar={}", LBarSet.eq),
+             "in": ("lbar in {}..{}", LBarSet.between)}
 
 
 # ---------------------------------------------------------------------------

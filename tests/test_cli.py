@@ -11,7 +11,7 @@ import pytest
 from gtsl3 import cli, registry
 from gtsl3.cli import MAX_WINDOW, main
 from gtsl3.module import Params
-from gtsl3.serialize import MAX_M
+from gtsl3.serialize import MAX_M, parse_descriptor
 from gtsl3.subquotient import LBarSet, ModuleDescriptor
 
 
@@ -602,13 +602,90 @@ def test_malformed_index_sets_exit_2_naming_the_set(capsys):
         assert lines[-1]["message"].startswith(f"cannot parse index set {text!r}"), text
 
 
+# (argv, the text its error message must name): a number split by a space or
+# a sign, a keyword split or run together, a digit outside ASCII, an "_" in a
+# number, an empty generator name and an empty seed
+MALFORMED_TOKENS = [
+    (("classify", "--set", "lbar>=1 0", "--window", "12"), "lbar>=1 0"),
+    (("classify", "--set", "lbar = - 1"), "lbar = - 1"),
+    (("classify", "--set", "l bar=1"), "l bar=1"),
+    (("classify", "--set", "lbar in 0 . . 1"), "lbar in 0 . . 1"),
+    (("classify", "--set", "lbarin1..2"), "lbarin1..2"),
+    (("hom", "--source", "f u l l", "--target", "dual:full"), "f u l l"),
+    (("hom", "--source", "full", "--target", "dual:f u l l"), "f u l l"),
+    (("generate", "--start", "0,0,0_1"), "0,0,0_1"),
+    (("generate", "--start", "0,0,\uff10", "--window", "3"), "0,0,\uff10"),
+    (("generate", "--start", "0,0,0", "--window", "\uff13"), "\uff13"),
+    (("classify", "--set", "lbar=1", "--window", "\u0663"), "\u0663"),
+    (("act", "--basis", "w", "--word", "e1,,f1", "--element", W000), "e1,,f1"),
+    (("act", "--basis", "w", "--word", ",,", "--element", W000), ",,"),
+    (("act", "--basis", "w", "--word", ",e1", "--element", W000), ",e1"),
+    (("hom", "--source", "full", "--target", "dual:full", "--recurrence", "--seed", ""), ""),
+]
+
+
+@pytest.mark.parametrize("argv, text", MALFORMED_TOKENS)
+def test_a_malformed_token_exits_2_naming_it(capsys, argv, text):
+    code, lines = run_cli(capsys, *argv)
+    assert _rejected(code, lines)
+    assert repr(text) in lines[-1]["message"]
+
+
+# (argv, an argv of the canonical form that must give the same output)
+ACCEPTED_TOKENS = [
+    (("classify", "--set", " lbar >= 1 "), ("classify", "--set", "lbar>=1")),
+    (("classify", "--set", "lbar in -1 .. 1"), ("classify", "--set", "lbar in -1..1")),
+    (("classify", "--set", "lbar=+1"), ("classify", "--set", "lbar=1")),
+    (("classify", "--set", "lbar=1", "--window", "03"),
+     ("classify", "--set", "lbar=1", "--window", "3")),
+    (("generate", "--start", " 0 , 0 , 0 ; +1,0,0 "), ("generate", "--start", "0,0,0;1,0,0")),
+    (("generate", "--set", "dual : lbar>=0", "--start", "0,0,0"),
+     ("generate", "--set", "lbar>=0", "--dual", "--start", "0,0,0")),
+    (("act", "--word", " e12 , f12 ", "--element", W000),
+     ("act", "--word", "e12,f12", "--element", W000)),
+    (("act", "--word", "", "--element", W000), ("act", "--word", " ", "--element", W000)),
+]
+
+
+@pytest.mark.parametrize("argv, canonical", ACCEPTED_TOKENS)
+def test_spaces_around_operators_a_plus_sign_and_leading_zeros_are_read(
+        capsys, argv, canonical):
+    code, lines = run_cli(capsys, "--mu2", "0", *argv)
+    assert code == 0 and (code, lines) == run_cli(capsys, "--mu2", "0", *canonical)
+
+
+def test_a_union_reads_back_through_set_source_and_target(capsys):
+    argv = ("--mu2", "0", "generate", "--start", "0,0,0", "--window", "2")
+    code, (first,) = run_cli(capsys, *argv, "--set", "lbar<=-2|lbar=0 |lbar>=2", "--dual")
+    printed = first["descriptor"]
+    assert code == 0 and printed == "dual:lbar<=-2 | lbar=0 | lbar>=2"
+    assert run_cli(capsys, *argv, "--set", printed) == (0, [first])
+
+    def hom(source, target):
+        code, (out,) = run_cli(capsys, "--mu2", "0", "hom", "--source", source,
+                               "--target", target, "--window", "2")
+        assert code == 0
+        return {key: value for key, value in out.items() if key not in ("source", "target")}
+
+    assert hom(printed, printed.replace("dual", "plain")) == hom(
+        "dual:lbar<=-2|lbar=0|lbar>=2", "lbar<=-2|lbar=0|lbar>=2")
+
+
+@pytest.mark.parametrize("check", [name for name, rec in registry.CHECKS.items()
+                                   if rec.window is None])
+def test_a_check_without_a_window_refuses_the_window_flag(capsys, check):
+    code, lines = run_cli(capsys, "verify-paper", "--check", check, "--window", "7")
+    assert _rejected(code, lines) and "--window" in lines[-1]["message"]
+    assert run_cli(capsys, "verify-paper", "--check", check)[0] == 0
+
+
 @pytest.mark.parametrize("J", [None, LBarSet.ge(-1), LBarSet.le(2), LBarSet.eq(0),
-                               LBarSet.between(-1, 2)])
+                               LBarSet.between(-1, 2), LBarSet([(None, -2), (0, 1), (4, 6)])])
 @pytest.mark.parametrize("dual", [False, True])
 def test_a_printed_descriptor_reads_back_as_itself(dual, J):
     p = Params(Fraction(1, 3), Fraction(0))
     d = ModuleDescriptor(p, dual=dual, J=J)
-    assert cli._descriptor(d.describe(), p) == d
+    assert parse_descriptor(d.describe(), p) == d
 
 
 def test_generate_reads_the_descriptor_it_prints(capsys):

@@ -293,6 +293,16 @@ def test_element_coefficients_are_exact_scalars(c):
     assert type(v.terms[(0, 0, 0)]) is int and v.terms[(1, 0, 0)] == MU1
 
 
+@pytest.mark.parametrize("c", [0.5, 0.0, "2", None])
+def test_an_element_is_scaled_by_exact_scalars_only(c):
+    v = u_vector(P, 0, 0, 0)
+    for scaled in (lambda: v.scale(c), lambda: c * v):
+        with pytest.raises(TypeError, match=f"{c!r} is not an exact scalar"):
+            scaled()
+    assert (Fraction(1, 2) * v).terms == {(0, 0, 0): Fraction(1, 2)}
+    assert v.scale(MU1).terms == {(0, 0, 0): MU1} and v.scale(True) == v
+
+
 def test_element_algebra_drops_zeros():
     v = u_vector(P, 0, 0, 0)
     assert (v - v).is_zero()

@@ -193,6 +193,22 @@ def test_a_polynomial_coefficient_is_an_int_or_a_fraction(c):
         BiPoly({(0, 0): c})
 
 
+@pytest.mark.parametrize("point", [(0.1, 0), (0, 0.5), ("1/3", 0), (0, None)])
+def test_evaluation_takes_exact_points_only(point):
+    bad = next(v for v in point if not isinstance(v, int))
+    for value in (MU1, MU1.num, (MU1 + 1) / (MU2 + 2)):
+        with pytest.raises(TypeError, match=re.escape(f"{bad!r} is not an exact scalar")):
+            value.evaluate(*point)
+    assert ((MU1 + 1) / (MU2 + 2)).evaluate(True, Fraction(1, 2)) == Fraction(4, 5)
+
+
+@pytest.mark.parametrize("parts", [(0.5,), (MU1.num, "x"), ("1",), (MU1,), (1, 0.25)])
+def test_a_rational_function_is_made_of_exact_parts_only(parts):
+    bad = next(x for x in parts if not isinstance(x, (int, BiPoly)))
+    with pytest.raises(TypeError, match=re.escape(f"{bad!r} is not an exact scalar")):
+        RatFunc(*parts)
+
+
 def test_symbolic_fractions_not_reduced_but_normalized():
     x = (MU1 * MU1 - 1) / (MU1 - 1)
     # no polynomial gcd: the printed form keeps both factors

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 from gtsl3.cli import main
 from gtsl3.module import ModuleElement, Params
 from gtsl3.scalars import MU1, MU2, BiPoly, RatFunc, format_scalar, parse_scalar
-from gtsl3.serialize import element_from_json, element_to_json, parse_set_expr
-from gtsl3.subquotient import LBarSet
+from gtsl3.serialize import (element_from_json, element_to_json, parse_descriptor,
+                             parse_indices, parse_set_expr, parse_window, parse_word)
+from gtsl3.subquotient import LBarSet, ModuleDescriptor
 
 # deterministic and quick, so that the suite stays reproducible
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
@@ -126,3 +128,62 @@ def test_random_set_text_raises_only_value_error(text):
     except ValueError:
         pass
 
+
+
+@SETTINGS
+@given(st.lists(set_exprs(), min_size=1, max_size=4), spaces, spaces)
+def test_a_union_of_set_expressions_parses_to_the_union(cases, before, after):
+    text = f"{before}|{after}".join(text for text, _ in cases)
+    expected = LBarSet([run for _, J in cases for run in J.intervals])
+    assert parse_set_expr(text) == (None if expected == LBarSet.all() else expected)
+
+
+# (reader, malformed text): a space inside a number or keyword, a keyword run
+# together, an empty run, name or index, an "_" and digits outside ASCII
+MALFORMED = [
+    (parse_set_expr, "lbar>=1 0"), (parse_set_expr, "lbar = - 1"),
+    (parse_set_expr, "l bar=1"), (parse_set_expr, "lbar in 0 . . 1"),
+    (parse_set_expr, "lbarin1..2"), (parse_set_expr, "f u l l"),
+    (parse_set_expr, "lbar=1 ||lbar=2"), (parse_set_expr, "lbar=1 |"),
+    (parse_set_expr, "lbar in 0..1 | lbar in 3..2"),
+    (parse_indices, "0,0,0_1"), (parse_indices, "0,0,\uff10"), (parse_indices, "0,0,0;"),
+    (parse_indices, "0, 0,- 1"),
+    (parse_window, "\uff13"), (parse_window, "\u0663"), (parse_window, " 3"),
+    (parse_word, "e1,,f1"), (parse_word, ",,"), (parse_word, ",e1"), (parse_word, "e 1"),
+]
+
+
+@pytest.mark.parametrize("read, text", MALFORMED)
+def test_a_malformed_token_is_refused_by_name(read, text):
+    with pytest.raises(ValueError, match=re.escape(repr(text))):
+        read(text)
+
+
+def test_an_integer_longer_than_int_reads_is_refused_by_name():
+    for read, text in ((parse_set_expr, "lbar>=" + "9" * 4301),
+                       (parse_indices, "0,0," + "9" * 4301)):
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
+            read(text)
+    assert parse_set_expr("lbar>=" + "9" * 4300) == LBarSet.ge(int("9" * 4300))
+
+
+def test_a_descriptor_is_a_set_after_an_optional_kind():
+    p = Params(Fraction(1, 3), Fraction(0))
+    assert parse_descriptor(" dual : lbar >= +1 ", p) == ModuleDescriptor(p, True, LBarSet.ge(1))
+    assert parse_descriptor("plain:all", p) == ModuleDescriptor(p)
+    for text in ("dual:f u l l", "dual:plain:full", "dualfull", "dual:"):
+        with pytest.raises(ValueError, match="cannot parse index set"):
+            parse_descriptor(text, p)
+
+
+def test_the_accepted_forms_of_each_token():
+    assert parse_set_expr("all") is None and parse_set_expr(" full ") is None
+    assert parse_set_expr("lbar<=-1 | lbar>=0") is None
+    assert parse_set_expr("l01") == parse_set_expr("lbar in 0 ..1") == LBarSet.between(0, 1)
+    assert parse_indices(" 0 , -1 ,+2 ; 3,4,5") == [(0, -1, 2), (3, 4, 5)]
+    assert parse_indices("1,2,3", joined=False) == [(1, 2, 3)]
+    with pytest.raises(ValueError, match="expected k,l,m"):
+        parse_indices("1,2,3;4,5,6", joined=False)
+    assert parse_window("03") == 3 and parse_window("0") == 0
+    assert parse_word("") == parse_word("  ") == []
+    assert parse_word(" e12 , f1,h2") == ["e12", "f1", "h2"]

@@ -97,9 +97,9 @@ def test_intervals_are_sorted_disjoint_and_non_adjacent(runs):
 
 
 @SETTINGS
-@given(run_ends, run_ends)
-def test_repr_of_any_single_run_parses_back(lo, hi):
-    J = LBarSet([(lo, hi)])
+@given(run_lists)
+def test_repr_of_any_set_parses_back(runs):
+    J = LBarSet(runs)
     if J.intervals:
         assert parse_set_expr(repr(J)) == (None if J == LBarSet.all() else J), repr(J)
 
