@@ -1,8 +1,9 @@
 """Intertwiner computation between (sub)quotients of the module and its dual.
 
 Each side of a Hom problem is a ``subquotient.ModuleDescriptor``, imported
-here as ``hom.ModuleDescriptor``; its ``action`` reads ACTION_TABLE with
-the targets outside its index set dropped before they are evaluated.
+here as ``hom.ModuleDescriptor``.  The rows read each side through the
+ambient table action, ``module.BASIS_ACTIONS``: the window, already cut to
+the index set, alone decides a target, before its coefficient is evaluated.
 
 Both sides of every Hom problem here decompose into one-dimensional
 simultaneous eigenspaces with matching eigenvalue triples, so an
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ObstructionAtIndex
-from .module import AXIS_PAIRS, OFF_DIAGONAL, Box, Params
+from .module import AXIS_PAIRS, BASIS_ACTIONS, OFF_DIAGONAL, Box, Params
 from .scalars import raising_factorial
 from .solver import nullspace
 from .subquotient import LBarSet, ModuleDescriptor, lbar_coordinates
@@ -87,10 +88,11 @@ def _comparison_rows(source, target, gen: str, a, want) -> dict:
     X phi(b_a) for X = gen, for each target j that want(j) accepts: the row
     reads cs*x_j - ct*x_a, with cs the coefficient of b_j in X b_a and ct
     that of b'_j in X b'_a.  No row vanishes: the actions drop zero
-    coefficients and j != a.  Callers want only window indices, so no row
-    needs an unknown outside the window."""
-    src = source.action(gen, a, want)
-    tgt = target.action(gen, a, want)
+    coefficients and j != a.  want alone decides a target: callers accept
+    only indices of source.indices(box), the window already cut to J, so no
+    row needs an unknown outside the window or J."""
+    src = dict(BASIS_ACTIONS[source.basis](gen, source.params, a, want))
+    tgt = dict(BASIS_ACTIONS[target.basis](gen, target.params, a, want))
     rows = {}
     for j in set(src) | set(tgt):
         row = {}

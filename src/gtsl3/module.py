@@ -253,8 +253,8 @@ def eta_vector(params, k, l, m) -> ModuleElement:
 # ---------------------------------------------------------------------------
 # the action on one basis vector, as data
 
-def _w_den(kb, lb):
-    return (kb + lb) * (kb + lb - 1)
+def _w_den(s):  # s = kbar + lbar, worked out once by the caller
+    return s * (s - 1)
 
 
 # h1 and h2 act by the weight, the same in the u-, w- and eta-bases
@@ -283,14 +283,14 @@ ACTION_TABLE = {
     "w": {
         **_WEIGHT,
         "e1": (((-1, 0, 0), lambda kb, lb, m: -kb),
-               ((0, 1, -1), lambda kb, lb, m: -m * lb * (lb - 1) / _w_den(kb, lb))),
+               ((0, 1, -1), lambda kb, lb, m: -m * lb * (lb - 1) / _w_den(kb + lb))),
         "e2": (((0, -1, 0), lambda kb, lb, m: -lb),
-               ((1, 0, -1), lambda kb, lb, m: m * kb * (kb - 1) / _w_den(kb, lb))),
+               ((1, 0, -1), lambda kb, lb, m: m * kb * (kb - 1) / _w_den(kb + lb))),
         "f1": (((1, 0, 0), lambda kb, lb, m:
-                kb * (kb - 1) * (kb + lb + m) / _w_den(kb, lb)),
+                kb * (kb - 1) * ((s := kb + lb) + m) / _w_den(s)),
                ((0, -1, 1), lambda kb, lb, m: -lb)),
         "f2": (((0, 1, 0), lambda kb, lb, m:
-                lb * (lb - 1) * (kb + lb + m) / _w_den(kb, lb)),
+                lb * (lb - 1) * ((s := kb + lb) + m) / _w_den(s)),
                ((-1, 0, 1), lambda kb, lb, m: kb)),
         "e12": (((0, 0, -1), lambda kb, lb, m: Fraction(-m)),),
         "f12": (((0, 0, 1), lambda kb, lb, m: kb + lb + m),),

@@ -40,10 +40,11 @@ BiPoly.__str__ writes and parse_scalar reads, both from VARIABLES:
     poly     := [sign] term {sign term}       sign   := "+" | "-"
     scalar   := [sign] rational | "(" poly ")" | "(" poly ")/(" poly ")" | poly
 
-with digits := [0-9]+.  Spaces may stand only around a sign, a parenthesis
-or the slash, and not in a bare rational.  The printer writes c*mu1^a*mu2^b
-with no coefficient or power 1, in descending (a, b) order, " + " or " - "
-between terms, and (num), or (num)/(den) when den is not 1.
+with digits := [0-9]{1,4300}, as many as int() reads.  Spaces may stand
+only around a sign, a parenthesis or the slash, and not in a bare
+rational.  The printer writes c*mu1^a*mu2^b with no coefficient or power 1,
+in descending (a, b) order, " + " or " - " between terms, and (num), or
+(num)/(den) when den is not 1.
 """
 
 from __future__ import annotations
@@ -516,8 +517,9 @@ def format_scalar(x) -> str:
     return str(Fraction(x))
 
 
-_RATIONAL = "[0-9]+(?:/[0-9]+)?"
-_FACTOR = rf"(?:{'|'.join(VARIABLES)})(?:\^[0-9]+)?"
+_DIGITS = "[0-9]{1,4300}"
+_RATIONAL = f"{_DIGITS}(?:/{_DIGITS})?"
+_FACTOR = rf"(?:{'|'.join(VARIABLES)})(?:\^{_DIGITS})?"
 _TERM = rf"(?:(?:{_RATIONAL}\*?)?{_FACTOR}(?:\*?{_FACTOR})*|{_RATIONAL})"
 _POLY = rf"[+-]? *{_TERM}(?: *[+-] *{_TERM})*"
 _SCALAR_RE = re.compile(rf"\( *({_POLY}) *\)(?: */ *\( *({_POLY}) *\))?|({_POLY})")

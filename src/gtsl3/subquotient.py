@@ -9,13 +9,16 @@ A ModuleDescriptor names the module (w-basis) or its dual (eta-basis) with
 an optional LBarSet J, and owns the lbar coordinate: ``lbar_coordinates``
 gives (k, lbar, m), and every reading of an index's lbar level goes
 through it, as ``contains`` does; ``window`` is the one box centred on
-mu2, and ``action`` is the ambient table action with the targets outside J
-dropped before their coefficient is evaluated.  It is the one door to
-ACTION_TABLE for every search: generation (``explore.generate``) and
-closure both walk ``steps``, the six raising and lowering generators.  A
-subquotient's action on elements, ``act_truncated``, is the action summed
-over the terms; the paper's displayed formulas for the lbar in {0,1} band
-are kept in the test suite as an oracle for it.
+mu2, and ``action`` is the ambient table action with the targets outside J,
+and those its caller's filter rejects, dropped before their coefficient is
+evaluated: J and the filter together decide a target.  Generation
+(``explore.generate``) and closure both walk ``steps``, the six raising and
+lowering generators, through it.  The Hom rows (``hom``) do not: their
+filter is the window already cut to J, so it alone decides a target and
+they read the ambient table action.  A subquotient's action on elements,
+``act_truncated``, is the action summed over the terms; the paper's
+displayed formulas for the lbar in {0,1} band are kept in the test suite
+as an oracle for it.
 
 Closure of desc.J under the ambient action, desc without J, is checked
 exactly on a finite window by ``is_closed(desc, box)``.  The predicates

@@ -167,10 +167,13 @@ def test_act_symbolic_eta_output_matches_the_golden_file(capsys):
     assert capsys.readouterr().out == golden.read_text()
 
 
-def test_hom_ge0_plain_to_dual_output_matches_the_golden_file(capsys):
-    main(["--mu2", "0", "hom", "--source", "lbar>=0", "--target", "dual:lbar>=0",
-          "--window", "3"])
-    golden = Path(__file__).parent / "golden" / "hom_ge0_plain_dual.json"
+@pytest.mark.parametrize("source, target, name", [
+    ("lbar>=0", "dual:lbar>=0", "hom_ge0_plain_dual"),
+    ("dual:lbar>=0", "lbar>=0", "hom_ge0_dual_plain"),
+], ids=["plain-dual", "dual-plain"])
+def test_hom_ge0_output_matches_the_golden_file(capsys, source, target, name):
+    main(["--mu2", "0", "hom", "--source", source, "--target", target, "--window", "3"])
+    golden = Path(__file__).parent / "golden" / f"{name}.json"
     assert capsys.readouterr().out == golden.read_text()
 
 
@@ -696,7 +699,9 @@ def test_generate_reads_the_descriptor_it_prints(capsys):
 
 
 @pytest.mark.parametrize("c", ["mu1+", "--mu1", "+-mu1", "mu1++mu2", "(mu1-)/(mu2)",
-                               "(1 2)", "(mu 1)", "(1)/(mu1+)", "mu1 mu2"])
+                               "(1 2)", "(mu 1)", "(1)/(mu1+)", "mu1 mu2",
+                               pytest.param("9" * 5000, id="<5000 digits>"),
+                               pytest.param("mu1^" + "9" * 5000, id="mu1^<5000 digits>")])
 def test_a_malformed_symbolic_scalar_exits_2(capsys, c):
     for flags, c_text in ((("--symbolic",), c), ((f"--mu1={c}",), "1")):
         element = json.dumps({"terms": [{"k": 0, "l": 0, "m": 0, "c": c_text}]})

@@ -304,7 +304,8 @@ ORACLE_POINTS = {
     "generic": (PG, ["full"], MODULE_DUAL),
     "mu1=0": (Params(0, Fraction(1, 5)), ["full"], MODULE_DUAL),
     **{f"mu2={t}": (Params(Fraction(1, 3), t),
-                    ["full", "l01", "lbar>=0", "lbar>=2", "lbar<=-1"], MODULE_DUAL)
+                    ["full", "l01", "lbar>=0", "lbar>=1", "lbar>=2", "lbar<=-1"],
+                    MODULE_DUAL)
        for t in (0, 3, -1)},
     "same-basis mu2=0": (P0, ["full", "l01", "lbar>=2"], SAME_BASIS),
 }

@@ -149,6 +149,7 @@ def test_format_parse_roundtrip():
     ("+mu1", MU1),
     ("-3", Fraction(-3)),
     ("(0*mu1 + 4/6)", Fraction(2, 3)),
+    pytest.param("(" + "9" * 4300 + "*mu1)", (10**4300 - 1) * MU1, id="(<4300 digits>*mu1)"),
 ])
 def test_the_grammar_reads_each_form_it_allows(text, value):
     assert parse_scalar(text) == value
@@ -161,6 +162,9 @@ MALFORMED = [
     "(1 2)", "(mu 1)", "mu1 mu2", "(2 * mu1)", "(1 / 3)", "mu1 ^2",  # a split token
     "(mu1\n+ 1)", "(٣)",  # a space that is not " ", a digit that is not 0-9
     "()", "((mu1))", "(mu1)/mu2", "mu1/(mu2)", "(mu1)(mu2)", "(mu1)/", "(mu1)/(mu2)/(mu1)",
+    # a run of more digits than int() reads
+    *(pytest.param(form.format("9" * 4301), id=form.format("<4301 digits>"))
+      for form in ("{}", "-{}", "({}*mu1)", "1/{}", "{}/3", "mu1^{}", "(1)/(mu2^{})")),
 ]
 
 

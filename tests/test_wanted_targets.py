@@ -25,7 +25,7 @@ PG = Params(Fraction(1, 3), Fraction(1, 5))
 P0 = Params(Fraction(1, 3), Fraction(0))
 SYM0 = Params(MU1, RatFunc(0))  # mu1 symbolic, mu2 = 0 exactly
 PAIRINGS = ((False, True), (True, False), (False, False), (True, True))
-SETS = ("full", "l01", "lbar>=0", "lbar>=2", "lbar<=-1", "lbar=0", "lbar=1")
+SETS = ("full", "l01", "lbar>=0", "lbar>=1", "lbar>=2", "lbar<=-1", "lbar=0", "lbar=1")
 
 
 def _problem(params, text, sdual, tdual):
@@ -191,6 +191,19 @@ def test_no_coefficient_is_evaluated_toward_an_edge_that_has_a_row(
         if c != 0:
             fresh.add(edge)
     assert len(built | fresh) == len(rows)
+
+
+def test_the_window_alone_decides_which_targets_the_equations_read(monkeypatch):
+    """J is tested once per window index, by indices(box), and never again
+    per target: the window set already holds only indices of J."""
+    calls = []
+    contains = ModuleDescriptor.contains
+    monkeypatch.setattr(ModuleDescriptor, "contains",
+                        lambda self, idx: calls.append(idx) or contains(self, idx))
+    src, tgt = _problem(P0, "lbar>=0", True, False)
+    box = src.window(3)
+    intertwiner_equations(src, tgt, box)
+    assert calls == list(box) and len(calls) == 196
 
 
 @pytest.mark.parametrize("params,J", GENERATION_CASES)
