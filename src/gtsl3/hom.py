@@ -34,6 +34,12 @@ trees of a union-find over the columns (a one-unknown row joins a zero
 node), and checks each other row once, against the one basis vector on its
 tree, dropping that vector if the row fails.  Eliminating every row gives
 the same basis: a cycle row reduces to zero or forces its tree to zero.
+Exact forest rows reach the eliminator in tree order, each tree breadth
+first from its first column: a row comes when the first of its columns is
+reached, so its reduction walks a few pivots, not a chain across the tree.
+Over Q the order cannot show: each tree gives one line, normalized at its
+first nonzero value.  A forest with a RatFunc keeps assembly order: RatFunc
+never reduces, so the printed symbolic solutions show the elimination order.
 
 Boundary policy: equations are assembled at every window index and an
 equation is skipped only when it touches an unknown outside the window.
@@ -50,7 +56,7 @@ from fractions import Fraction
 
 from .errors import ObstructionAtIndex
 from .module import AXIS_PAIRS, BASIS_ACTIONS, OFF_DIAGONAL, Box, Params
-from .scalars import raising_factorial
+from .scalars import RatFunc, raising_factorial
 from .solver import nullspace
 from .subquotient import LBarSet, ModuleDescriptor, lbar_coordinates
 
@@ -134,8 +140,29 @@ def _residual(row: dict, x: dict):
     return sum((coeff * x.get(idx, 0) for idx, coeff in row.items()), 0)
 
 
+def _tree_order(forest, columns):
+    """The forest rows, each tree breadth first from its first column."""
+    at = {}
+    for row in forest:
+        for c in row:
+            at.setdefault(c, []).append(row)
+    order, reached = [], set()
+    for queue in ([c] for c in columns if c in at and c not in reached):
+        reached.add(queue[0])
+        for c in queue:  # grows as it is read: breadth first
+            for row in at[c]:
+                new = [d for d in row if d not in reached]
+                if new or len(row) == 1:  # a tree edge, or a forced zero
+                    order.append(row)
+                    reached.update(new)
+                    queue += new
+    return order
+
+
 def _forest_nullspace(rows, columns):
-    """nullspace(rows, columns), for rows of one or two unknowns (module docstring)."""
+    """nullspace(rows, columns), for rows of one or two unknowns.  Forest rows
+    go in tree order unless one holds a RatFunc, which never reduces: the
+    printed values would show the order (module docstring)."""
     parent = {}
 
     def root(c):
@@ -149,6 +176,8 @@ def _forest_nullspace(rows, columns):
         if a != b:
             parent[a] = b
         (forest if a != b else cycles).append(row)
+    if not any(isinstance(v, RatFunc) for row in forest for v in row.values()):
+        forest = _tree_order(forest, columns)
     basis = nullspace(forest, columns)
     home = {c: n for n, vec in enumerate(basis) for c in vec}
     broken = {home[c] for row in cycles if (c := next(iter(row))) in home

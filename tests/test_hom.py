@@ -452,10 +452,36 @@ def test_solve_intertwiner_eliminates_only_the_forest_rows(monkeypatch):
     indices, rows = intertwiner_equations(src, tgt, box)
     assert len(solve_intertwiner(src, tgt, box)) == 1
     [(forest, _)] = calls
-    # one spanning tree of the 196 unknowns, its rows in assembly order
+    # one spanning tree of the 196 unknowns, its rows in tree order
     assert (len(indices), len(rows), len(forest)) == (196, 735, 195)
     edges = {frozenset(row) for row in forest}
+    assert (sorted(sorted(row.items()) for row in rows if frozenset(row) in edges)
+            == sorted(sorted(row.items()) for row in forest))
+    # breadth first from the first column: each row meets exactly one column
+    # reached before it, reached no earlier than the last row's such column
+    reached, last = {indices[0]: 0}, 0
+    for row in forest:
+        [n] = [reached[c] for c in row if c in reached]
+        assert n >= last
+        last = n
+        reached.update((c, len(reached)) for c in row if c not in reached)
+
+
+def test_a_symbolic_forest_reaches_nullspace_in_assembly_order(monkeypatch):
+    """RatFunc never reduces, so the order of elimination shows in the
+    printed symbolic solutions: their forest rows keep assembly order, even
+    beside the Fraction f12 coefficients that the eta-table takes from the
+    w-table."""
+    calls = _spy_on_nullspace(monkeypatch)
+    src, tgt, box = _problem(SYM0, parse_set_expr("lbar=0"), True, False, 1)
+    indices, rows = intertwiner_equations(src, tgt, box)
+    assert len(solve_intertwiner(src, tgt, box)) == 1
+    [(forest, _)] = calls
+    kinds = {type(v) for row in forest for v in row.values()}
+    assert (len(indices), len(rows), len(forest), kinds) == (6, 9, 5, {RatFunc, Fraction})
+    edges = {frozenset(row) for row in forest}
     assert [row for row in rows if frozenset(row) in edges] == forest
+    assert hom._tree_order(forest, indices) != forest
 
 
 def test_a_broken_cycle_drops_its_tree_as_elimination_of_every_row_does(monkeypatch):
