@@ -189,35 +189,35 @@ _RV_CASES = {
 
 def _const(value):
     """A displayed coefficient that is the constant value."""
-    return lambda kb, lb, m: Fraction(value)
+    return lambda q, m: Fraction(value)
 
 
 # displayed one-step actions on eta_{k, mu2+c, 0}, shaped as ACTION_TABLE:
-# generator -> ((offset, coefficient(kbar, lbar, m)), ...)
+# generator -> ((offset, coefficient(line, m)), ...), q.kb = kbar
 _RV_SHARED = {"e2": (), "e12": (), "f12": (((0, 0, 1), _const(-1)),),
-              "f1": (((1, 0, 0), lambda kb, lb, m: kb + 1),)}
+              "f1": (((1, 0, 0), lambda q, m: q.kb + 1),)}
 _RV_STRINGS = {
     1: {**_RV_SHARED,
-        "e1": (((-1, 0, 0), lambda kb, lb, m: -(kb - 1)),),
+        "e1": (((-1, 0, 0), lambda q, m: -(q.kb - 1)),),
         "f2": (((0, 1, 0), _const(1)), ((-1, 0, 1), _const(-1)))},
     2: {**_RV_SHARED,
-        "e1": (((-1, 0, 0), lambda kb, lb, m: -(kb - 2)),),
-        "f2": (((0, 1, 0), _const(2)), ((-1, 0, 1), lambda kb, lb, m: -(kb - 2) / kb))},
+        "e1": (((-1, 0, 0), lambda q, m: -(q.kb - 2)),),
+        "f2": (((0, 1, 0), _const(2)), ((-1, 0, 1), lambda q, m: -(q.kb - 2) / q.kb))},
     3: {**_RV_SHARED,
-        "e1": (((-1, 0, 0), lambda kb, lb, m: -(kb - 1) * (kb - 2) / kb),),
+        "e1": (((-1, 0, 0), lambda q, m: -(q.kb - 1) * (q.kb - 2) / q.kb),),
         "f2": (((0, 1, 0), _const(3)),
-               ((-1, 0, 1), lambda kb, lb, m: -(kb - 1) * (kb - 2) / (kb * (kb + 1))))},
+               ((-1, 0, 1), lambda q, m: -(q.kb - 1) * (q.kb - 2) / (q.kb * (q.kb + 1))))},
 }
 
 # the displayed action of the lbar = 1 layer, the quotient of the band
 # lbar in {0,1} by lbar = 0, in the w-basis
 _LAYER_ONE = {
-    "e1": (((-1, 0, 0), lambda kb, lb, m: -kb),),
-    "e2": (((1, 0, -1), lambda kb, lb, m: m * (kb - 1) / (kb + 1)),),
-    "f1": (((1, 0, 0), lambda kb, lb, m: (kb - 1) * (kb + m + 1) / (kb + 1)),),
-    "f2": (((-1, 0, 1), lambda kb, lb, m: kb),),
-    "e12": (((0, 0, -1), lambda kb, lb, m: Fraction(-m)),),
-    "f12": (((0, 0, 1), lambda kb, lb, m: kb + m + 1),),
+    "e1": (((-1, 0, 0), lambda q, m: -q.kb),),
+    "e2": (((1, 0, -1), lambda q, m: m * (q.kb - 1) / (q.kb + 1)),),
+    "f1": (((1, 0, 0), lambda q, m: (q.kb - 1) * (q.kb + m + 1) / (q.kb + 1)),),
+    "f2": (((-1, 0, 1), lambda q, m: q.kb),),
+    "e12": (((0, 0, -1), lambda q, m: Fraction(-m)),),
+    "f12": (((0, 0, 1), lambda q, m: q.kb + m + 1),),
 }
 
 LAYER_WINDOW = 3  # cases 4 and 5 generate the layer and solve Hom on this radius

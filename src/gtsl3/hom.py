@@ -296,18 +296,17 @@ def closed_form_xabc(idx, p: Params):
     if p.mu1_integral() or p.mu2_integral() or p.sum_integral():
         raise NonGenericParameters("family needs mu1, mu2, mu1+mu2 outside Z")
     k, l, m = idx
-    kb = p.kbar(k)
-    lb = p.lbar(l)
+    q = p.line(k, l)
     mu1 = p.mu1
     mu2 = p.mu2
     return (
         (-1) ** m
-        * raising_factorial(kb + lb, m)
+        * raising_factorial(q.s, m)
         * mu1
         * mu2
-        / (kb * lb * math.factorial(m))
+        / (q.kb * q.lb * math.factorial(m))
         * raising_factorial(-mu1 - 1, k) / raising_factorial(-mu1 - mu2 - 1, k)
-        * raising_factorial(-mu2 - 1, l) / raising_factorial(kb - mu2 - 1, l)
+        * raising_factorial(-mu2 - 1, l) / raising_factorial(q.kb - mu2 - 1, l)
     )
 
 

@@ -4,17 +4,18 @@ the dual, the pairing of the dual with the module, change of basis, and
 Gelfand-Tsetlin eigenvalue data.
 
 Indices are plain tuples (k, l, m).  The action in all three bases is one
-table, ACTION_TABLE, of index offsets and coefficients in kbar = k - mu1,
-lbar = l - mu2 and m, read by one rule; its eta-part is built from its
-w-part through tau.  No offset moves an index by more than one step, so
-finite support is preserved and the full module action is computed
-exactly -- finite windows enter only in the search and solve layers.
+table, ACTION_TABLE, of index offsets and coefficients in m and a Line of
+kbar = k - mu1 and lbar = l - mu2, read by one rule; its eta-part is built
+from its w-part through tau.  No offset moves an index by more than one
+step, so finite support is preserved and the full module action is
+computed exactly -- finite windows enter only in the search and solve layers.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,21 +40,20 @@ class Params:
     may still be an integer constant -- e.g. mu2 = 0 with mu1 left symbolic
     -- and the predicates see through that exactly.  What elements,
     descriptors and the per-vector actions consult, whether mu1 + mu2 is
-    integral, the integer value of mu2 and each kbar and lbar, is worked
-    out on first use and then kept (not in __init__, which would add
-    RatFunc operations to every symbolic Params made);
-    the kbar and lbar caches hold one value per k or l asked for, so they
-    grow with a window's width, not its volume.
+    integral, the integer value of mu2 and the Line of each (k, l), is
+    worked out on first use and then kept (not in __init__, which would add
+    RatFunc operations to every symbolic Params made); the lines kept grow
+    with a window's area, not its volume.
     """
 
-    __slots__ = ("mu1", "mu2", "_sum_integral", "_mu2_int", "_kbar", "_lbar")
+    __slots__ = ("mu1", "mu2", "_sum_integral", "_mu2_int", "_lines", "__weakref__")
 
     def __init__(self, mu1, mu2):
         self.mu1 = mu1 if isinstance(mu1, RatFunc) else Fraction(exact(mu1))
         self.mu2 = mu2 if isinstance(mu2, RatFunc) else Fraction(exact(mu2))
         self._sum_integral = _UNKNOWN
         self._mu2_int = _UNKNOWN
-        self._kbar, self._lbar = {}, {}
+        self._lines = {}
 
     @classmethod
     def symbolic(cls) -> "Params":
@@ -91,16 +91,16 @@ class Params:
         return self._mu2_int
 
     def kbar(self, k: int):
-        kb = self._kbar.get(k)
-        if kb is None:
-            kb = self._kbar[k] = k - self.mu1
-        return kb
+        return k - self.mu1
 
     def lbar(self, l: int):
-        lb = self._lbar.get(l)
-        if lb is None:
-            lb = self._lbar[l] = l - self.mu2
-        return lb
+        return l - self.mu2
+
+    def line(self, k: int, l: int) -> "Line":
+        q = self._lines.get((k, l))
+        if q is None:
+            q = self._lines[k, l] = Line(self.kbar(k), self.lbar(l), (weakref.ref(self), k, l))
+        return q
 
     def __eq__(self, other):
         return (
@@ -113,6 +113,25 @@ class Params:
 
     def __repr__(self):
         return f"Params(mu1={self.mu1}, mu2={self.mu2})"
+
+
+class Line:
+    """What a table coefficient reads of (k, l): kb = kbar, lb = lbar, their
+    sum s, the w-table's `ratios` once worked out, and shift(dk, dl), the
+    line at (k + dk, l + dl): the cached one while the Params that made it
+    lives, else one by value.  The Params is held weakly, at = (weak
+    reference, k, l), so it and its lines form no cycle for gc to find."""
+
+    __slots__ = ("kb", "lb", "s", "ratios", "_at")
+
+    def __init__(self, kb, lb, at=None):
+        self.kb, self.lb, self.s, self.ratios, self._at = kb, lb, kb + lb, None, at
+
+    def shift(self, dk: int, dl: int) -> "Line":
+        p = self._at and self._at[0]()
+        if p is None:
+            return Line(self.kb + dk, self.lb + dl)
+        return p.line(self._at[1] + dk, self._at[2] + dl)
 
 
 @dataclass(frozen=True)
@@ -253,59 +272,63 @@ def eta_vector(params, k, l, m) -> ModuleElement:
 # ---------------------------------------------------------------------------
 # the action on one basis vector, as data
 
-def _w_den(s):  # s = kbar + lbar, worked out once by the caller
-    return s * (s - 1)
-
-
 # h1 and h2 act by the weight, the same in the u-, w- and eta-bases
 _WEIGHT = {
-    "h1": (((0, 0, 0), lambda kb, lb, m: -2 * kb + lb - m),),
-    "h2": (((0, 0, 0), lambda kb, lb, m: kb - 2 * lb - m),),
+    "h1": (((0, 0, 0), lambda q, m: -2 * q.kb + q.lb - m),),
+    "h2": (((0, 0, 0), lambda q, m: q.kb - 2 * q.lb - m),),
 }
 
-# basis -> generator -> ((offset, coefficient(kbar, lbar, m)), ...): the
-# generator sends b_(k,l,m) to the sum of coefficient * b_((k,l,m) + offset).
-# The u- and w-tables hold the paper's formulas; eta's is derived below.
+
+def _w_ratios(q: Line):
+    """(kbar(kbar - 1), lbar(lbar - 1)) / (s(s - 1)), kept from a line's first
+    read; gt_eigenvalue reads neither, so it is defined where s(s - 1) = 0."""
+    if q.ratios is None:
+        den = q.s * (q.s - 1)
+        q.ratios = (q.kb * (q.kb - 1) / den, q.lb * (q.lb - 1) / den)
+    return q.ratios
+
+
+# basis -> generator -> ((offset, coefficient(line, m)), ...): the generator
+# sends b_(k,l,m) to the sum of coefficient(line at (k, l), m) * b_((k,l,m) +
+# offset).  The u- and w-tables hold the paper's formulas; eta's is derived.
 ACTION_TABLE = {
     "u": {
         **_WEIGHT,
-        "e1": (((-1, 0, 0), lambda kb, lb, m: -kb),),
-        "e2": (((0, -1, 0), lambda kb, lb, m: -lb),
-               ((1, 0, -1), lambda kb, lb, m: Fraction(m))),
-        "f1": (((1, 0, 0), lambda kb, lb, m: kb - lb + m),
-               ((0, -1, 1), lambda kb, lb, m: -lb)),
-        "f2": (((0, 1, 0), lambda kb, lb, m: lb),
-               ((-1, 0, 1), lambda kb, lb, m: kb)),
-        "e12": (((0, 0, -1), lambda kb, lb, m: Fraction(-m)),),
-        "f12": (((0, 0, 1), lambda kb, lb, m: kb + lb + m),
-                ((1, 1, 0), lambda kb, lb, m: lb)),
+        "e1": (((-1, 0, 0), lambda q, m: -q.kb),),
+        "e2": (((0, -1, 0), lambda q, m: -q.lb),
+               ((1, 0, -1), lambda q, m: Fraction(m))),
+        "f1": (((1, 0, 0), lambda q, m: q.kb - q.lb + m),
+               ((0, -1, 1), lambda q, m: -q.lb)),
+        "f2": (((0, 1, 0), lambda q, m: q.lb),
+               ((-1, 0, 1), lambda q, m: q.kb)),
+        "e12": (((0, 0, -1), lambda q, m: Fraction(-m)),),
+        "f12": (((0, 0, 1), lambda q, m: q.s + m),
+                ((1, 1, 0), lambda q, m: q.lb)),
     },
     "w": {
         **_WEIGHT,
-        "e1": (((-1, 0, 0), lambda kb, lb, m: -kb),
-               ((0, 1, -1), lambda kb, lb, m: -m * lb * (lb - 1) / _w_den(kb + lb))),
-        "e2": (((0, -1, 0), lambda kb, lb, m: -lb),
-               ((1, 0, -1), lambda kb, lb, m: m * kb * (kb - 1) / _w_den(kb + lb))),
-        "f1": (((1, 0, 0), lambda kb, lb, m:
-                kb * (kb - 1) * ((s := kb + lb) + m) / _w_den(s)),
-               ((0, -1, 1), lambda kb, lb, m: -lb)),
-        "f2": (((0, 1, 0), lambda kb, lb, m:
-                lb * (lb - 1) * ((s := kb + lb) + m) / _w_den(s)),
-               ((-1, 0, 1), lambda kb, lb, m: kb)),
-        "e12": (((0, 0, -1), lambda kb, lb, m: Fraction(-m)),),
-        "f12": (((0, 0, 1), lambda kb, lb, m: kb + lb + m),),
+        "e1": (((-1, 0, 0), lambda q, m: -q.kb),
+               ((0, 1, -1), lambda q, m: -m * _w_ratios(q)[1])),
+        "e2": (((0, -1, 0), lambda q, m: -q.lb),
+               ((1, 0, -1), lambda q, m: m * _w_ratios(q)[0])),
+        "f1": (((1, 0, 0), lambda q, m: _w_ratios(q)[0] * (q.s + m)),
+               ((0, -1, 1), lambda q, m: -q.lb)),
+        "f2": (((0, 1, 0), lambda q, m: _w_ratios(q)[1] * (q.s + m)),
+               ((-1, 0, 1), lambda q, m: q.kb)),
+        "e12": (((0, 0, -1), lambda q, m: Fraction(-m)),),
+        "f12": (((0, 0, 1), lambda q, m: q.s + m),),
     },
 }
 
 
 def _transposed(c, dk, dl, dm, s):
-    """-s c(kbar - dk, lbar - dl, m - dm), s = +-1: one call frame and at most
-    one negation, or c itself where neither is needed."""
+    """-s c(line shifted by (-dk, -dl), m - dm), s = +-1: one call frame and
+    at most one negation, or c itself where neither is needed."""
     if s < 0 and not (dk or dl or dm):
         return c
     if s > 0:
-        return lambda kb, lb, m: -c(kb - dk if dk else kb, lb - dl if dl else lb, m - dm)
-    return lambda kb, lb, m: c(kb - dk if dk else kb, lb - dl if dl else lb, m - dm)
+        return lambda q, m: -c(q.shift(-dk, -dl), m - dm)
+    return lambda q, m: c(q.shift(-dk, -dl), m - dm)
 
 
 def _dual_table(w: dict) -> dict:
@@ -335,13 +358,12 @@ def table_action(table: dict):
         if entry is None:
             raise ValueError(f"unknown generator {gen!r}")
         k, l, m = idx
-        kb = p.kbar(k)
-        lb = p.lbar(l)
+        q = p.line(k, l)
         out = []
         for (dk, dl, dm), coefficient in entry:
             jdx = (k + dk, l + dl, m + dm)
             if m + dm >= 0 and (want is None or want(jdx)):
-                c = coefficient(kb, lb, m)
+                c = coefficient(q, m)
                 if c:
                     out.append((jdx, c))
         return out
@@ -433,14 +455,13 @@ def _change_basis(v: ModuleElement, source: str, target: str, sign: int, shift: 
 
     def expand(idx):
         k, l, m = idx
-        lb = p.lbar(l)
-        base = p.kbar(k) + lb
+        q = p.line(k, l)
         for n in range(m + 1):
-            s_n = base + (n - 1) if shift else base
+            s_n = q.s + (n - 1) if shift else q.s
             a = (
                 sign**n
                 * math.comb(m, n)
-                * raising_factorial(lb, n)
+                * raising_factorial(q.lb, n)
                 / raising_factorial(s_n, n)
             )
             if a:

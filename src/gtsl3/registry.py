@@ -17,11 +17,11 @@ reads k and l only through kbar = k - mu1 and lbar = l - mu2, so the action
 on b_(k,l,m) is that on b_(0,0,m) under mu1 -> mu1 - k, mu2 -> mu2 - l,
 shifted by (k, l): they hold for every (k, l), off mu1 + mu2 in Z, where
 the w- and eta-bases are not defined.  For the actions this holds by
-construction: a coefficient of ``module.ACTION_TABLE`` receives only kbar,
-lbar and m.  ``sections._twisted_derivative`` reads k and l only through
-k - mu1 and l - mu2, so the lemma covers the sections too.  Their vector
-fields are derived from ``liealg``'s 3x3 matrices, so ``oracle-equivalence``
-ties the u-table to those matrices.
+construction: a ``module.ACTION_TABLE`` coefficient reads only m and the
+kbar and lbar of its ``Line`` and of that line's neighbours.
+``sections._twisted_derivative`` reads k and l only through k - mu1 and
+l - mu2, so the lemma covers the sections too; ``oracle-equivalence`` ties
+the u-table to their vector fields, derived from ``liealg``'s 3x3 matrices.
 
 Degree in m: no denominator contains m and every coefficient has degree
 <= 1 in m (``tests/test_module.py`` checks both on the table).  For m >= 2
@@ -450,7 +450,7 @@ CHECKS = {
     "simplicity-generic": Check(check_simplicity_generic, 3, params=GENERIC),
     "closure-integral": Check(check_closure_integral, 3, least=2, params=INTEGRAL_MU2),
     "dual-cyclicity": Check(check_dual_cyclicity, 3, least=2, params=INTEGRAL_MU2),
-    "hom-dims": Check(check_hom_dims, 4, least=2, most=8, params=INTEGRAL_MU2,
+    "hom-dims": Check(check_hom_dims, 4, least=2, params=INTEGRAL_MU2,
                       claim=(("statements", len(HOM_STATEMENTS) + 1),)),
     # the five closed-form problems assemble no equation at window 0
     "closed-forms": Check(check_closed_forms, 3, least=1, most=7,

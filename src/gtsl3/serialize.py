@@ -15,11 +15,11 @@ byte-deterministic.  Every other token is read by an anchored match:
     descriptor := ["plain:" | "dual:"] set
 
 The runs are the texts in subquotient.RUN_FORMS, which LBarSet.__repr__
-prints, so every printed set reads back; a set of every lbar is the full
-module.  Spaces may stand around a separator or operator, and one stands
-between "lbar" and "in", but none inside a number or keyword.  Outer
-whitespace is stripped, but for a window, and other text raises a
-ValueError naming it.
+prints, so every printed set reads back but the empty set's "lbar in {}",
+refused as "lbar in 3..1" is; a set of every lbar is the full module.
+Spaces may stand around a separator or operator, and one stands between
+"lbar" and "in", but none inside a number or keyword.  Outer whitespace is
+stripped, but for a window, and other text raises a ValueError naming it.
 """
 
 from __future__ import annotations
@@ -148,6 +148,7 @@ def _run_pattern(printed: str) -> re.Pattern:
 
 
 _RUNS = [(_run_pattern(printed), make) for printed, make in RUN_FORMS.values()]
+_RUNS.append((re.compile(r" *lbar +in *\{ *\} *"), LBarSet.empty))  # read to be refused
 
 
 def parse_set_expr(text: str) -> LBarSet | None:

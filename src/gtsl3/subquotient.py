@@ -139,6 +139,9 @@ class LBarSet:
         return hash((self.low, self.cuts))
 
     def __repr__(self):
+        """The runs as RUN_FORMS prints them, joined by " | ", which
+        serialize reads back; the empty set's "lbar in {}" it refuses, as it
+        refuses every empty interval."""
         bits = [RUN_FORMS[form][0].format(*ends) for form, ends in self.runs()]
         return " | ".join(bits) if bits else "lbar in {}"
 

@@ -605,6 +605,16 @@ def test_malformed_index_sets_exit_2_naming_the_set(capsys):
         assert lines[-1]["message"].startswith(f"cannot parse index set {text!r}"), text
 
 
+def test_the_printed_empty_set_exits_2_as_an_empty_interval(capsys):
+    """LBarSet.empty() prints "lbar in {}"; read back, it is refused as
+    "lbar in 3..1" is, not as text that names no set."""
+    for text in ("lbar in {}", "lbar in 3..1"):
+        code, lines = run_cli(capsys, "classify", "--set", text)
+        assert _rejected(code, lines), text
+        assert lines[-1]["message"] == (
+            f"cannot parse index set {text!r}: an interval is empty"), text
+
+
 # (argv, the text its error message must name): a number split by a space or
 # a sign, a keyword split or run together, a digit outside ASCII, an "_" in a
 # number, an empty generator name and an empty seed
@@ -807,8 +817,8 @@ def test_a_rational_in_exponent_notation_exits_2_at_once():
 
 def test_the_window_cap_refuses_exactly_the_capped_checks(monkeypatch, capsys,
                                                           raising_check):
-    """At --window 12 the three costly checks refuse before they run; the
-    other 17 run (here as stubs: CI runs them for real) and still report."""
+    """At --window 12 the two costly checks refuse before they run; the
+    other 18 run (here as stubs: CI runs them for real) and still report."""
     for name, rec in registry.CHECKS.items():
         run = raising_check if rec.most is not None else lambda **_: (True, [])
         monkeypatch.setitem(registry.CHECKS, name, rec._replace(run=run))
@@ -819,7 +829,6 @@ def test_the_window_cap_refuses_exactly_the_capped_checks(monkeypatch, capsys,
                if rep["verdict"] == "refused"}
     assert refused == {
         "basis-roundtrip": "basis-roundtrip needs a window of at most 9, not 12",
-        "hom-dims": "hom-dims needs a window of at most 8, not 12",
         "closed-forms": "closed-forms needs a window of at most 7, not 12",
     }
 

@@ -272,7 +272,7 @@ def test_a_wrong_display_fails_its_check(monkeypatch):
     caught."""
     ((offset, coeff),) = explore._LAYER_ONE["e2"]
     monkeypatch.setitem(explore._LAYER_ONE, "e2",
-                        ((offset, lambda kb, lb, m: 2 * coeff(kb, lb, m)),))
+                        ((offset, lambda q, m: 2 * coeff(q, m)),))
     assert not exact_sequence_check(P0)["checks"]["quotient-action-matches-layer"]
     monkeypatch.setitem(explore._RV_STRINGS[2], "f2", explore._RV_STRINGS[2]["f2"][:1])
     assert not relaxed_verma_check(2, P0, r=3)["checks"]["k-string"]

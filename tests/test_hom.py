@@ -491,8 +491,8 @@ def test_a_broken_cycle_drops_its_tree_as_elimination_of_every_row_does(monkeypa
     broken one, as eliminating every row does."""
     (off, coeff), side = ACTION_TABLE["w"]["f1"]
 
-    def doubled(kb, lb, m):
-        return 2 * coeff(kb, lb, m) if (lb, m) == (2, 1) else coeff(kb, lb, m)
+    def doubled(q, m):
+        return 2 * coeff(q, m) if (q.lb, m) == (2, 1) else coeff(q, m)
 
     monkeypatch.setitem(ACTION_TABLE["w"], "f1", ((off, doubled), side))
     calls = _spy_on_nullspace(monkeypatch)

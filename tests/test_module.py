@@ -1,5 +1,8 @@
+import gc
+import itertools
 import json
 import random
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +13,7 @@ from gtsl3.errors import BasisMismatch, NonGenericParameters, RequiresIntegralMu
 from gtsl3.hom import ModuleDescriptor, solve_intertwiner
 from gtsl3.module import (
     Box,
+    Line,
     ModuleElement,
     Params,
     act,
@@ -24,6 +28,7 @@ from gtsl3.module import (
     w_to_u,
     w_vector,
 )
+from gtsl3.registry import COLLISION
 from gtsl3.scalars import MU1, MU2, RatFunc
 from gtsl3.serialize import element_to_json
 
@@ -173,7 +178,7 @@ def test_gt_word_realizes_eigenvalue_triple():
 
 def test_gt_eigenvalue_reads_f12_after_e12_from_the_w_table(monkeypatch):
     before = gt_eigenvalue((1, 2, 3), P)
-    doubled = tuple((offset, lambda kb, lb, m, c=c: 2 * c(kb, lb, m))
+    doubled = tuple((offset, lambda q, m, c=c: 2 * c(q, m))
                     for offset, c in module.ACTION_TABLE["w"]["f12"])
     monkeypatch.setitem(module.ACTION_TABLE["w"], "f12", doubled)
     after = gt_eigenvalue((1, 2, 3), P)
@@ -375,10 +380,10 @@ def _table_terms():
 def test_every_table_coefficient_has_degree_at_most_one_in_m():
     """The degree bound of the registry docstring: c(m+2) - 2c(m+1) + c(m)
     vanishes over Q(mu1, mu2) at the orbit representative, m = 0..4."""
-    kb, lb = -MU1, -MU2
+    q = Line(-MU1, -MU2)
     for term, c in _table_terms():
         for m in range(5):
-            assert c(kb, lb, m + 2) - 2 * c(kb, lb, m + 1) + c(kb, lb, m) == 0, (term, m)
+            assert c(q, m + 2) - 2 * c(q, m + 1) + c(q, m) == 0, (term, m)
 
 
 def test_every_generator_is_in_the_table_and_moves_each_index_by_at_most_one():
@@ -454,7 +459,8 @@ def _eta_mismatches(table):
             bad.append((gen, [o for o, _ in table[gen]], "offsets"))
             continue
         for (offset, c), (_, h) in zip(table[gen], hand):
-            wrong = [point for point in points if c(*point) != h(*point)]
+            wrong = [(kb, lb, m) for kb, lb, m in points
+                     if c(Line(kb, lb), m) != h(kb, lb, m)]
             if wrong:
                 bad.append((gen, offset, wrong[0]))
     return bad
@@ -484,6 +490,58 @@ def test_the_eta_oracle_fails_when_one_sign_of_tau_is_dropped(monkeypatch):
     monkeypatch.setitem(liealg._TAU, "e12", {"f12": Fraction(1)})
     mutated = module._dual_table(module.ACTION_TABLE["w"])
     assert [gen for gen, *_ in _eta_mismatches(mutated)] == ["e12"]
+
+
+# ---------------------------------------------------------------------------
+# the line contract: a coefficient reads (k, l) only through its Line, and
+# the lines Params caches are no second source of truth
+
+def test_every_coefficient_reads_a_cached_line_as_a_line_of_the_same_values():
+    """Random rational points and the symbolic orbit representative
+    (-mu1, -mu2): every table coefficient, eta's shifted ones included,
+    has one value on Params.line(k, l) and on Line(kbar, lbar)."""
+    rnd = random.Random(32)
+    lines = [(Params.symbolic(), 0, 0)]
+    for mu1, mu2 in _rational_points(32):
+        lines += [(Params(mu1, mu2), rnd.randint(-3, 3), rnd.randint(-3, 3))
+                  for _ in range(3)]
+    for p, k, l in lines:
+        cached, bare = p.line(k, l), Line(p.kbar(k), p.lbar(l))
+        assert cached is p.line(k, l) and cached.shift(1, -1) is p.line(k + 1, l - 1)
+        for term, c in _table_terms():
+            for m in range(4):
+                assert c(cached, m) == c(bare, m), (p, k, l, term, m)
+
+
+def test_gt_eigenvalue_works_out_no_w_ratio_at_an_integral_sum():
+    """At mu1 + mu2 = 1 the w-table's ratio factors divide by
+    s(s - 1) = 0 on the lines k + l in {1, 2}; gt_eigenvalue reads only the
+    entries that need neither factor, so it answers on those lines too."""
+    p = Params(*COLLISION)
+    for k, l, m in itertools.product(range(-1, 3), range(-1, 3), range(3)):
+        assert gt_eigenvalue((k, l, m), p)[2] == -m * (p.line(k, l).s + m - 1)
+    assert len(p._lines) == 16 and all(q.ratios is None for q in p._lines.values())
+
+
+def test_a_params_and_its_lines_are_freed_without_the_cycle_collector():
+    """A line holds its Params weakly, so the two form no reference cycle;
+    a line that outlives its Params shifts by value."""
+    p = Params(Fraction(1, 3), Fraction(1, 5))
+    act("f1", eta_vector(p, 0, 0, 1))  # the eta entries read neighbouring lines
+    orphan, params = p.line(0, 0), weakref.ref(p)
+    gc.disable()
+    try:
+        del p
+        assert params() is None
+    finally:
+        gc.enable()
+    assert (orphan.shift(1, -1).kb, orphan.shift(1, -1).lb) == (orphan.kb + 1, orphan.lb - 1)
+
+
+def test_the_eta_oracle_fails_when_a_shift_ignores_its_steps(monkeypatch):
+    monkeypatch.setattr(Line, "shift", lambda self, dk, dl: self)
+    assert {gen for gen, *_ in _eta_mismatches(module.ACTION_TABLE["eta"])} == {
+        "e1", "e2", "f1", "f2"}
 
 
 # ---------------------------------------------------------------------------

@@ -167,8 +167,8 @@ def test_casimir_reports_no_scalar_when_a_vector_is_not_diagonal(monkeypatch):
     not diagonal on b_(0,0,4)."""
     up, (side, side_c) = ACTION_TABLE["u"]["f12"]
 
-    def doubled(kb, lb, m):
-        return 2 * side_c(kb, lb, m) if m > 3 else side_c(kb, lb, m)
+    def doubled(q, m):
+        return 2 * side_c(q, m) if m > 3 else side_c(q, m)
 
     monkeypatch.setitem(ACTION_TABLE["u"], "f12", (up, (side, doubled)))
     rep = registry.run_check("casimir", window=4)
@@ -182,8 +182,8 @@ def _doubled_above_m3(basis, gen):
     for m > 3, so b_(0,0,m), m <= 3, acts as before."""
     (offset, coeff), *rest = ACTION_TABLE[basis][gen]
 
-    def doubled(kb, lb, m):
-        return 2 * coeff(kb, lb, m) if m > 3 else coeff(kb, lb, m)
+    def doubled(q, m):
+        return 2 * coeff(q, m) if m > 3 else coeff(q, m)
 
     return ((offset, doubled), *rest)
 
@@ -226,8 +226,8 @@ def _zeroed_at(basis, gen, idx):
     (offset, coeff), *rest = ACTION_TABLE[basis][gen]
     mu1, mu2 = registry.GENERIC
 
-    def zeroed(kb, lb, m):
-        return 0 if (kb + mu1, lb + mu2, m) == idx else coeff(kb, lb, m)
+    def zeroed(q, m):
+        return 0 if (q.kb + mu1, q.lb + mu2, m) == idx else coeff(q, m)
 
     return ((offset, zeroed), *rest)
 

@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 from fractions import Fraction
 from functools import cache
 
@@ -52,6 +54,26 @@ class TestLBarSet:
             assert parse_set_expr(repr(J)) == J, repr(J)
         assert repr(LBarSet.between(1, 3)) == "lbar in 1..3"
         assert parse_set_expr(repr(LBarSet.all())) is None  # the full module
+
+    def test_every_printed_set_reads_back_but_the_empty_one(self):
+        """Each RUN_FORMS form alone and in every union of two or three
+        runs reads back; the empty set's repr, alone or in a union, is
+        refused as an empty interval is."""
+        runs = [(None, None)] + [(lo, hi) for lo in (None, -2, 0, 3)
+                                 for hi in (None, -2, 0, 3) if lo is None or hi is None
+                                 or lo <= hi]
+        forms = set()
+        for n in (1, 2, 3):
+            for chosen in itertools.combinations(runs, n):
+                J = LBarSet(chosen)
+                forms.update(form for form, _ in J.runs())
+                assert parse_set_expr(repr(J)) == (None if J == LBarSet.all() else J), repr(J)
+        assert forms == set(subquotient.RUN_FORMS)
+        assert repr(LBarSet.empty()) == "lbar in {}"
+        for text in ("lbar in {}", "lbar=0 | lbar in {}", "lbar in 3..1"):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"cannot parse index set {text!r}: an interval is empty")):
+                parse_set_expr(text)
 
 
 SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)

@@ -145,9 +145,9 @@ def test_closure_witnesses_are_the_oracles(basis, mu2):
 # which coefficients are evaluated
 
 def _logged(log, p, basis, gen, offset, coefficient):
-    def logged(kb, lb, m):
-        c = coefficient(kb, lb, m)
-        source = (int(kb + p.mu1), int(lb + p.mu2), m)
+    def logged(q, m):
+        c = coefficient(q, m)
+        source = (int(q.kb + p.mu1), int(q.lb + p.mu2), m)
         target = tuple(i + d for i, d in zip(source, offset))
         log.append((basis, gen, source, target, c))
         return c
