@@ -1,9 +1,10 @@
 """Intertwiner computation between (sub)quotients of the module and its dual.
 
 Each side of a Hom problem is a ``subquotient.ModuleDescriptor``, imported
-here as ``hom.ModuleDescriptor``.  The rows read each side through the
-ambient table action, ``module.BASIS_ACTIONS``: the window, already cut to
-the index set, alone decides a target, before its coefficient is evaluated.
+here as ``hom.ModuleDescriptor``.  The rows read both sides straight from
+``module.ACTION_TABLE``, one paired entry (offset, source coefficient,
+target coefficient) at a time: the window, already cut to the index set,
+alone decides a target, before its coefficients are evaluated.
 
 Both sides of every Hom problem here decompose into one-dimensional
 simultaneous eigenspaces with matching eigenvalue triples, so an
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ObstructionAtIndex
-from .module import AXIS_PAIRS, BASIS_ACTIONS, OFF_DIAGONAL, Box, Params
+from .module import ACTION_TABLE, AXIS_PAIRS, OFF_DIAGONAL, Box, Params
 from .scalars import RatFunc, raising_factorial
 from .solver import nullspace
 from .subquotient import LBarSet, ModuleDescriptor, lbar_coordinates
@@ -89,27 +90,12 @@ def _check_problem(source: ModuleDescriptor, target: ModuleDescriptor):
         raise ValueError("source and target must share one index set")
 
 
-def _comparison_rows(source, target, gen: str, a, want) -> dict:
-    """{j: row} from matching the coefficient of b'_j in phi(X b_a) =
-    X phi(b_a) for X = gen, for each target j that want(j) accepts: the row
-    reads cs*x_j - ct*x_a, with cs the coefficient of b_j in X b_a and ct
-    that of b'_j in X b'_a.  No row vanishes: the actions drop zero
-    coefficients and j != a.  want alone decides a target: callers accept
-    only indices of source.indices(box), the window already cut to J, so no
-    row needs an unknown outside the window or J."""
-    src = dict(BASIS_ACTIONS[source.basis](gen, source.params, a, want))
-    tgt = dict(BASIS_ACTIONS[target.basis](gen, target.params, a, want))
-    rows = {}
-    for j in set(src) | set(tgt):
-        row = {}
-        cs = src.get(j)
-        ct = tgt.get(j)
-        if cs is not None:
-            row[j] = cs
-        if ct is not None:
-            row[a] = -ct
-        rows[j] = row
-    return rows
+def _paired_entries(source, target, gen: str):
+    """(offset, cs, ct) for each entry of gen, cs the source's coefficient and
+    ct the target's: the w- and eta-tables list the same offsets in the same
+    order.  The tables are read at call time, so a patched entry is seen."""
+    return [(offset, cs, ct) for (offset, cs), (_, ct) in zip(
+        ACTION_TABLE[source.basis][gen], ACTION_TABLE[target.basis][gen], strict=True)]
 
 
 _ASSEMBLED = tuple(gen for gen in OFF_DIAGONAL if gen != "e12")
@@ -120,24 +106,41 @@ def intertwiner_equations(source, target, box: Box):
     first row on each edge {a, j}, in assembly order, with no coefficient
     evaluated toward an edge that has one.  e12 is not called: its target
     is the lower end of an m-edge, which comes first and has an f12 row
-    (f12 keeps lbar; kb+lb+m and -(m+1) do not vanish at a generic sum)."""
+    (f12 keeps lbar; kb+lb+m and -(m+1) do not vanish at a generic sum).
+    Matching the coefficient of b'_j in phi(X b_a) = X phi(b_a) gives the
+    row {j: cs, a: -ct} of a paired entry, without its zero sides; the
+    window, already cut to J, alone decides a target."""
     _check_problem(source, target)
+    p = source.params
     indices = source.indices(box)
     inside = set(indices)
+    pairs = [pair for gen in _ASSEMBLED for pair in _paired_entries(source, target, gen)]
     edges = {}
     for a in indices:
-        def new_edge(j):
-            return j in inside and (min(a, j), max(a, j)) not in edges
-
-        for gen in _ASSEMBLED:
-            for j, row in _comparison_rows(source, target, gen, a, new_edge).items():
-                edges[min(a, j), max(a, j)] = row
+        k, l, m = a
+        q = p.line(k, l)
+        for (dk, dl, dm), cs, ct in pairs:
+            j = (k + dk, l + dl, m + dm)
+            if j in inside and (edge := (a, j) if a < j else (j, a)) not in edges:
+                row = _row(j, cs(q, m), a, ct(q, m))
+                if row:
+                    edges[edge] = row
     return indices, list(edges.values())
 
 
-def _residual(row: dict, x: dict):
-    """The row's left-hand side at the values x (absent means zero)."""
-    return sum((coeff * x.get(idx, 0) for idx, coeff in row.items()), 0)
+def _row(j, cs, a, ct) -> dict:
+    """{j: cs, a: -ct} without its zero sides."""
+    row = {j: cs} if cs else {}
+    if ct:
+        row[a] = -ct
+    return row
+
+
+def _fails(row: dict, x: dict) -> bool:
+    """Whether u x_c + v x_d, a row of one or two unknowns, is nonzero at the
+    values x (absent means zero), tested as u x_c != -v x_d."""
+    c, d = (*row, None)[:2]
+    return row[c] * x.get(c, 0) != -row.get(d, 0) * x.get(d, 0)
 
 
 def _tree_order(forest, columns):
@@ -181,7 +184,7 @@ def _forest_nullspace(rows, columns):
     basis = nullspace(forest, columns)
     home = {c: n for n, vec in enumerate(basis) for c in vec}
     broken = {home[c] for row in cycles if (c := next(iter(row))) in home
-              and _residual(row, basis[home[c]])}
+              and _fails(row, basis[home[c]])}
     return [vec for n, vec in enumerate(basis) if n not in broken]
 
 
@@ -199,7 +202,7 @@ def solve_intertwiner(source, target, box: Box):
 def verify_solution(sol: HomSolution):
     """Violated equations for a coefficient family; empty list means exact."""
     indices, rows = intertwiner_equations(sol.source, sol.target, sol.box)
-    return [row for row in rows if _residual(row, sol.x)]
+    return [row for row in rows if _fails(row, sol.x)]
 
 
 def solve_by_recurrence(source, target, seed_idx, seed_value, box: Box):
@@ -220,6 +223,9 @@ def solve_by_recurrence(source, target, seed_idx, seed_value, box: Box):
         _, lbar, _ = lbar_coordinates(seed_idx, source.params)
         raise ValueError(f"seed index {seed_idx} has lbar = {lbar}, "
                          f"outside the source's index set {source.J!r}")
+    p = source.params
+    pairs = {(gen, offset): (cs, ct) for gen in OFF_DIAGONAL
+             for offset, cs, ct in _paired_entries(source, target, gen)}
     x = {seed_idx: seed_value}
     queue = deque([seed_idx])
     inside = set(source.indices(box))
@@ -234,8 +240,10 @@ def solve_by_recurrence(source, target, seed_idx, seed_value, box: Box):
                     continue
                 hi, lo = (a, nxt) if direction < 0 else (nxt, a)
                 for at, to, gen in ((hi, lo, up), (lo, hi, down)):
-                    row = _comparison_rows(source, target, gen, at, to.__eq__).get(to)
-                    if row is not None:
+                    cs, ct = pairs[gen, tuple(t - f for t, f in zip(to, at))]
+                    q = p.line(at[0], at[1])
+                    row = _row(to, cs(q, at[2]), at, ct(q, at[2]))
+                    if row:
                         break
                 else:
                     continue  # no information along this edge

@@ -160,6 +160,20 @@ def test_hom_symbolic_output_matches_the_golden_file(capsys):
     assert capsys.readouterr().out == golden.read_text()
 
 
+@pytest.mark.parametrize("source, target, name", [
+    ("dual:l01", "l01", "hom_symbolic_l01_dual_plain"),
+    ("l01", "dual:l01", "hom_symbolic_l01_plain_dual"),
+    ("lbar=0", "dual:lbar=0", "hom_symbolic_eq0_plain_dual"),
+], ids=["l01-dual-plain", "l01-plain-dual", "eq0-plain-dual"])
+def test_more_symbolic_hom_output_matches_the_golden_files(capsys, source, target, name):
+    """RatFunc never reduces, so these printed values pin the order in which
+    the rows of a symbolic Hom problem are assembled and eliminated."""
+    main(["--symbolic", "--mu2", "0", "hom", "--source", source, "--target", target,
+          "--window", "1"])
+    golden = Path(__file__).parent / "golden" / f"{name}.json"
+    assert capsys.readouterr().out == golden.read_text()
+
+
 def test_act_symbolic_eta_output_matches_the_golden_file(capsys):
     main(["--symbolic", "act", "--basis", "eta", "--word", "f1,e1,f12",
           "--element", '{"terms":[{"k":0,"l":0,"m":1,"c":"1"}]}'])

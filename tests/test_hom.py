@@ -231,6 +231,14 @@ def test_descriptor_validation():
 # the shared comparison rows against the equation assembly and the
 # two-branch recurrence they replaced, kept here as oracles
 
+def _table_targets(source, target, gen, a):
+    """The targets of gen at a that either side's table lists, in table
+    order: the order in which the rows of one index and generator come."""
+    offsets = dict.fromkeys(offset for basis in (source.basis, target.basis)
+                            for offset, _ in ACTION_TABLE[basis][gen])
+    return [tuple(i + d for i, d in zip(a, offset)) for offset in offsets]
+
+
 def _equations_oracle(source, target, box):
     """(indices, [((a, j), row), ...]): the row matching the coefficient of
     b'_j in phi(X b_a) = X phi(b_a), from both ends of every edge."""
@@ -241,8 +249,8 @@ def _equations_oracle(source, target, box):
         for gen in OFF_DIAGONAL:
             src = source.action(gen, a)
             tgt = target.action(gen, a)
-            for j in set(src) | set(tgt):
-                if j not in inside:
+            for j in _table_targets(source, target, gen, a):
+                if j not in inside or (j not in src and j not in tgt):
                     continue
                 row = {}
                 if j in src:
@@ -503,6 +511,44 @@ def test_a_broken_cycle_drops_its_tree_as_elimination_of_every_row_does(monkeypa
     want = _printed([HomSolution(src, tgt, box, vec).normalized()
                      for vec in nullspace_oracle(rows, indices)])
     assert (len(forest_basis), len(got)) == (2, 1) and got == want
+
+
+# ---------------------------------------------------------------------------
+# what the row assembly and the row check take for granted
+
+def test_the_w_and_eta_tables_list_the_same_offsets_in_the_same_order():
+    """The Hom rows pair the source's and the target's entries of one
+    generator by position, so the two tables must agree entry by entry."""
+    w, eta = ACTION_TABLE["w"], ACTION_TABLE["eta"]
+    assert set(w) == set(eta)
+    for gen in w:
+        assert [o for o, _ in w[gen]] == [o for o, _ in eta[gen]], gen
+
+
+def _residual(row: dict, x: dict):
+    """The row's left-hand side at the values x (absent means zero)."""
+    return sum((coeff * x.get(idx, 0) for idx, coeff in row.items()), 0)
+
+
+def test_the_two_product_row_check_agrees_with_the_residual():
+    """On random rows of one and two unknowns, exact and over Q(mu1), with
+    the values satisfying the row, breaking it, zero or absent from x."""
+    rnd = random.Random(33)
+    exact = [Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 7)]
+    symbolic = [MU1 + c for c in exact] + [(MU1 * MU1 - c) / (MU1 + 3) for c in exact]
+    seen = set()
+    for _ in range(600):
+        pool = rnd.choice((exact, symbolic, exact + symbolic))
+        row = dict(zip("cd", rnd.sample([v for v in pool if v], rnd.choice((1, 2)))))
+        x = {col: rnd.choice(pool) for col in row if rnd.random() < 0.8}
+        if len(row) == 2 and x.get("c") and rnd.random() < 0.5:
+            x["d"] = -row["c"] * x["c"] / row["d"]  # the row holds
+        x.update({"z": rnd.choice(pool)} if rnd.random() < 0.3 else {})
+        want = bool(_residual(row, x))
+        assert hom._fails(row, x) == want, (row, x)
+        seen.add((len(row), len(x.keys() & row), want))
+    assert seen == {(n, k, w) for n in (1, 2) for k in range(n + 1)
+                    for w in (False, True) if k or not w}
 
 
 if __name__ == "__main__":

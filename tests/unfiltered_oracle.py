@@ -14,7 +14,7 @@ from collections import deque
 from gtsl3.errors import ObstructionAtIndex
 from gtsl3.explore import GenerationCertificate
 from gtsl3.hom import HomSolution, _check_problem
-from gtsl3.module import AXIS_PAIRS, BASIS_ACTIONS, OFF_DIAGONAL
+from gtsl3.module import ACTION_TABLE, AXIS_PAIRS, BASIS_ACTIONS, OFF_DIAGONAL
 from gtsl3.subquotient import ClosureVerdict
 
 
@@ -29,7 +29,12 @@ def _comparison_rows(source, target, gen, a, inside, box) -> dict:
     src = _action(source, gen, a)
     tgt = _action(target, gen, a)
     rows = {}
-    for j in set(src) | set(tgt):
+    # the targets either table lists, in table order
+    offsets = dict.fromkeys(offset for desc in (source, target)
+                            for offset, _ in ACTION_TABLE[desc.basis][gen])
+    for j in (tuple(i + d for i, d in zip(a, offset)) for offset in offsets):
+        if j not in src and j not in tgt:
+            continue
         if j not in inside:
             if box.contains(j):
                 raise AssertionError("truncation kept an index outside J")
