@@ -206,8 +206,6 @@ def cmd_classify(args) -> int:
         args.mu2 = "0"  # classification only makes sense for integral mu2
     params = _params_from_args(args)
     J = parse_set_expr(args.set)
-    if J is None:
-        raise ValueError("classify needs a proper index set, not 'full'")
     box = ModuleDescriptor(params, J=J).window(args.window)
     kind = classify_set(J, box, params)
     _emit(

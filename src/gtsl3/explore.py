@@ -94,7 +94,7 @@ class GenerationCertificate:
 def generate(start, desc: ModuleDescriptor, box: Box) -> GenerationCertificate:
     """Transitive closure of the action at basis-index granularity, walked
     through ``desc.steps`` (the raising and lowering generators).  A
-    coefficient is evaluated only toward an unreached window index."""
+    coefficient is evaluated only toward an unreached window index of J."""
     start = [tuple(i) for i in start]
     if not start:
         raise ValueError("empty start set")
@@ -102,25 +102,19 @@ def generate(start, desc: ModuleDescriptor, box: Box) -> GenerationCertificate:
     for idx in start:
         if idx not in allowed:
             raise ValueError(f"start index {idx} outside the window or index set")
-    reached = set(start)
-
-    def unreached(jdx):
-        return jdx in allowed and jdx not in reached
-
+    unreached = allowed - set(start)
     paths = {}
     frontier = list(start)
     while frontier:
         nxt = []
         for idx in frontier:
-            for gen, jdx in desc.steps(idx, unreached):  # one call lists a target once
-                reached.add(jdx)
+            for gen, jdx in desc.steps(idx, unreached.__contains__):  # lists a target once
+                unreached.remove(jdx)
                 paths[jdx] = (idx, gen)
                 nxt.append(jdx)
         frontier = nxt
-    missing = sorted(allowed - reached)
-    return GenerationCertificate(
-        desc.describe(), box, sorted(start), sorted(reached), missing, paths
-    )
+    return GenerationCertificate(desc.describe(), box, sorted(start),
+                                 sorted(allowed - unreached), sorted(unreached), paths)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,9 @@ target a.  The two rows are proportional, so ``intertwiner_equations``
 builds the first row on each edge and evaluates nothing more toward it.
 Between the module and its dual they are equal or negated by construction:
 the eta-table is built from the w-table by (X eta)(v) = -eta(tau(X) v), with
-tau(X) = +-(opposite generator).  The row built is the lower end's (j > a).
+tau(X) = +-(opposite generator).  Indices come in window order, so the
+entry pointing up (j > a) claims an edge at its lower end; an edge whose
+lower-end row is empty waits in a small unclaimed set for its upper end.
 In a same-basis problem (plain->plain or dual->dual) source and target are
 one module and every row is c*(x_j - x_a); an edge has a row at one end
 only where the other end's coefficient vanishes.  A step of
@@ -114,18 +116,21 @@ def intertwiner_equations(source, target, box: Box):
     p = source.params
     indices = source.indices(box)
     inside = set(indices)
-    pairs = [pair for gen in _ASSEMBLED for pair in _paired_entries(source, target, gen)]
-    edges = {}
+    pairs = [(*offset, cs, ct, offset > (0, 0, 0)) for gen in _ASSEMBLED
+             for offset, cs, ct in _paired_entries(source, target, gen)]
+    rows, unclaimed = [], set()  # unclaimed: (lower end, upper end) with no row yet
     for a in indices:
         k, l, m = a
         q = p.line(k, l)
-        for (dk, dl, dm), cs, ct in pairs:
+        for dk, dl, dm, cs, ct, up in pairs:
             j = (k + dk, l + dl, m + dm)
-            if j in inside and (edge := (a, j) if a < j else (j, a)) not in edges:
+            if (j in inside) if up else (unclaimed and (j, a) in unclaimed):
                 row = _row(j, cs(q, m), a, ct(q, m))
                 if row:
-                    edges[edge] = row
-    return indices, list(edges.values())
+                    rows.append(row)
+                elif up:
+                    unclaimed.add((a, j))
+    return indices, rows
 
 
 def _row(j, cs, a, ct) -> dict:
@@ -175,7 +180,8 @@ def _forest_nullspace(rows, columns):
 
     forest, cycles = [], []
     for row in rows:
-        a, b = (root(c) for c in (*row, None)[:2])
+        ends = iter(row)
+        a, b = root(next(ends)), root(next(ends, None))
         if a != b:
             parent[a] = b
         (forest if a != b else cycles).append(row)
@@ -224,35 +230,37 @@ def solve_by_recurrence(source, target, seed_idx, seed_value, box: Box):
         raise ValueError(f"seed index {seed_idx} has lbar = {lbar}, "
                          f"outside the source's index set {source.J!r}")
     p = source.params
-    pairs = {(gen, offset): (cs, ct) for gen in OFF_DIAGONAL
+    pairs = {(gen, offset): (gen, cs, ct) for gen in OFF_DIAGONAL
              for offset, cs, ct in _paired_entries(source, target, gen)}
+    moves = []  # (step, whether it lowers from a, up pair, down pair), in search order
+    for axis, (up, down) in enumerate(AXIS_PAIRS):
+        unit = tuple(int(i == axis) for i in range(3))
+        back = tuple(-u for u in unit)
+        moves += [(back, True, pairs[up, back], pairs[down, unit]),
+                  (unit, False, pairs[up, back], pairs[down, unit])]
     x = {seed_idx: seed_value}
     queue = deque([seed_idx])
     inside = set(source.indices(box))
     while queue:
         a = queue.popleft()
-        for axis, (up, down) in enumerate(AXIS_PAIRS):
-            for direction in (-1, +1):
-                step = [0, 0, 0]
-                step[axis] = direction
-                nxt = (a[0] + step[0], a[1] + step[1], a[2] + step[2])
-                if nxt in x or nxt not in inside:
-                    continue
-                hi, lo = (a, nxt) if direction < 0 else (nxt, a)
-                for at, to, gen in ((hi, lo, up), (lo, hi, down)):
-                    cs, ct = pairs[gen, tuple(t - f for t, f in zip(to, at))]
-                    q = p.line(at[0], at[1])
-                    row = _row(to, cs(q, at[2]), at, ct(q, at[2]))
-                    if row:
-                        break
-                else:
-                    continue  # no information along this edge
-                if nxt not in row:
-                    side = "source" if nxt == to else "target"
-                    raise ObstructionAtIndex(at, gen, f"{side} coefficient vanishes")
-                # an int 0, so that a zero value takes the scalar type of row[nxt]
-                x[nxt] = (-row[a] * x[a] if a in row else 0) / row[nxt]
-                queue.append(nxt)
+        for (dk, dl, dm), lowers, up_pair, down_pair in moves:
+            nxt = (a[0] + dk, a[1] + dl, a[2] + dm)
+            if nxt in x or nxt not in inside:
+                continue
+            hi, lo = (a, nxt) if lowers else (nxt, a)
+            for at, to, (gen, cs, ct) in ((hi, lo, up_pair), (lo, hi, down_pair)):
+                q = p.line(at[0], at[1])
+                row = _row(to, cs(q, at[2]), at, ct(q, at[2]))
+                if row:
+                    break
+            else:
+                continue  # no information along this edge
+            if nxt not in row:
+                side = "source" if nxt == to else "target"
+                raise ObstructionAtIndex(at, gen, f"{side} coefficient vanishes")
+            # an int 0, so that a zero value takes the scalar type of row[nxt]
+            x[nxt] = (-row[a] * x[a] if a in row else 0) / row[nxt]
+            queue.append(nxt)
     missing = [i for i in inside if i not in x]
     if missing:
         raise ValueError(f"window indices unreachable from seed: {missing[:3]}")

@@ -90,6 +90,7 @@ from .hom import (
 )
 from .module import (
     AXIS_PAIRS,
+    BASIS_ACTIONS,
     Box,
     ModuleElement,
     Params,
@@ -208,11 +209,12 @@ def check_simplicity_generic(params, window):
     bad = []  # (descriptor, index, generator) missing its axis neighbour
     for dual in (False, True):
         desc = ModuleDescriptor(params, dual=dual)
+        action = BASIS_ACTIONS[desc.basis]  # the descriptor has no J
         for idx in box:
             for axis, pair in enumerate(AXIS_PAIRS):
                 for gen, step in zip(pair, (-1, 1)):
                     nxt = tuple(c + step * (i == axis) for i, c in enumerate(idx))
-                    if box.contains(nxt) and not desc.action(gen, idx, nxt.__eq__):
+                    if box.contains(nxt) and not action(gen, params, idx, nxt.__eq__):
                         bad.append((desc.describe(), idx, gen))
     return not bad, bad[:5]
 

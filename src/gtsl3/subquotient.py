@@ -9,16 +9,16 @@ A ModuleDescriptor names the module (w-basis) or its dual (eta-basis) with
 an optional LBarSet J, and owns the lbar coordinate: ``lbar_coordinates``
 gives (k, lbar, m), and every reading of an index's lbar level goes
 through it, as ``contains`` does; ``window`` is the one box centred on
-mu2, and ``action`` is the ambient table action with the targets outside J,
-and those its caller's filter rejects, dropped before their coefficient is
-evaluated: J and the filter together decide a target.  Generation
-(``explore.generate``) and closure both walk ``steps``, the six raising and
-lowering generators, through it.  The Hom rows (``hom``) do not: their
-filter is the window already cut to J, so it alone decides a target and
-they read the ambient table action.  A subquotient's action on elements,
-``act_truncated``, is the action summed over the terms; the paper's
-displayed formulas for the lbar in {0,1} band are kept in the test suite
-as an oracle for it.
+mu2, and ``action`` is the ambient table action with the targets outside J
+dropped before their coefficient is evaluated.  A subquotient's action on
+elements, ``act_truncated``, is that action summed over the terms; the
+paper's displayed formulas for the lbar in {0,1} band are kept in the test
+suite as an oracle for it.  Generation (``explore.generate``) and closure
+walk ``steps``, the six raising and lowering generators read straight from
+``module.ACTION_TABLE``, where the caller's filter alone decides a target,
+before its coefficient is evaluated: generation's filter already lies
+inside J, and closure asks about the ambient module.  The Hom rows
+(``hom``) read the table the same way.
 
 Closure of desc.J under the ambient action, desc without J, is checked
 exactly on a finite window by ``is_closed(desc, box)``.  The predicates
@@ -33,10 +33,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import BasisMismatch
 from .liealg import require_generator
-from .module import BASIS_ACTIONS, OFF_DIAGONAL, Box, ModuleElement, Params, accumulate
+from .module import (ACTION_TABLE, BASIS_ACTIONS, OFF_DIAGONAL, Box, ModuleElement, Params,
+                     accumulate)
 
 
 class LBarSet:
@@ -188,24 +190,24 @@ class ModuleDescriptor:
     def indices(self, box: Box):
         return [idx for idx in box if self.contains(idx)]
 
-    def action(self, gen: str, idx, want=None) -> dict:
+    def action(self, gen: str, idx) -> dict:
         """{target index: coefficient} for the generator on one basis vector:
         the ambient action, which lists only nonzero coefficients, with the
-        targets outside J, and those want(target) rejects, dropped before
-        their coefficient is evaluated."""
-        def keep(jdx):
-            return self.contains(jdx) and (want is None or want(jdx))
-
-        return dict(BASIS_ACTIONS[self.basis](gen, self.params, idx, keep))
+        targets outside J dropped before their coefficient is evaluated."""
+        return dict(BASIS_ACTIONS[self.basis](gen, self.params, idx, self.contains))
 
     def steps(self, idx, want):
-        """(generator, target) for each target that action(gen, idx, want)
-        keeps, gen running over OFF_DIAGONAL: h1 and h2 map every basis
-        vector to a multiple of itself, so they reach nothing new.  A
-        generator is applied only once the previous one's targets are used."""
+        """(generator, target) lazily, in OFF_DIAGONAL then ACTION_TABLE order,
+        for each target with m >= 0 that want(target) keeps, checked before
+        its coefficient is evaluated, and whose coefficient is nonzero.  J is
+        not read: want alone decides.  h1 and h2 reach nothing new."""
+        k, l, m = idx
+        q = self.params.line(k, l)
         for gen in OFF_DIAGONAL:
-            for jdx in self.action(gen, idx, want):
-                yield gen, jdx
+            for (dk, dl, dm), coefficient in ACTION_TABLE[self.basis][gen]:
+                jdx = (k + dk, l + dl, m + dm)
+                if m + dm >= 0 and want(jdx) and coefficient(q, m):
+                    yield gen, jdx
 
     def window(self, r: int) -> Box:
         """The radius-r box, centred on l = mu2 when mu2 is an integer."""
@@ -246,21 +248,24 @@ class ClosureVerdict:
 def is_closed(desc: ModuleDescriptor, box: Box) -> ClosureVerdict:
     """Does the ambient action keep every vector supported in desc.J inside J?
 
-    The ambient module is desc without J, and its action is read through
-    ModuleDescriptor.action with the targets inside J dropped before their
-    coefficient is evaluated.  Only window indices on a boundary level of J
-    are inspected: a level in J whose neighbour lbar - 1 or lbar + 1 lies
-    outside J, that is, the level on J's side of one of its cuts.  An
-    action term moves l by at most one, so a vector on any other level of J
-    cannot leave J.  The witnesses are (source, generator, target) triples
-    in window order, exactly those a sweep over every index of J would find.
-    """
+    The ambient module is desc without J: ``steps`` reads no J, and its
+    filter, J.contains at lbar = l - mu2, drops the targets inside J before
+    their coefficient is evaluated.  Only window indices on a boundary level
+    of J are visited: a level in J whose neighbour lbar - 1 or lbar + 1 lies
+    outside J, that is, the level on J's side of one of its cuts.  An action
+    term moves l by at most one, so a vector on any other level of J cannot
+    leave J.  The witnesses are (source, generator, target) triples in
+    window order, exactly those a sweep over every index of J would find.
+    Without J, the whole index set is closed."""
     J = desc.J
-    ambient = ModuleDescriptor(desc.params, desc.dual)
+    if J is None:
+        return ClosureVerdict(True, [])
     t = desc.params.mu2_int()
-    rows = {t + c - (not J.contains(c)) for c in J.cuts}  # the boundary levels, as l
-    witnesses = [(idx, gen, jdx) for idx in box if idx[1] in rows
-                 for gen, jdx in ambient.steps(idx, lambda jdx: not desc.contains(jdx))]
+    levels = {t + c - (not J.contains(c)) for c in J.cuts}  # the boundary levels, as l
+    rows = sorted(l for l in levels if box.lmin <= l <= box.lmax)
+    visited = product(range(box.kmin, box.kmax + 1), rows, range(box.mmax + 1))  # window order
+    witnesses = [(idx, gen, jdx) for idx in visited
+                 for gen, jdx in desc.steps(idx, lambda jdx: not J.contains(jdx[1] - t))]
     return ClosureVerdict(not witnesses, witnesses)
 
 
@@ -271,12 +276,14 @@ def classify(J: LBarSet, box: Box, p: Params) -> str:
     J is a subquotient when J = J2 \\ J1 with J1 within J2 both closed.  The
     least closed J2 containing J serves if any does, since closed sets are
     closed under intersection; it is found by adding the levels that the
-    closure witnesses land on until none is left.  A set with no level in
-    the window is refused: no index of it would be inspected.
+    closure witnesses land on until none is left.  The full set, None, and
+    a set missing the window are refused: no index of either is inspected.
     """
     def closed(S):
         return is_closed(ModuleDescriptor(p, J=S), box)
 
+    if J is None:
+        raise ValueError("classify needs a proper index set, not 'full'")
     if not any(ModuleDescriptor(p, J=J).contains((box.kmin, l, 0))
                for l in range(box.lmin, box.lmax + 1)):
         raise ValueError("window does not meet the index set")

@@ -203,10 +203,33 @@ def test_classify_output_matches_the_golden_file(capsys):
     assert capsys.readouterr().out == golden.read_text()
 
 
+@pytest.mark.parametrize("flags, name", [
+    ((), "generate_band_w4"), (("--dual",), "generate_band_dual_w4")])
+def test_stuck_generation_in_a_band_matches_the_golden_file(capsys, flags, name):
+    # both are stuck and list missing indices, so filtering by J is pinned
+    main(["--mu2", "0", "generate", "--set", "lbar in -1..2", "--start", "0,1,0",
+          "--window", "4", *flags])
+    golden = Path(__file__).parent / "golden" / f"{name}.json"
+    assert capsys.readouterr().out == golden.read_text()
+
+
+def test_classify_of_a_union_matches_the_golden_file(capsys):
+    main(["--mu2", "0", "classify", "--set", "lbar<=-1 | lbar>=2", "--window", "7"])
+    golden = Path(__file__).parent / "golden" / "classify_union_w7.json"
+    assert capsys.readouterr().out == golden.read_text()
+
+
 def test_character_output_matches_the_golden_file(capsys):
     main(["--mu2", "0", "character", "--set", "lbar>=0", "--dual", "--window", "6"])
     golden = Path(__file__).parent / "golden" / "character_ge0_dual_w6.json"
     assert capsys.readouterr().out == golden.read_text()
+
+
+def test_classify_of_the_full_set_exits_2(capsys):
+    code, lines = run_cli(capsys, "--mu2", "0", "classify", "--set", "full", "--window", "3")
+    assert code == 2
+    assert lines == [{"error": "ValueError",
+                      "message": "classify needs a proper index set, not 'full'"}]
 
 
 def test_classify_of_a_set_that_misses_the_window_exits_2(capsys):

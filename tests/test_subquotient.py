@@ -12,7 +12,9 @@ from band_tables import act_l01_fastpath
 from gtsl3 import hom, liealg, subquotient
 from gtsl3.errors import RequiresIntegralMu2
 from gtsl3.hom import ModuleDescriptor
+from gtsl3.explore import generate
 from gtsl3.module import (
+    ACTION_TABLE,
     BASIS_ACTIONS,
     Box,
     ModuleElement,
@@ -254,6 +256,15 @@ def test_classify_refuses_a_set_that_misses_the_window():
     assert classify(LBarSet.eq(5), Box.radius(6), P0) == "none"
 
 
+def test_the_full_index_set_is_closed_and_classify_refuses_it():
+    for p in (P0, Params(Fraction(1, 3), Fraction(1, 5))):  # mu2 need not be integral
+        for dual in (False, True):
+            verdict = is_closed(ModuleDescriptor(p, dual), Box.radius(2))
+            assert verdict.closed and verdict.witnesses == []
+    with pytest.raises(ValueError, match="classify needs a proper index set, not 'full'"):
+        classify(None, BOX, P0)
+
+
 def test_classify_takes_the_least_closed_superset_of_a_union():
     # on the r = 1 window only lbar = 1 of J is visible: J is
     # {lbar <= -2, 0, 1} minus the submodule {0}, and no interval carves it out
@@ -329,22 +340,26 @@ NINE_SETS = (
 RAISING_LOWERING = ("e1", "e2", "f1", "f2", "e12", "f12")
 
 
-def test_classify_reads_the_action_only_through_the_descriptor(monkeypatch):
-    calls = {"descriptor": 0, "table": 0}
+def test_classify_and_generate_read_the_action_table_directly(monkeypatch):
+    """Both read module.ACTION_TABLE at call time, so a patched entry
+    changes what they answer, and neither goes through BASIS_ACTIONS or
+    ModuleDescriptor.action."""
+    def refused(*args, **kwargs):
+        raise AssertionError("the action was read through a wrapper")
 
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(ModuleDescriptor, "action",
-                        counted("descriptor", ModuleDescriptor.action))
-    monkeypatch.setitem(BASIS_ACTIONS, "w", counted("table", BASIS_ACTIONS["w"]))
+    for basis in BASIS_ACTIONS:
+        monkeypatch.setitem(BASIS_ACTIONS, basis, refused)
+    monkeypatch.setattr(ModuleDescriptor, "action", refused)
+    plain = ModuleDescriptor(P0)
     kinds = [classify(J, BOX, P0) for J in NINE_SETS]
     assert kinds == ["submodule"] * 5 + ["quotient"] * 3 + ["subquotient"]
-    assert calls["table"] > 0 and calls["descriptor"] == calls["table"]
+    assert (0, -1, 0) not in generate([(0, 0, 0)], plain, BOX).reached
+    # e2 lowers l by one with coefficient -lbar, zero on lbar = 0: make it 1
+    (offset, _), *rest = ACTION_TABLE["w"]["e2"]
+    assert offset == (0, -1, 0)
+    monkeypatch.setitem(ACTION_TABLE["w"], "e2", ((offset, lambda q, m: Fraction(1)), *rest))
+    assert classify(LBarSet.ge(0), BOX, P0) != "submodule"
+    assert (0, -1, 0) in generate([(0, 0, 0)], plain, BOX).reached
 
 
 def full_sweep_witnesses(J, action, box, t):

@@ -16,7 +16,8 @@ from gtsl3 import liealg, registry
 from gtsl3.errors import ObstructionAtIndex
 from gtsl3.explore import generate
 from gtsl3.hom import ModuleDescriptor, intertwiner_equations, solve_by_recurrence
-from gtsl3.module import ACTION_TABLE, AXIS_PAIRS, Box, ModuleElement, Params
+from gtsl3.module import (ACTION_TABLE, AXIS_PAIRS, BASIS_ACTIONS, OFF_DIAGONAL, Box,
+                          ModuleElement, Params)
 from gtsl3.scalars import MU1, RatFunc
 from gtsl3.serialize import parse_set_expr
 from gtsl3.subquotient import LBarSet, act_truncated, is_closed
@@ -191,6 +192,27 @@ def test_no_coefficient_is_evaluated_toward_an_edge_that_has_a_row(
         if c != 0:
             fresh.add(edge)
     assert len(built | fresh) == len(rows)
+
+
+def test_an_edge_whose_lower_end_row_vanishes_is_claimed_at_its_upper_end():
+    """plain -> plain at mu2 = 0: the w-table's entries that raise l carry
+    lbar(lbar - 1), which vanishes on lbar = 0 and 1, so an edge from there
+    up one level gets its row at its upper end, through the unclaimed set."""
+    src, tgt = _problem(P0, "full", False, False)
+    box = src.window(3)
+    indices, rows = intertwiner_equations(src, tgt, box)
+    inside = set(indices)
+    with_row = {(min(a, j), max(a, j)) for a in indices for gen in OFF_DIAGONAL
+                for j, _ in BASIS_ACTIONS["w"](gen, P0, a) if j in inside}
+    edges = [(min(row), max(row)) for row in rows]
+    assert all(len(row) == 2 for row in rows)  # same basis: every row is c*(x_j - x_a)
+    assert len(edges) == len(set(edges)) and set(edges) == with_row
+    # a row is {target: cs, a: -ct}: built at its upper end a, it lists the lower end first
+    upper = [edge for edge, row in zip(edges, rows) if list(row) == list(edge)]
+    assert ((0, 0, 0), (0, 1, 0)) in upper
+    assert all(lo[1] in (0, 1) and hi[1] == lo[1] + 1 for lo, hi in upper)
+    assert (_printed_rows((indices, rows))
+            == _printed_rows(oracle.intertwiner_equations(src, tgt, box)))
 
 
 def test_the_window_alone_decides_which_targets_the_equations_read(monkeypatch):
