@@ -26,7 +26,8 @@ In a same-basis problem (plain->plain or dual->dual) source and target are
 one module and every row is c*(x_j - x_a); an edge has a row at one end
 only where the other end's coefficient vanishes.  A step of
 ``solve_by_recurrence`` evaluates the upper end toward the lower end and,
-only where that row is absent, the lower end toward the upper end.
+only where that row is absent, the lower end toward the upper end, and
+solves that row, u x_to = v x_at, for the new unknown by one division.
 
 The closed-form families are products of Pochhammer symbols
 x^(n) = Gamma(x+n)/Gamma(x), which ``raising_factorial`` gives for every
@@ -36,7 +37,9 @@ integer n, so one formula covers both signs of k and l.
 trees of a union-find over the columns (a one-unknown row joins a zero
 node), and checks each other row once, against the one basis vector on its
 tree, dropping that vector if the row fails.  Eliminating every row gives
-the same basis: a cycle row reduces to zero or forces its tree to zero.
+the same basis: a cycle row reduces to zero or forces its tree to zero.  A
+row u x_c + v x_d = 0 is checked on one cross-product of the numerators and
+denominators that int, Fraction and RatFunc all have; over Q, ints only.
 Exact forest rows reach the eliminator in tree order, each tree breadth
 first from its first column: a row comes when the first of its columns is
 reached, so its reduction walks a few pivots, not a chain across the tree.
@@ -143,9 +146,12 @@ def _row(j, cs, a, ct) -> dict:
 
 def _fails(row: dict, x: dict) -> bool:
     """Whether u x_c + v x_d, a row of one or two unknowns, is nonzero at the
-    values x (absent means zero), tested as u x_c != -v x_d."""
-    c, d = (*row, None)[:2]
-    return row[c] * x.get(c, 0) != -row.get(d, 0) * x.get(d, 0)
+    values x (absent means zero), tested as u x_c != -v x_d cross-multiplied:
+    no Fraction or RatFunc is made only to be compared."""
+    (c, u), (d, v) = (*row.items(), (None, 0))[:2]
+    xc, xd = x.get(c, 0), x.get(d, 0)
+    return (u.numerator * v.denominator * (xc.numerator * xd.denominator)
+            != -v.numerator * u.denominator * (xd.numerator * xc.denominator))
 
 
 def _tree_order(forest, columns):
@@ -217,9 +223,10 @@ def solve_by_recurrence(source, target, seed_idx, seed_value, box: Box):
     A step in the k, l or m direction solves the equation of its edge for
     the new unknown: the e1, e2 or e12 comparison row at the higher of its
     two indices or, where that row is absent, the f1, f2 or f12 row at the
-    lower one.  A row whose only nonzero coefficient is on the already known
-    value aborts with ObstructionAtIndex: no invertible intertwiner passes
-    through there.
+    lower one: u x_to = v x_at, with u the source's and v the target's
+    coefficient at `at`, gives the new value by one division.  A row whose
+    only nonzero coefficient is on the already known value aborts with
+    ObstructionAtIndex: no invertible intertwiner passes through there.
     """
     _check_problem(source, target)
     seed_idx = tuple(seed_idx)
@@ -250,16 +257,18 @@ def solve_by_recurrence(source, target, seed_idx, seed_value, box: Box):
             hi, lo = (a, nxt) if lowers else (nxt, a)
             for at, to, (gen, cs, ct) in ((hi, lo, up_pair), (lo, hi, down_pair)):
                 q = p.line(at[0], at[1])
-                row = _row(to, cs(q, at[2]), at, ct(q, at[2]))
-                if row:
+                u, v = cs(q, at[2]), ct(q, at[2])  # the row u x_to = v x_at
+                if u or v:
                     break
             else:
                 continue  # no information along this edge
-            if nxt not in row:
-                side = "source" if nxt == to else "target"
+            if nxt == at:
+                u, v = v, u  # now u x_nxt = v x_a
+            if not u:
+                side = "target" if nxt == at else "source"
                 raise ObstructionAtIndex(at, gen, f"{side} coefficient vanishes")
-            # an int 0, so that a zero value takes the scalar type of row[nxt]
-            x[nxt] = (-row[a] * x[a] if a in row else 0) / row[nxt]
+            # an int 0, so that a zero value takes the scalar type of u
+            x[nxt] = (v * x[a] if v else 0) / u
             queue.append(nxt)
     missing = [i for i in inside if i not in x]
     if missing:

@@ -117,15 +117,17 @@ class Params:
 
 class Line:
     """What a table coefficient reads of (k, l): kb = kbar, lb = lbar, their
-    sum s, the w-table's `ratios` once worked out, and shift(dk, dl), the
-    line at (k + dk, l + dl): the cached one while the Params that made it
-    lives, else one by value.  The Params is held weakly, at = (weak
-    reference, k, l), so it and its lines form no cycle for gc to find."""
+    negatives nkb and nlb, their sum s, the w-table's `ratios` once worked
+    out, and shift(dk, dl), the line at (k + dk, l + dl): the cached one
+    while the Params that made it lives, else one by value.  The Params is
+    held weakly, at = (weak reference, k, l), so it and its lines form no
+    cycle for gc to find."""
 
-    __slots__ = ("kb", "lb", "s", "ratios", "_at")
+    __slots__ = ("kb", "lb", "nkb", "nlb", "s", "ratios", "_at")
 
     def __init__(self, kb, lb, at=None):
-        self.kb, self.lb, self.s, self.ratios, self._at = kb, lb, kb + lb, None, at
+        self.kb, self.lb, self.nkb, self.nlb = kb, lb, -kb, -lb
+        self.s, self.ratios, self._at = kb + lb, None, at
 
     def shift(self, dk: int, dl: int) -> "Line":
         p = self._at and self._at[0]()
@@ -294,11 +296,11 @@ def _w_ratios(q: Line):
 ACTION_TABLE = {
     "u": {
         **_WEIGHT,
-        "e1": (((-1, 0, 0), lambda q, m: -q.kb),),
-        "e2": (((0, -1, 0), lambda q, m: -q.lb),
+        "e1": (((-1, 0, 0), lambda q, m: q.nkb),),
+        "e2": (((0, -1, 0), lambda q, m: q.nlb),
                ((1, 0, -1), lambda q, m: Fraction(m))),
         "f1": (((1, 0, 0), lambda q, m: q.kb - q.lb + m),
-               ((0, -1, 1), lambda q, m: -q.lb)),
+               ((0, -1, 1), lambda q, m: q.nlb)),
         "f2": (((0, 1, 0), lambda q, m: q.lb),
                ((-1, 0, 1), lambda q, m: q.kb)),
         "e12": (((0, 0, -1), lambda q, m: Fraction(-m)),),
@@ -307,12 +309,12 @@ ACTION_TABLE = {
     },
     "w": {
         **_WEIGHT,
-        "e1": (((-1, 0, 0), lambda q, m: -q.kb),
+        "e1": (((-1, 0, 0), lambda q, m: q.nkb),
                ((0, 1, -1), lambda q, m: -m * _w_ratios(q)[1])),
-        "e2": (((0, -1, 0), lambda q, m: -q.lb),
+        "e2": (((0, -1, 0), lambda q, m: q.nlb),
                ((1, 0, -1), lambda q, m: m * _w_ratios(q)[0])),
         "f1": (((1, 0, 0), lambda q, m: _w_ratios(q)[0] * (q.s + m)),
-               ((0, -1, 1), lambda q, m: -q.lb)),
+               ((0, -1, 1), lambda q, m: q.nlb)),
         "f2": (((0, 1, 0), lambda q, m: _w_ratios(q)[1] * (q.s + m)),
                ((-1, 0, 1), lambda q, m: q.kb)),
         "e12": (((0, 0, -1), lambda q, m: Fraction(-m)),),

@@ -319,6 +319,10 @@ class RatFunc:
     def __bool__(self):  # false exactly at zero, as for int and Fraction
         return not self.num.is_zero()
 
+    # named as on int and Fraction, so one cross-product compares any scalars
+    numerator = property(lambda self: self.num)
+    denominator = property(lambda self: self.den)
+
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):  # c*den over the same den
             return _ratfunc(self.num + self.den.scaled(other), self.den) if other else self

@@ -1,8 +1,10 @@
 """Exact nullspace computation for sparse homogeneous systems.
 
 Rows are sparse {column: coefficient} dicts over a coefficient field
-(Fraction or RatFunc).  Pivot rows are kept normalized to a unit leading
-entry, so every elimination step is a single exact division-and-subtract.
+(Fraction or RatFunc).  A pivot at column col is kept solved for its
+leading unknown, x_col = sum of piv[c] * x_c over its other columns, made by
+one division by -lead per entry; so an elimination step only multiplies and
+adds, and back-substitution reads each value as a plain sum.
 Values still swell over RatFunc, which never reduces: each is a product
 along a pivot chain, up to 5,870 terms from the 14 rows of the symbolic
 lbar = 0 Hom problem at r = 2.  Zero tests are exact in both fields.
@@ -23,9 +25,7 @@ def _reduce(row: dict, pivots: dict) -> dict:
             return row
         factor = row.pop(col)
         for c, v in piv.items():
-            if c == col:
-                continue
-            s = row.get(c, 0) - factor * v
+            s = row[c] + factor * v if c in row else factor * v
             if s:
                 row[c] = s
             else:
@@ -47,23 +47,20 @@ def nullspace(rows, columns):
         row = _reduce(row, pivots)
         if row:
             col = min(row)
-            lead = row[col]
-            pivots[col] = {c: v / lead for c, v in row.items()}
+            neg = -row.pop(col)
+            pivots[col] = {c: v / neg for c, v in row.items()}
     free = [i for i in range(len(columns)) if i not in pivots]
     basis = []
     for f in free:
         x = {f: Fraction(1)}
         for col in sorted(pivots, reverse=True):
-            piv = pivots[col]
-            total = 0
-            for c, v in piv.items():
-                if c == col:
-                    continue
+            total = None
+            for c, v in pivots[col].items():
                 xc = x.get(c)
                 if xc is not None:
-                    total = total + v * xc
+                    total = v * xc if total is None else total + v * xc
             if total:
-                x[col] = -total
+                x[col] = total
         vec = {}
         for c, i in pos.items():
             v = x.get(i)

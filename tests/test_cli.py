@@ -174,6 +174,23 @@ def test_more_symbolic_hom_output_matches_the_golden_files(capsys, source, targe
     assert capsys.readouterr().out == golden.read_text()
 
 
+@pytest.mark.parametrize("args, name", [
+    (["hom", "--source", "dual:full", "--target", "full", "--window", "3"],
+     "hom_recurrence_full_w3"),
+    (["--symbolic", "--mu2", "0", "hom", "--source", "dual:l01", "--target", "l01",
+      "--window", "2"], "hom_recurrence_symbolic_l01_w2"),
+    (["--symbolic", "hom", "--source", "dual:full", "--target", "full", "--window", "1"],
+     "hom_recurrence_symbolic_full_w1"),
+], ids=["full-w3", "symbolic-l01-w2", "symbolic-full-w1"])
+def test_recurrence_output_matches_the_golden_files(capsys, args, name):
+    """Each recurrence step divides one coefficient into the other, so these
+    printed values pin the step, exact and symbolic; a zero value takes the
+    type of its step's divisor, and prints as "0" or as a RatFunc "(0)"."""
+    main([*args, "--recurrence"])
+    golden = Path(__file__).parent / "golden" / f"{name}.json"
+    assert capsys.readouterr().out == golden.read_text()
+
+
 def test_act_symbolic_eta_output_matches_the_golden_file(capsys):
     main(["--symbolic", "act", "--basis", "eta", "--word", "f1,e1,f12",
           "--element", '{"terms":[{"k":0,"l":0,"m":1,"c":"1"}]}'])

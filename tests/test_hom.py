@@ -551,6 +551,28 @@ def test_the_two_product_row_check_agrees_with_the_residual():
                     for w in (False, True) if k or not w}
 
 
+def test_exact_row_checks_make_no_fraction(monkeypatch):
+    """The cross-product test reads numerators and denominators: over Q it
+    multiplies ints only, at every row of the r = 2 self-duality."""
+    src = ModuleDescriptor(PG, dual=True)
+    tgt = ModuleDescriptor(PG, dual=False)
+    box = Box.radius(2)
+    (sol,) = solve_intertwiner(src, tgt, box)
+    _, rows = intertwiner_equations(src, tgt, box)
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    assert Fraction(1, 2) and made  # the count sees a Fraction made
+    made.clear()
+    assert not any(hom._fails(row, sol.x) for row in rows)
+    assert not made and len(rows) > 100
+
+
 if __name__ == "__main__":
     # regenerate the golden file, one problem a line:
     # PYTHONPATH=src python tests/test_hom.py

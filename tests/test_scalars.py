@@ -91,6 +91,15 @@ def test_cross_multiplication_equality():
     assert not (x == x + 1)
 
 
+@pytest.mark.parametrize("text", ["(mu1 + 1)/(mu2 - 2)", "(1/2*mu2)", "(-3/7)",
+                                  "(0)", "(mu1^2 - 1)/(2*mu1*mu2 + 3)"])
+def test_numerator_over_denominator_is_the_value(text):
+    """As for int and Fraction, so one cross-product serves every scalar."""
+    x = parse_scalar(text)
+    assert (x.numerator, x.denominator) == (x.num, x.den)
+    assert RatFunc(x.numerator) / RatFunc(x.denominator) == x
+
+
 def test_evaluation_commutes_with_specialization():
     rnd = random.Random(11)
     p, q = Fraction(1, 3), Fraction(1, 5)
