@@ -294,7 +294,11 @@ def exact_sequence_check(params: Params, r: int = 3) -> dict:
     Both closure statements are read off is_closed on the radius-r window:
     lbar = 0 is closed in the band when each of its escapes leaves the
     band, and the escapes of lbar = 1 that stay in the band, so land on
-    lbar = 0, witness non-splitness."""
+    lbar = 0, witness non-splitness.  That rests on GT separation: each
+    w-vector is a Gelfand-Tsetlin eigenvector and no two band indices share
+    a character off mu1 + mu2 in Z, so every submodule of the band is spanned
+    by w-vectors, and a complement of lbar = 0 would be the lbar = 1 layer,
+    which is not closed.  gt-injectivity checks separation at generic mu only."""
     t0 = params.mu2_int()
     box = ModuleDescriptor(params).window(r)
     band = ModuleDescriptor(params, J=LBarSet.between(0, 1))

@@ -29,13 +29,20 @@ only where the other end's coefficient vanishes.  A step of
 only where that row is absent, the lower end toward the upper end, and
 solves that row, u x_to = v x_at, for the new unknown by one division.
 
+An edge is also left out, before a coefficient is read, once earlier rows
+put both its ends in the zero tree of a union-find begun at the first
+one-unknown row.  Each column of the zero tree is linked to a one-unknown row
+by kept rows of two nonzero coefficients, so any x satisfying the kept rows
+vanishes there and each left-out row reads 0 = 0: ``verify_solution`` gives
+the same verdict, though it may list fewer violated rows.
+
 The closed-form families are products of Pochhammer symbols
 x^(n) = Gamma(x+n)/Gamma(x), which ``raising_factorial`` gives for every
 integer n, so one formula covers both signs of k and l.
 
 ``solve_intertwiner`` eliminates only the forest rows, those that join two
-trees of a union-find over the columns (a one-unknown row joins a zero
-node), and checks each other row once, against the one basis vector on its
+trees of a union-find over the columns (a one-unknown row joins the zero
+tree), and checks each other row once, against the one basis vector on its
 tree, dropping that vector if the row fails.  Eliminating every row gives
 the same basis: a cycle row reduces to zero or forces its tree to zero.  A
 row u x_c + v x_d = 0 is checked on one cross-product of the numerators and
@@ -46,9 +53,12 @@ reached, so its reduction walks a few pivots, not a chain across the tree.
 Over Q the order cannot show: each tree gives one line, normalized at its
 first nonzero value.  A forest with a RatFunc keeps assembly order: RatFunc
 never reduces, so the printed symbolic solutions show the elimination order.
+The zero tree is dropped first: all its columns would be pivots, and no
+other tree's elimination reads them.
 
 Boundary policy: equations are assembled at every window index and an
-equation is skipped only when it touches an unknown outside the window.
+equation is skipped only when it touches an unknown outside the window, or
+when earlier rows force both its unknowns to zero (no solution changes).
 Skipping can only enlarge the solution space, and the expected dimensions
 are pinned at fixed window sizes, so spurious enlargement is caught.
 """
@@ -109,9 +119,10 @@ _ASSEMBLED = tuple(gen for gen in OFF_DIAGONAL if gen != "e12")
 def intertwiner_equations(source, target, box: Box):
     """The in-window coefficient-matching equations as sparse rows: the
     first row on each edge {a, j}, in assembly order, with no coefficient
-    evaluated toward an edge that has one.  e12 is not called: its target
-    is the lower end of an m-edge, which comes first and has an f12 row
-    (f12 keeps lbar; kb+lb+m and -(m+1) do not vanish at a generic sum).
+    evaluated toward an edge that has one or whose ends rows force to zero.
+    e12 is not called: its target is the lower end of an m-edge, which comes
+    first and has an f12 row (f12 keeps lbar; kb+lb+m and -(m+1) do not
+    vanish at a generic sum).
     Matching the coefficient of b'_j in phi(X b_a) = X phi(b_a) gives the
     row {j: cs, a: -ct} of a paired entry, without its zero sides; the
     window, already cut to J, alone decides a target."""
@@ -122,18 +133,41 @@ def intertwiner_equations(source, target, box: Box):
     pairs = [(*offset, cs, ct, offset > (0, 0, 0)) for gen in _ASSEMBLED
              for offset, cs, ct in _paired_entries(source, target, gen)]
     rows, unclaimed = [], set()  # unclaimed: (lower end, upper end) with no row yet
+    trees = {}  # column -> its tree, begun at the first one-unknown row
     for a in indices:
         k, l, m = a
         q = p.line(k, l)
         for dk, dl, dm, cs, ct, up in pairs:
             j = (k + dk, l + dl, m + dm)
             if (j in inside) if up else (unclaimed and (j, a) in unclaimed):
+                zero = trees.get(None)
+                if zero and trees.get(a) is zero and trees.get(j) is zero:
+                    continue  # earlier rows force both ends to zero: 0 = 0
                 row = _row(j, cs(q, m), a, ct(q, m))
                 if row:
                     rows.append(row)
+                    if trees or len(row) == 1:  # the first forced zero: replay rows
+                        for row in rows if not trees else (row,):
+                            _join(trees, row)
                 elif up:
                     unclaimed.add((a, j))
     return indices, rows
+
+
+def _join(trees: dict, row: dict) -> bool:
+    """Merge, in trees, the column lists of the trees of the row's two
+    columns, or of its one and None (the zero tree); whether there were two."""
+    ends = iter(row)
+    a, b = next(ends), next(ends, None)
+    small, big = trees.setdefault(a, [a]), trees.setdefault(b, [b])
+    if small is big:
+        return False
+    if len(small) > len(big):
+        small, big = big, small
+    big += small
+    for c in small:
+        trees[c] = big
+    return True
 
 
 def _row(j, cs, a, ct) -> dict:
@@ -177,20 +211,12 @@ def _forest_nullspace(rows, columns):
     """nullspace(rows, columns), for rows of one or two unknowns.  Forest rows
     go in tree order unless one holds a RatFunc, which never reduces: the
     printed values would show the order (module docstring)."""
-    parent = {}
-
-    def root(c):
-        while c in parent:  # path halving
-            parent[c] = c = parent.get(parent[c], parent[c])
-        return c
-
-    forest, cycles = [], []
+    trees, forest, cycles = {}, [], []
     for row in rows:
-        ends = iter(row)
-        a, b = root(next(ends)), root(next(ends, None))
-        if a != b:
-            parent[a] = b
-        (forest if a != b else cycles).append(row)
+        (forest if _join(trees, row) else cycles).append(row)
+    if zero := trees.get(None):  # the zero tree
+        forest = [row for row in forest if trees[next(iter(row))] is not zero]
+        columns = [c for c in columns if trees.get(c) is not zero]
     if not any(isinstance(v, RatFunc) for row in forest for v in row.values()):
         forest = _tree_order(forest, columns)
     basis = nullspace(forest, columns)

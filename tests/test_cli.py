@@ -198,12 +198,17 @@ def test_act_symbolic_eta_output_matches_the_golden_file(capsys):
     assert capsys.readouterr().out == golden.read_text()
 
 
-@pytest.mark.parametrize("source, target, name", [
-    ("lbar>=0", "dual:lbar>=0", "hom_ge0_plain_dual"),
-    ("dual:lbar>=0", "lbar>=0", "hom_ge0_dual_plain"),
-], ids=["plain-dual", "dual-plain"])
-def test_hom_ge0_output_matches_the_golden_file(capsys, source, target, name):
-    main(["--mu2", "0", "hom", "--source", source, "--target", target, "--window", "3"])
+@pytest.mark.parametrize("source, target, window, name", [
+    ("lbar>=0", "dual:lbar>=0", "3", "hom_ge0_plain_dual"),
+    ("dual:lbar>=0", "lbar>=0", "3", "hom_ge0_dual_plain"),
+    ("lbar>=0", "dual:lbar>=0", "6", "hom_ge0_plain_dual_w6"),
+    ("dual:lbar>=0", "lbar>=0", "6", "hom_ge0_dual_plain_w6"),
+    ("lbar>=1", "dual:lbar>=1", "6", "hom_ge1_plain_dual_w6"),
+    ("dual:lbar>=1", "lbar>=1", "6", "hom_ge1_dual_plain_w6"),
+], ids=["plain-dual", "dual-plain", "ge0-plain-dual-w6", "ge0-dual-plain-w6",
+        "ge1-plain-dual-w6", "ge1-dual-plain-w6"])
+def test_hom_ge0_output_matches_the_golden_file(capsys, source, target, window, name):
+    main(["--mu2", "0", "hom", "--source", source, "--target", target, "--window", window])
     golden = Path(__file__).parent / "golden" / f"{name}.json"
     assert capsys.readouterr().out == golden.read_text()
 

@@ -31,6 +31,9 @@ from gtsl3.serialize import parse_set_expr
 from gtsl3.solver import nullspace
 from gtsl3.subquotient import LBarSet
 from nullspace_oracle import nullspace_oracle
+from test_wanted_targets import ROW_PROBLEMS
+from unfiltered_oracle import ForcedZeros
+from unfiltered_oracle import intertwiner_equations as unfiltered_equations
 
 P0 = Params(Fraction(1, 3), Fraction(0))
 PG = Params(Fraction(1, 3), Fraction(1, 5))
@@ -241,10 +244,12 @@ def _table_targets(source, target, gen, a):
 
 def _equations_oracle(source, target, box):
     """(indices, [((a, j), row), ...]): the row matching the coefficient of
-    b'_j in phi(X b_a) = X phi(b_a), from both ends of every edge."""
+    b'_j in phi(X b_a) = X phi(b_a), from both ends of every edge, and no
+    row at all on an edge whose two ends the rows kept before its first row
+    already force to zero."""
     indices = source.indices(box)
     inside = set(indices)
-    edges = []
+    edges, dropped, seen, zeros = [], set(), set(), ForcedZeros()
     for a in indices:
         for gen in OFF_DIAGONAL:
             src = source.action(gen, a)
@@ -258,8 +263,14 @@ def _equations_oracle(source, target, box):
                 if j in tgt:
                     row[a] = row.get(a, 0) - tgt[j]
                 row = {c: v for c, v in row.items() if v != 0}
-                if row:
+                edge = frozenset((a, j))
+                if row and edge not in seen:
+                    seen.add(edge)
+                    if zeros.both(a, j):
+                        dropped.add(edge)
+                if row and edge not in dropped:
                     edges.append(((a, j), row))
+                    zeros.keep(row)
     return indices, edges
 
 
@@ -511,6 +522,76 @@ def test_a_broken_cycle_drops_its_tree_as_elimination_of_every_row_does(monkeypa
     want = _printed([HomSolution(src, tgt, box, vec).normalized()
                      for vec in nullspace_oracle(rows, indices)])
     assert (len(forest_basis), len(got)) == (2, 1) and got == want
+
+
+# ---------------------------------------------------------------------------
+# an edge whose two ends earlier rows force to zero is not assembled: the
+# basis and the verdicts are those of every row
+
+def _equivalence_problems():
+    """(params, J text, source dual, target dual, r) of the ROW_PROBLEMS and
+    ORACLE_POINTS problems whose window meets J, exact and over Q(mu1).  Over
+    Q(mu1) only the module-dual problems at r = 1: the same-basis ones and
+    those at r = 2 take seconds or more to eliminate."""
+    problems = {(str(params.mu1), str(params.mu2), text, sdual, tdual, r): params
+                for group, cases in ROW_PROBLEMS.items() if group != "Q(mu1, mu2)"
+                for params, text, sdual, tdual, r in cases
+                if not isinstance(params.mu1, RatFunc) or (r == 1 and sdual != tdual)}
+    problems.update({(str(params.mu1), str(params.mu2), text, sdual, tdual, 3): params
+                     for params, sets, pairings in ORACLE_POINTS.values()
+                     for text in sets for sdual, tdual in pairings})
+    return [(params, text, sdual, tdual, r)
+            for (_, _, text, sdual, tdual, r), params in problems.items()
+            if ModuleDescriptor(params, J=parse_set_expr(text)).indices(
+                ModuleDescriptor(params).window(r))]
+
+
+def test_skipped_rows_change_no_basis_and_no_verdict():
+    """The basis is the oracle eliminator's on every row, normalized the same
+    way; and a solution moved at one index inside a zero tree, and at one
+    outside, fails verify_solution exactly where it fails one of every row."""
+    rnd = random.Random(7)
+    seen = set()
+    for params, text, sdual, tdual, r in _equivalence_problems():
+        src, tgt, box = _problem(params, parse_set_expr(text), sdual, tdual, r)
+        indices, rows = unfiltered_equations(src, tgt, box, drop_forced_zeros=False)
+        got = solve_intertwiner(src, tgt, box)
+        want = [HomSolution(src, tgt, box, vec).normalized()
+                for vec in nullspace_oracle(rows, indices)]
+        case = (str(params.mu1), str(params.mu2), text, sdual, tdual, r)
+        assert _printed(got) == _printed(want), case
+        zeros = ForcedZeros()
+        for row in rows:
+            zeros.keep(row)
+        x = got[0].x if got else {}
+        candidates = {"solution": x}
+        for region, inside in (("zero tree", True), ("outside", False)):
+            region_indices = [i for i in indices if (i in zeros.zero) == inside]
+            if region_indices:
+                idx = rnd.choice(region_indices)
+                candidates[region] = {**x, idx: x.get(idx, 0) + 1}
+        for name, values in candidates.items():
+            broken = any(_residual(row, values) for row in rows)
+            assert bool(verify_solution(HomSolution(src, tgt, box, values))) == broken, (
+                case, name)
+            seen.add((name, broken))
+    assert seen == {("solution", False), ("zero tree", True), ("outside", True)}
+
+
+def test_forced_zero_edges_are_not_assembled():
+    """dual -> plain on lbar >= 0 at mu2 = 0 is forced to zero on lbar >= 1,
+    so it assembles fewer rows than there are edges with a row; the generic
+    full self-duality has no forced zero and assembles every row."""
+    J = LBarSet.ge(0)
+    src, tgt = ModuleDescriptor(P0, dual=True, J=J), ModuleDescriptor(P0, J=J)
+    box = src.window(3)
+    _, rows = intertwiner_equations(src, tgt, box)
+    _, every = unfiltered_equations(src, tgt, box, drop_forced_zeros=False)
+    assert len(rows) < len(every)
+    src, tgt = ModuleDescriptor(PG, dual=True), ModuleDescriptor(PG)
+    box = src.window(3)
+    assert (intertwiner_equations(src, tgt, box)
+            == unfiltered_equations(src, tgt, box, drop_forced_zeros=False))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,10 @@ not read are dropped afterwards.
 ``explore.generate`` and ``subquotient.is_closed`` must return exactly
 what these return, down to the order and printed form of every row and
 value; the tests compare the two.
+
+The equations leave out an edge whose two ends the rows kept before it
+already force to zero.  ``ForcedZeros`` finds those ends by spreading zero
+along the kept rows, not by the engine's union-find.
 """
 
 from collections import deque
@@ -53,17 +57,46 @@ def _comparison_rows(source, target, gen, a, inside, box) -> dict:
 _ASSEMBLED = tuple(gen for gen in OFF_DIAGONAL if gen != "e12")
 
 
-def intertwiner_equations(source, target, box):
-    """(indices, rows): the first row assembled on each edge, in order."""
+class ForcedZeros:
+    """The columns that the rows kept so far force to zero: a one-unknown
+    row forces its column, and a row of two nonzero coefficients carries a
+    zero from either column to the other."""
+
+    def __init__(self):
+        self.zero, self.links = set(), {}
+
+    def keep(self, row: dict):
+        cols = list(row)
+        for c in cols:
+            self.links.setdefault(c, set()).update(d for d in cols if d != c)
+        spread = cols if len(cols) == 1 or self.zero.intersection(cols) else []
+        while spread:
+            c = spread.pop()
+            if c not in self.zero:
+                self.zero.add(c)
+                spread.extend(self.links.get(c, ()))
+
+    def both(self, a, j) -> bool:
+        return a in self.zero and j in self.zero
+
+
+def intertwiner_equations(source, target, box, drop_forced_zeros=True):
+    """(indices, rows): the first row assembled on each edge, in order, and
+    no row on an edge whose two ends the rows kept before it force to zero,
+    unless drop_forced_zeros is False."""
     _check_problem(source, target)
     indices = source.indices(box)
     inside = set(indices)
-    edges = {}
+    edges, zeros = {}, ForcedZeros()
     for a in indices:
         for gen in _ASSEMBLED:
             for j, row in _comparison_rows(source, target, gen, a, inside, box).items():
-                edges.setdefault((min(a, j), max(a, j)), row)
-    return indices, list(edges.values())
+                edge = (min(a, j), max(a, j))
+                if edge not in edges:
+                    edges[edge] = None if drop_forced_zeros and zeros.both(a, j) else row
+                    if edges[edge]:
+                        zeros.keep(row)
+    return indices, [row for row in edges.values() if row]
 
 
 def solve_by_recurrence(source, target, seed_idx, seed_value, box):
