@@ -2,9 +2,9 @@
 
 Each side of a Hom problem is a ``subquotient.ModuleDescriptor``, imported
 here as ``hom.ModuleDescriptor``.  The rows read both sides straight from
-``module.ACTION_TABLE``, one paired entry (offset, source coefficient,
-target coefficient) at a time: the window, already cut to the index set,
-alone decides a target, before its coefficients are evaluated.
+``module.ACTION_TABLE``, one edge of ``_edges`` at a time: the window,
+already cut to the index set, alone decides a target, before its
+coefficients are evaluated.
 
 Both sides of every Hom problem here decompose into one-dimensional
 simultaneous eigenspaces with matching eigenvalue triples, so an
@@ -13,21 +13,21 @@ index.  Matching coefficients in phi(X b_i) = X phi(b_i) turns each
 (generator, index) pair into equations with at most two unknowns; a finite
 window makes the system exactly solvable.
 
-Each edge {a, j} of the index graph can give a row at both of its ends:
-from X at index a with target j, and from the opposite generator at j with
-target a.  The two rows are proportional, so ``intertwiner_equations``
-builds the first row on each edge and evaluates nothing more toward it.
-Between the module and its dual they are equal or negated by construction:
-the eta-table is built from the w-table by (X eta)(v) = -eta(tau(X) v), with
-tau(X) = +-(opposite generator).  Indices come in window order, so the
-entry pointing up (j > a) claims an edge at its lower end; an edge whose
-lower-end row is empty waits in a small unclaimed set for its upper end.
-In a same-basis problem (plain->plain or dual->dual) source and target are
-one module and every row is c*(x_j - x_a); an edge has a row at one end
-only where the other end's coefficient vanishes.  A step of
-``solve_by_recurrence`` evaluates the upper end toward the lower end and,
-only where that row is absent, the lower end toward the upper end, and
-solves that row, u x_to = v x_at, for the new unknown by one division.
+Each edge {a, j = a + o}, o > 0, of the index graph can give a row at both
+ends, from X at a and from the opposite generator Y at j; ``_edges`` lists
+each entry with o > 0 beside the one at -o.  With F X's w-coefficient at a,
+B Y's at j and tau(X) = s Y, the eta-table, built by (X eta)(v) =
+-eta(tau(X) v), gives eta_X(a -> j) = -s B(j) and eta_Y(j -> a) = -s F(a).
+So ``intertwiner_equations`` reads each edge once, at its lower end, in
+window order.  Between the module and its dual the upper-end row is s times
+the lower-end row {j: cs, a: -ct}, so empty only where that row is.  In a
+same-basis problem (plain->plain or dual->dual) both rows are multiples of
+x_j - x_a, nonzero where F(a) or B(j) is: the row is {j: 1, a: -1}, whose
++-1 keep RatFunc out of a symbolic elimination.  Either way the kept rows
+span those of both ends, and ``verify_solution`` flags the same edges.  A
+step of ``solve_by_recurrence`` evaluates an axis edge's upper end toward
+its lower end and, only where that row is absent, the lower end toward the
+upper end, and solves that row, u x_to = v x_at, by one division.
 
 An edge is also left out, before a coefficient is read, once earlier rows
 put both its ends in the zero tree of a union-find begun at the first
@@ -71,7 +71,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ObstructionAtIndex
-from .module import ACTION_TABLE, AXIS_PAIRS, OFF_DIAGONAL, Box, Params
+from .module import ACTION_TABLE, OFF_DIAGONAL, Box, Params
 from .scalars import RatFunc, raising_factorial
 from .solver import nullspace
 from .subquotient import LBarSet, ModuleDescriptor, lbar_coordinates
@@ -105,52 +105,53 @@ def _check_problem(source: ModuleDescriptor, target: ModuleDescriptor):
         raise ValueError("source and target must share one index set")
 
 
-def _paired_entries(source, target, gen: str):
-    """(offset, cs, ct) for each entry of gen, cs the source's coefficient and
-    ct the target's: the w- and eta-tables list the same offsets in the same
-    order.  The tables are read at call time, so a patched entry is seen."""
-    return [(offset, cs, ct) for (offset, cs), (_, ct) in zip(
-        ACTION_TABLE[source.basis][gen], ACTION_TABLE[target.basis][gen], strict=True)]
-
-
-_ASSEMBLED = tuple(gen for gen in OFF_DIAGONAL if gen != "e12")
+def _edges(source, target):
+    """[(o, lower, upper), ...]: each entry with offset o > 0, in OFF_DIAGONAL
+    and table order, beside the entry at -o; an entry is (gen, cs, ct), cs
+    the source's coefficient and ct the target's.  The w- and eta-tables list
+    the same offsets in the same order, no two generators share one, and the
+    tables are read at call time, so a patched entry is seen."""
+    entries = {offset: (gen, cs, ct) for gen in OFF_DIAGONAL
+               for (offset, cs), (_, ct) in zip(ACTION_TABLE[source.basis][gen],
+                                                ACTION_TABLE[target.basis][gen], strict=True)}
+    return [(o, lower, entries[tuple(-d for d in o)])
+            for o, lower in entries.items() if o > (0, 0, 0)]
 
 
 def intertwiner_equations(source, target, box: Box):
-    """The in-window coefficient-matching equations as sparse rows: the
-    first row on each edge {a, j}, in assembly order, with no coefficient
-    evaluated toward an edge that has one or whose ends rows force to zero.
-    e12 is not called: its target is the lower end of an m-edge, which comes
-    first and has an f12 row (f12 keeps lbar; kb+lb+m and -(m+1) do not
-    vanish at a generic sum).
-    Matching the coefficient of b'_j in phi(X b_a) = X phi(b_a) gives the
-    row {j: cs, a: -ct} of a paired entry, without its zero sides; the
+    """The in-window coefficient-matching equations as sparse rows, one per
+    edge {a, j = a + o} with a row, read at its lower end a in window and then
+    _edges order (module docstring), and none whose ends earlier rows force to
+    zero.  Matching the coefficient of b'_j in phi(X b_a) = X phi(b_a) gives
+    {j: cs, a: -ct} without its zero sides; a same-basis edge gives x_j - x_a
+    where X's coefficient at a, or failing that Y's at j, is nonzero.  The
     window, already cut to J, alone decides a target."""
     _check_problem(source, target)
     p = source.params
     indices = source.indices(box)
     inside = set(indices)
-    pairs = [(*offset, cs, ct, offset > (0, 0, 0)) for gen in _ASSEMBLED
-             for offset, cs, ct in _paired_entries(source, target, gen)]
-    rows, unclaimed = [], set()  # unclaimed: (lower end, upper end) with no row yet
-    trees = {}  # column -> its tree, begun at the first one-unknown row
+    same = source.basis == target.basis
+    edges = [(*o, cs, ct, upper[1]) for o, (_, cs, ct), upper in _edges(source, target)]
+    rows, trees = [], {}  # trees: column -> its tree, begun at the first one-unknown row
     for a in indices:
         k, l, m = a
         q = p.line(k, l)
-        for dk, dl, dm, cs, ct, up in pairs:
+        for dk, dl, dm, cs, ct, cu in edges:
             j = (k + dk, l + dl, m + dm)
-            if (j in inside) if up else (unclaimed and (j, a) in unclaimed):
-                zero = trees.get(None)
-                if zero and trees.get(a) is zero and trees.get(j) is zero:
-                    continue  # earlier rows force both ends to zero: 0 = 0
+            zero = trees.get(None)
+            if j not in inside or zero and trees.get(a) is zero and trees.get(j) is zero:
+                continue  # outside, or earlier rows force both ends to zero: 0 = 0
+            if not same:
                 row = _row(j, cs(q, m), a, ct(q, m))
-                if row:
-                    rows.append(row)
-                    if trees or len(row) == 1:  # the first forced zero: replay rows
-                        for row in rows if not trees else (row,):
-                            _join(trees, row)
-                elif up:
-                    unclaimed.add((a, j))
+            elif cs(q, m) or cu(p.line(j[0], j[1]), j[2]):  # cs is ct: read once
+                row = {j: Fraction(1), a: Fraction(-1)}
+            else:
+                continue
+            if row:
+                rows.append(row)
+                if trees or len(row) == 1:  # the first forced zero: replay rows
+                    for row in rows if not trees else (row,):
+                        _join(trees, row)
     return indices, rows
 
 
@@ -189,7 +190,8 @@ def _fails(row: dict, x: dict) -> bool:
 
 
 def _tree_order(forest, columns):
-    """The forest rows, each tree breadth first from its first column."""
+    """The forest rows, each tree breadth first from its first column; the
+    zero tree is dropped before, so every row joins two columns."""
     at = {}
     for row in forest:
         for c in row:
@@ -200,7 +202,7 @@ def _tree_order(forest, columns):
         for c in queue:  # grows as it is read: breadth first
             for row in at[c]:
                 new = [d for d in row if d not in reached]
-                if new or len(row) == 1:  # a tree edge, or a forced zero
+                if new:  # a tree edge
                     order.append(row)
                     reached.update(new)
                     queue += new
@@ -263,25 +265,21 @@ def solve_by_recurrence(source, target, seed_idx, seed_value, box: Box):
         raise ValueError(f"seed index {seed_idx} has lbar = {lbar}, "
                          f"outside the source's index set {source.J!r}")
     p = source.params
-    pairs = {(gen, offset): (gen, cs, ct) for gen in OFF_DIAGONAL
-             for offset, cs, ct in _paired_entries(source, target, gen)}
-    moves = []  # (step, whether it lowers from a, up pair, down pair), in search order
-    for axis, (up, down) in enumerate(AXIS_PAIRS):
-        unit = tuple(int(i == axis) for i in range(3))
-        back = tuple(-u for u in unit)
-        moves += [(back, True, pairs[up, back], pairs[down, unit]),
-                  (unit, False, pairs[up, back], pairs[down, unit])]
+    moves = []  # (step, whether it lowers from a, lower entry, upper entry), in search order
+    for o, lower, upper in _edges(source, target):
+        if sum(map(abs, o)) == 1:  # an axis edge: f1, f2 or f12 at its lower end
+            moves += [(tuple(-d for d in o), True, lower, upper), (o, False, lower, upper)]
     x = {seed_idx: seed_value}
     queue = deque([seed_idx])
     inside = set(source.indices(box))
     while queue:
         a = queue.popleft()
-        for (dk, dl, dm), lowers, up_pair, down_pair in moves:
+        for (dk, dl, dm), lowers, lower, upper in moves:
             nxt = (a[0] + dk, a[1] + dl, a[2] + dm)
             if nxt in x or nxt not in inside:
                 continue
             hi, lo = (a, nxt) if lowers else (nxt, a)
-            for at, to, (gen, cs, ct) in ((hi, lo, up_pair), (lo, hi, down_pair)):
+            for at, to, (gen, cs, ct) in ((hi, lo, upper), (lo, hi, lower)):
                 q = p.line(at[0], at[1])
                 u, v = cs(q, at[2]), ct(q, at[2])  # the row u x_to = v x_at
                 if u or v:

@@ -213,6 +213,19 @@ def test_hom_ge0_output_matches_the_golden_file(capsys, source, target, window, 
     assert capsys.readouterr().out == golden.read_text()
 
 
+@pytest.mark.parametrize("source, window, name", [
+    ("full", "4", "hom_same_basis_full_w4"),
+    ("dual:l01", "4", "hom_same_basis_dual_l01_w4"),
+    ("lbar>=1", "6", "hom_same_basis_ge1_w6"),
+], ids=["full-w4", "dual-l01-w4", "ge1-w6"])
+def test_same_basis_hom_output_matches_the_golden_files(capsys, source, window, name):
+    """Hom of a module, dual or subquotient to itself: these pin the solved
+    bases of the same-basis rows x_j - x_a."""
+    main(["--mu2", "0", "hom", "--source", source, "--target", source, "--window", window])
+    golden = Path(__file__).parent / "golden" / f"{name}.json"
+    assert capsys.readouterr().out == golden.read_text()
+
+
 def test_generate_output_matches_the_golden_file(capsys):
     main(["generate", "--start", "0,0,0", "--window", "8"])
     golden = Path(__file__).parent / "golden" / "generate_w8.json"

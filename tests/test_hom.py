@@ -1,6 +1,7 @@
 import functools
 import json
 import random
+import signal
 from collections import deque
 from fractions import Fraction
 from pathlib import Path
@@ -335,8 +336,10 @@ ORACLE_POINTS = {
 def test_comparison_rows_match_the_assembly_and_recurrence_oracles(params, sets, pairings):
     """A module-dual problem assembles the row at the lower end of each edge
     (j > a) and leaves out the upper-end row, which is that row or its
-    negative; a same-basis problem assembles the first row of each edge,
-    and every other row on the edge is a multiple of it."""
+    negative.  In a same-basis problem every row on an edge is a multiple
+    of the first, and that of x_j - x_a: the problem assembles {j: 1, a: -1}
+    at the lower end of each edge with a row, in window order and then in
+    the order of the entries that raise an index."""
     rnd = random.Random(41)
     for text in sets:
         J = parse_set_expr(text)
@@ -350,11 +353,18 @@ def test_comparison_rows_match_the_assembly_and_recurrence_oracles(params, sets,
                     if sdual == tdual:
                         kept = {}
                         for (a, j), row in edges:
-                            first = kept.setdefault((min(a, j), max(a, j)), row)
+                            lo, hi = min(a, j), max(a, j)
+                            first = kept.setdefault((lo, hi), row)
                             q = row[a] / first[a]
                             assert q != 0 and row == {
                                 c: q * v for c, v in first.items()}, (text, sdual, a, j)
-                        want = list(kept.values())
+                            assert first[hi] == -first[lo], (text, sdual, a, j)
+                        rank = {a: n for n, a in enumerate(indices)}
+                        up = [o for gen in OFF_DIAGONAL for o, _ in ACTION_TABLE["w"][gen]
+                              if o > (0, 0, 0)]
+                        want = [{hi: Fraction(1), lo: Fraction(-1)} for lo, hi in sorted(
+                            kept, key=lambda e: (rank[e[0]], up.index(
+                                tuple(j - i for i, j in zip(*e)))))]
                     else:
                         kept = {e: row for e, row in edges if e[1] > e[0]}
                         for (a, j), row in edges:
@@ -531,12 +541,12 @@ def test_a_broken_cycle_drops_its_tree_as_elimination_of_every_row_does(monkeypa
 def _equivalence_problems():
     """(params, J text, source dual, target dual, r) of the ROW_PROBLEMS and
     ORACLE_POINTS problems whose window meets J, exact and over Q(mu1).  Over
-    Q(mu1) only the module-dual problems at r = 1: the same-basis ones and
-    those at r = 2 take seconds or more to eliminate."""
+    Q(mu1) only the problems at r = 1: the module-dual ones at r = 2 take
+    seconds or more to eliminate."""
     problems = {(str(params.mu1), str(params.mu2), text, sdual, tdual, r): params
                 for group, cases in ROW_PROBLEMS.items() if group != "Q(mu1, mu2)"
                 for params, text, sdual, tdual, r in cases
-                if not isinstance(params.mu1, RatFunc) or (r == 1 and sdual != tdual)}
+                if not isinstance(params.mu1, RatFunc) or r == 1}
     problems.update({(str(params.mu1), str(params.mu2), text, sdual, tdual, 3): params
                      for params, sets, pairings in ORACLE_POINTS.values()
                      for text in sets for sdual, tdual in pairings})
@@ -595,6 +605,53 @@ def test_forced_zero_edges_are_not_assembled():
 
 
 # ---------------------------------------------------------------------------
+# a same-basis row is x_j - x_a, so symbolic same-basis problems eliminate
+# +-1 Fractions and decide at once
+
+def _trees(desc, box):
+    """The index sets of the components of the window's index graph, an edge
+    joining a and j where a generator's coefficient from a to j is nonzero."""
+    indices = desc.indices(box)
+    tree = {a: frozenset([a]) for a in indices}
+    for a in indices:
+        for gen in OFF_DIAGONAL:
+            for j in desc.action(gen, a):
+                if j in tree and tree[j] is not tree[a]:
+                    joined = tree[a] | tree[j]
+                    tree.update(dict.fromkeys(joined, joined))
+    return set(tree.values())
+
+
+SYMBOLIC_SAME_BASIS = [(SYM0, text, dual, r) for text in ("l01", "lbar>=0")
+                       for dual in (False, True) for r in (1, 2)] + [
+    (Params.symbolic(), "full", dual, 1) for dual in (False, True)]
+
+
+@pytest.mark.parametrize("params,text,dual,r", SYMBOLIC_SAME_BASIS, ids=[
+    f"{'dual' if dual else 'plain'}:{text}, r={r}, mu2={params.mu2}"
+    for params, text, dual, r in SYMBOLIC_SAME_BASIS])
+def test_symbolic_same_basis_problems_decide_in_seconds(params, text, dual, r):
+    """One basis vector per tree, 1 on the tree and absent elsewhere, under
+    a 5 s alarm: a row c (x_j - x_a) with c in Q(mu) would swell the
+    eliminator's RatFuncs far past it."""
+    src, tgt, box = _problem(params, parse_set_expr(text), dual, dual, r)
+
+    def timed_out(signum, frame):
+        raise TimeoutError(f"{text}, dual={dual}, r={r} took more than 5 s")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(5)
+    try:
+        sols = solve_intertwiner(src, tgt, box)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert {frozenset(s.x) for s in sols} == _trees(src, box)
+    assert len(sols) == len(_trees(src, box))
+    assert {v for s in sols for v in s.x.values()} == {1}
+
+
+# ---------------------------------------------------------------------------
 # what the row assembly and the row check take for granted
 
 def test_the_w_and_eta_tables_list_the_same_offsets_in_the_same_order():
@@ -604,6 +661,21 @@ def test_the_w_and_eta_tables_list_the_same_offsets_in_the_same_order():
     assert set(w) == set(eta)
     for gen in w:
         assert [o for o, _ in w[gen]] == [o for o, _ in eta[gen]], gen
+
+
+def test_each_offset_is_one_entry_and_its_opposite_is_another():
+    """_edges keys the entries by offset and pairs each o > 0 with -o: five
+    edges per index, the axis steps (1, 0, 0), (0, 1, 0) and (0, 0, 1) among
+    them."""
+    for basis in ("w", "eta"):  # the bases of a Hom problem
+        offsets = [o for gen in OFF_DIAGONAL for o, _ in ACTION_TABLE[basis][gen]]
+        assert len(offsets) == len(set(offsets)) == 10, basis
+        assert {tuple(-d for d in o) for o in offsets} == set(offsets), basis
+    src, tgt = ModuleDescriptor(PG, dual=True), ModuleDescriptor(PG)
+    edges = hom._edges(src, tgt)
+    assert [gen for _, (gen, _, _), _ in edges] == ["e1", "e2", "f1", "f2", "f12"]
+    assert [o for o, _, _ in edges if sum(map(abs, o)) == 1] == [
+        (1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
 def _residual(row: dict, x: dict):

@@ -194,23 +194,51 @@ def test_no_coefficient_is_evaluated_toward_an_edge_that_has_a_row(
     assert len(built | fresh) == len(rows)
 
 
-def test_an_edge_whose_lower_end_row_vanishes_is_claimed_at_its_upper_end():
+SAME_BASIS_CASES = [case for case in EDGE_CASES if case[2] == case[3]]
+
+
+@pytest.mark.parametrize("params,text,sdual,tdual", SAME_BASIS_CASES, ids=[
+    f"{'dual' if dual else 'plain'}:{text}, mu2={params.mu2}"
+    for params, text, dual, _ in SAME_BASIS_CASES])
+def test_a_same_basis_assembly_reads_each_coefficient_once(
+        monkeypatch, params, text, sdual, tdual):
+    """Source and target share one table, so the lower end's coefficient is
+    read once for both sides of the row, and the upper end's only after it."""
+    src, tgt = _problem(params, text, sdual, tdual)
+    log = _evaluations(monkeypatch, params)
+    intertwiner_equations(src, tgt, src.window(3))
+    reads = [entry[:4] for entry in log]
+    assert reads and len(reads) == len(set(reads))
+
+
+def test_an_edge_whose_lower_end_coefficient_vanishes_gets_its_row_from_its_upper_end(
+        monkeypatch):
     """plain -> plain at mu2 = 0: the w-table's entries that raise l carry
     lbar(lbar - 1), which vanishes on lbar = 0 and 1, so an edge from there
-    up one level gets its row at its upper end, through the unclaimed set."""
+    up one level is written at its lower end from its upper end's
+    coefficient; like every same-basis row, it is x_j - x_a."""
     src, tgt = _problem(P0, "full", False, False)
     box = src.window(3)
-    indices, rows = intertwiner_equations(src, tgt, box)
+    indices = src.indices(box)
     inside = set(indices)
     with_row = {(min(a, j), max(a, j)) for a in indices for gen in OFF_DIAGONAL
                 for j, _ in BASIS_ACTIONS["w"](gen, P0, a) if j in inside}
+    log = _evaluations(monkeypatch, P0)
+    _, rows = intertwiner_equations(src, tgt, box)
     edges = [(min(row), max(row)) for row in rows]
-    assert all(len(row) == 2 for row in rows)  # same basis: every row is c*(x_j - x_a)
     assert len(edges) == len(set(edges)) and set(edges) == with_row
-    # a row is {target: cs, a: -ct}: built at its upper end a, it lists the lower end first
-    upper = [edge for edge, row in zip(edges, rows) if list(row) == list(edge)]
-    assert ((0, 0, 0), (0, 1, 0)) in upper
-    assert all(lo[1] in (0, 1) and hi[1] == lo[1] + 1 for lo, hi in upper)
+    assert [list(row.items()) for row in rows] == [
+        [(hi, Fraction(1)), (lo, Fraction(-1))] for lo, hi in edges]
+    rank = [indices.index(lo) for lo, _ in edges]
+    assert rank == sorted(rank)  # each row at its lower end, in window order
+    # (lower end, upper end, read at the upper end, coefficient) per read
+    reads = [(min(a, j), max(a, j), a > j, c) for _, _, a, j, c in log]
+    for n, (lo, hi, at_upper, c) in enumerate(reads):
+        if at_upper:  # right after the lower end's read, which was zero
+            assert reads[n - 1] == (lo, hi, False, 0), (lo, hi)
+    claimed = {(lo, hi) for lo, hi, at_upper, c in reads if at_upper and c}
+    assert ((0, 0, 0), (0, 1, 0)) in claimed
+    assert all(lo[1] in (0, 1) and hi[1] == lo[1] + 1 for lo, hi in claimed)
     assert (_printed_rows((indices, rows))
             == _printed_rows(oracle.intertwiner_equations(src, tgt, box)))
 

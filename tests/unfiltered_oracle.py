@@ -14,6 +14,7 @@ along the kept rows, not by the engine's union-find.
 """
 
 from collections import deque
+from fractions import Fraction
 
 from gtsl3.errors import ObstructionAtIndex
 from gtsl3.explore import GenerationCertificate
@@ -54,9 +55,6 @@ def _comparison_rows(source, target, gen, a, inside, box) -> dict:
     return rows
 
 
-_ASSEMBLED = tuple(gen for gen in OFF_DIAGONAL if gen != "e12")
-
-
 class ForcedZeros:
     """The columns that the rows kept so far force to zero: a one-unknown
     row forces its column, and a row of two nonzero coefficients carries a
@@ -81,22 +79,37 @@ class ForcedZeros:
 
 
 def intertwiner_equations(source, target, box, drop_forced_zeros=True):
-    """(indices, rows): the first row assembled on each edge, in order, and
-    no row on an edge whose two ends the rows kept before it force to zero,
-    unless drop_forced_zeros is False."""
+    """(indices, rows): one row per edge with a row at either end, at the
+    edge's lower end, in window and then table order, and no row on an edge
+    whose two ends the rows kept before it force to zero, unless
+    drop_forced_zeros is False.  Between the module and its dual the row is
+    the first one on the edge; in a same-basis problem, where each row on an
+    edge is a multiple of x_j - x_a, it is {j: 1, a: -1}."""
     _check_problem(source, target)
     indices = source.indices(box)
     inside = set(indices)
-    edges, zeros = {}, ForcedZeros()
+    found = {}  # (lower end, upper end) -> its rows from both ends, in order
     for a in indices:
-        for gen in _ASSEMBLED:
+        for gen in OFF_DIAGONAL:
             for j, row in _comparison_rows(source, target, gen, a, inside, box).items():
-                edge = (min(a, j), max(a, j))
-                if edge not in edges:
-                    edges[edge] = None if drop_forced_zeros and zeros.both(a, j) else row
-                    if edges[edge]:
-                        zeros.keep(row)
-    return indices, [row for row in edges.values() if row]
+                found.setdefault((min(a, j), max(a, j)), []).append(row)
+    same = source.basis == target.basis
+    rows, zeros = [], ForcedZeros()
+    for a in indices:
+        for gen in OFF_DIAGONAL:
+            for offset, _ in ACTION_TABLE[source.basis][gen]:
+                j = tuple(i + d for i, d in zip(a, offset))
+                if j < a or (a, j) not in found:
+                    continue
+                if same:
+                    assert all(r[j] == -r[a] for r in found[a, j]), (a, j)
+                    row = {j: Fraction(1), a: Fraction(-1)}
+                else:
+                    row = found[a, j][0]
+                if not (drop_forced_zeros and zeros.both(a, j)):
+                    rows.append(row)
+                    zeros.keep(row)
+    return indices, rows
 
 
 def solve_by_recurrence(source, target, seed_idx, seed_value, box):
