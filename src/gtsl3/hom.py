@@ -1,8 +1,8 @@
 """Intertwiner computation between (sub)quotients of the module and its dual.
 
 Each side of a Hom problem is a ``subquotient.ModuleDescriptor``, imported
-here as ``hom.ModuleDescriptor``.  The rows read both sides straight from
-``module.ACTION_TABLE``, one edge of ``_edges`` at a time: the window,
+here as ``hom.ModuleDescriptor``.  The rows of either side read the w-part
+of ``module.ACTION_TABLE``, one edge of ``_edges`` at a time: the window,
 already cut to the index set, alone decides a target, before its
 coefficients are evaluated.
 
@@ -14,20 +14,18 @@ index.  Matching coefficients in phi(X b_i) = X phi(b_i) turns each
 window makes the system exactly solvable.
 
 Each edge {a, j = a + o}, o > 0, of the index graph can give a row at both
-ends, from X at a and from the opposite generator Y at j; ``_edges`` lists
-each entry with o > 0 beside the one at -o.  With F X's w-coefficient at a,
-B Y's at j and tau(X) = s Y, the eta-table, built by (X eta)(v) =
--eta(tau(X) v), gives eta_X(a -> j) = -s B(j) and eta_Y(j -> a) = -s F(a).
-So ``intertwiner_equations`` reads each edge once, at its lower end, in
-window order.  Between the module and its dual the upper-end row is s times
-the lower-end row {j: cs, a: -ct}, so empty only where that row is.  In a
+ends, from X at a and from the opposite generator Y at j.  ``_edges`` lists
+X's w-coefficient F beside Y's, B, and the sign s of tau(X) = s Y: the
+eta-table, built by (X eta)(v) = -eta(tau(X) v), has eta_X(a -> j) =
+-s B(j) and eta_Y(j -> a) = -s F(a), so no row needs an eta coefficient.
+Between the module and its dual the upper-end row is s times the lower-end
+row, so ``intertwiner_equations`` reads each edge once, at its lower end, in
+window order, and ``solve_by_recurrence`` each axis edge once a step.  In a
 same-basis problem (plain->plain or dual->dual) both rows are multiples of
 x_j - x_a, nonzero where F(a) or B(j) is: the row is {j: 1, a: -1}, whose
-+-1 keep RatFunc out of a symbolic elimination.  Either way the kept rows
-span those of both ends, and ``verify_solution`` flags the same edges.  A
-step of ``solve_by_recurrence`` evaluates an axis edge's upper end toward
-its lower end and, only where that row is absent, the lower end toward the
-upper end, and solves that row, u x_to = v x_at, by one division.
++-1 keep RatFunc out of a symbolic elimination, and a recurrence step keeps
+the known value.  The kept rows span those of both ends, and
+``verify_solution`` flags the same edges.
 
 An edge is also left out, before a coefficient is read, once earlier rows
 put both its ends in the zero tree of a union-find begun at the first
@@ -70,6 +68,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import liealg
 from .errors import ObstructionAtIndex
 from .module import ACTION_TABLE, OFF_DIAGONAL, Box, Params
 from .scalars import RatFunc, raising_factorial
@@ -105,48 +104,47 @@ def _check_problem(source: ModuleDescriptor, target: ModuleDescriptor):
         raise ValueError("source and target must share one index set")
 
 
-def _edges(source, target):
-    """[(o, lower, upper), ...]: each entry with offset o > 0, in OFF_DIAGONAL
-    and table order, beside the entry at -o; an entry is (gen, cs, ct), cs
-    the source's coefficient and ct the target's.  The w- and eta-tables list
-    the same offsets in the same order, no two generators share one, and the
-    tables are read at call time, so a patched entry is seen."""
-    entries = {offset: (gen, cs, ct) for gen in OFF_DIAGONAL
-               for (offset, cs), (_, ct) in zip(ACTION_TABLE[source.basis][gen],
-                                                ACTION_TABLE[target.basis][gen], strict=True)}
-    return [(o, lower, entries[tuple(-d for d in o)])
-            for o, lower in entries.items() if o > (0, 0, 0)]
+def _edges():
+    """[(o, X, F, Y, B, s), ...]: each w-table entry (o, F) of X with o > 0,
+    in OFF_DIAGONAL and table order, beside the entry (-o, B) of Y, where
+    tau(X) = s Y.  No two generators share an offset; the table and tau are
+    read at call time, so a patched entry is seen."""
+    entries = {o: (gen, c) for gen in OFF_DIAGONAL for o, c in ACTION_TABLE["w"][gen]}
+    return [(o, x, f, y, b, int(liealg.tau(x)[y])) for o, (x, f) in entries.items()
+            if o > (0, 0, 0) for y, b in [entries[tuple(-d for d in o)]]]
 
 
 def intertwiner_equations(source, target, box: Box):
     """The in-window coefficient-matching equations as sparse rows, one per
     edge {a, j = a + o} with a row, read at its lower end a in window and then
     _edges order (module docstring), and none whose ends earlier rows force to
-    zero.  Matching the coefficient of b'_j in phi(X b_a) = X phi(b_a) gives
-    {j: cs, a: -ct} without its zero sides; a same-basis edge gives x_j - x_a
-    where X's coefficient at a, or failing that Y's at j, is nonzero.  The
-    window, already cut to J, alone decides a target."""
+    zero.  With F and B the edge's w-coefficients and tau(X) = s Y, a plain
+    -> dual row is {j: F(a), a: s B(j)} and a dual -> plain row
+    {j: s B(j), a: F(a)}, each without its zero sides; a same-basis edge
+    gives x_j - x_a where F(a) or B(j) is nonzero.  The window, already cut
+    to J, alone decides a target."""
     _check_problem(source, target)
     p = source.params
     indices = source.indices(box)
     inside = set(indices)
-    same = source.basis == target.basis
-    edges = [(*o, cs, ct, upper[1]) for o, (_, cs, ct), upper in _edges(source, target)]
+    same, dual = source.basis == target.basis, source.basis == "eta"
+    edges = [(*o, f, b, s) for o, _, f, _, b, s in _edges()]
     rows, trees = [], {}  # trees: column -> its tree, begun at the first one-unknown row
     for a in indices:
         k, l, m = a
         q = p.line(k, l)
-        for dk, dl, dm, cs, ct, cu in edges:
+        for dk, dl, dm, f, b, s in edges:
             j = (k + dk, l + dl, m + dm)
             zero = trees.get(None)
             if j not in inside or zero and trees.get(a) is zero and trees.get(j) is zero:
                 continue  # outside, or earlier rows force both ends to zero: 0 = 0
-            if not same:
-                row = _row(j, cs(q, m), a, ct(q, m))
-            elif cs(q, m) or cu(p.line(j[0], j[1]), j[2]):  # cs is ct: read once
-                row = {j: Fraction(1), a: Fraction(-1)}
+            u = f(q, m)  # F(a), then B(j): in a same-basis problem only where F(a) = 0
+            v = 0 if same and u else b(p.line(k + dk, l + dl), m + dm)
+            if same:
+                row = {j: Fraction(1), a: Fraction(-1)} if u or v else None
             else:
-                continue
+                v = v if s > 0 else -v  # s B(j)
+                row = _row(j, v, a, u) if dual else _row(j, u, a, v)
             if row:
                 rows.append(row)
                 if trees or len(row) == 1:  # the first forced zero: replay rows
@@ -171,11 +169,11 @@ def _join(trees: dict, row: dict) -> bool:
     return True
 
 
-def _row(j, cs, a, ct) -> dict:
-    """{j: cs, a: -ct} without its zero sides."""
-    row = {j: cs} if cs else {}
-    if ct:
-        row[a] = -ct
+def _row(j, u, a, v) -> dict:
+    """{j: u, a: v} without its zero sides."""
+    row = {j: u} if u else {}
+    if v:
+        row[a] = v
     return row
 
 
@@ -248,13 +246,13 @@ def verify_solution(sol: HomSolution):
 def solve_by_recurrence(source, target, seed_idx, seed_value, box: Box):
     """Propagate the one-step ratio recurrences outward from a seed.
 
-    A step in the k, l or m direction solves the equation of its edge for
-    the new unknown: the e1, e2 or e12 comparison row at the higher of its
-    two indices or, where that row is absent, the f1, f2 or f12 row at the
-    lower one: u x_to = v x_at, with u the source's and v the target's
-    coefficient at `at`, gives the new value by one division.  A row whose
-    only nonzero coefficient is on the already known value aborts with
-    ObstructionAtIndex: no invertible intertwiner passes through there.
+    A step in the k, l or m direction crosses an axis edge {lo, hi} of
+    _edges.  In a same-basis problem the new value is the known one; between
+    the module and its dual one division solves the e1, e2 or e12 row at
+    hi, u x_lo = v x_hi, with (u, v) = (B, -s F) from plain to dual and
+    (-s F, B) from dual to plain.  A row whose only nonzero coefficient is
+    on the already known value aborts with ObstructionAtIndex: no
+    invertible intertwiner passes through there.
     """
     _check_problem(source, target)
     seed_idx = tuple(seed_idx)
@@ -265,34 +263,33 @@ def solve_by_recurrence(source, target, seed_idx, seed_value, box: Box):
         raise ValueError(f"seed index {seed_idx} has lbar = {lbar}, "
                          f"outside the source's index set {source.J!r}")
     p = source.params
-    moves = []  # (step, whether it lowers from a, lower entry, upper entry), in search order
-    for o, lower, upper in _edges(source, target):
-        if sum(map(abs, o)) == 1:  # an axis edge: f1, f2 or f12 at its lower end
-            moves += [(tuple(-d for d in o), True, lower, upper), (o, False, lower, upper)]
+    same, dual = source.basis == target.basis, source.basis == "eta"
+    moves = []  # (step, whether it lowers from a, Y, F, B, s), in search order
+    for o, _, f, y, b, s in _edges():
+        if sum(map(abs, o)) == 1:  # an axis edge
+            moves += [(tuple(-d for d in o), True, y, f, b, s), (o, False, y, f, b, s)]
     x = {seed_idx: seed_value}
     queue = deque([seed_idx])
     inside = set(source.indices(box))
     while queue:
         a = queue.popleft()
-        for (dk, dl, dm), lowers, lower, upper in moves:
+        for (dk, dl, dm), lowers, gen, f, b, s in moves:
             nxt = (a[0] + dk, a[1] + dl, a[2] + dm)
             if nxt in x or nxt not in inside:
                 continue
-            hi, lo = (a, nxt) if lowers else (nxt, a)
-            for at, to, (gen, cs, ct) in ((hi, lo, upper), (lo, hi, lower)):
-                q = p.line(at[0], at[1])
-                u, v = cs(q, at[2]), ct(q, at[2])  # the row u x_to = v x_at
-                if u or v:
-                    break
-            else:
+            lo, hi = (nxt, a) if lowers else (a, nxt)
+            u, v = b(p.line(hi[0], hi[1]), hi[2]), f(p.line(lo[0], lo[1]), lo[2])
+            if not (u or v):
                 continue  # no information along this edge
-            if nxt == at:
-                u, v = v, u  # now u x_nxt = v x_a
-            if not u:
-                side = "target" if nxt == at else "source"
-                raise ObstructionAtIndex(at, gen, f"{side} coefficient vanishes")
+            if not same:
+                v = -v if s > 0 else v  # the plain -> dual row u x_lo = v x_hi
+                if dual == lowers:
+                    u, v = v, u  # now u x_nxt = v x_a
+                if not u:
+                    side = "source" if lowers else "target"
+                    raise ObstructionAtIndex(hi, gen, f"{side} coefficient vanishes")
             # an int 0, so that a zero value takes the scalar type of u
-            x[nxt] = (v * x[a] if v else 0) / u
+            x[nxt] = x[a] if same else (v * x[a] if v else 0) / u
             queue.append(nxt)
     missing = [i for i in inside if i not in x]
     if missing:

@@ -191,6 +191,34 @@ def test_recurrence_output_matches_the_golden_files(capsys, args, name):
     assert capsys.readouterr().out == golden.read_text()
 
 
+@pytest.mark.parametrize("args, name", [
+    (["--mu2", "0", "hom", "--source", "lbar>=0", "--target", "dual:lbar>=0"],
+     "hom_recurrence_obstruction_ge0_w3"),
+    (["--mu2", "0", "hom", "--source", "dual:l01", "--target", "l01", "--seed", "0,1,0"],
+     "hom_recurrence_obstruction_l01_w3"),
+], ids=["ge0-plain-dual", "l01-dual-plain"])
+def test_recurrence_obstruction_output_matches_the_golden_files(capsys, args, name):
+    """The e2 edge into (0, 1, 0) at mu2 = 0 stops the recurrence, on its
+    target's coefficient from plain to dual and on its source's from dual to
+    plain."""
+    assert main([*args, "--window", "3", "--recurrence"]) == 0
+    golden = Path(__file__).parent / "golden" / f"{name}.json"
+    assert capsys.readouterr().out == golden.read_text()
+
+
+@pytest.mark.parametrize("args", [
+    ["--symbolic", "hom", "--source", "full", "--target", "full"],
+    ["--symbolic", "--mu2", "0", "hom", "--source", "l01", "--target", "l01"],
+], ids=["full", "l01-mu2=0"])
+def test_a_symbolic_same_basis_recurrence_prints_every_value_as_1(capsys, args):
+    """A same-basis step sets the new value to the known one, so no value is
+    a quotient of a coefficient by itself."""
+    code, [out] = run_cli(capsys, *args, "--window", "2", "--recurrence")
+    assert code == 0 and out["dimension"] == 1 and not out["obstructions"]
+    [values] = out["solutions"]
+    assert len(values) >= 30 and set(values.values()) == {"1"}
+
+
 def test_act_symbolic_eta_output_matches_the_golden_file(capsys):
     main(["--symbolic", "act", "--basis", "eta", "--word", "f1,e1,f12",
           "--element", '{"terms":[{"k":0,"l":0,"m":1,"c":"1"}]}'])

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gtsl3 import hom
+from gtsl3 import hom, liealg
 from gtsl3.errors import ObstructionAtIndex
 from gtsl3.hom import (
     HomSolution,
@@ -335,8 +335,9 @@ ORACLE_POINTS = {
                          ids=list(ORACLE_POINTS))
 def test_comparison_rows_match_the_assembly_and_recurrence_oracles(params, sets, pairings):
     """A module-dual problem assembles the row at the lower end of each edge
-    (j > a) and leaves out the upper-end row, which is that row or its
-    negative.  In a same-basis problem every row on an edge is a multiple
+    (j > a), {j: cs, a: -ct} from plain to dual and {j: -cs, a: ct} from
+    dual to plain, and leaves out the upper-end row, which is that row or
+    its negative.  In a same-basis problem every row on an edge is a multiple
     of the first, and that of x_j - x_a: the problem assembles {j: 1, a: -1}
     at the lower end of each edge with a row, in window order and then in
     the order of the entries that raise an index."""
@@ -372,7 +373,8 @@ def test_comparison_rows_match_the_assembly_and_recurrence_oracles(params, sets,
                                 twin = kept[j, a]
                                 assert row == twin or row == {
                                     c: -v for c, v in twin.items()}, (text, sdual, a, j)
-                        want = list(kept.values())
+                        want = [{c: -v for c, v in row.items()} if sdual else row
+                                for row in kept.values()]
                     assert intertwiner_equations(src, tgt, box) == (indices, want)
                 indices = src.indices(box)
                 for seed in [(0, box.lmin + r, 0)] + rnd.sample(indices, 2):
@@ -588,6 +590,21 @@ def test_skipped_rows_change_no_basis_and_no_verdict():
     assert seen == {("solution", False), ("zero tree", True), ("outside", True)}
 
 
+def test_a_dual_to_plain_row_is_the_plain_to_dual_row_with_its_values_exchanged():
+    """Generic full at r = 3 skips no row and has no one-unknown row: the
+    dual -> plain rows are the plain -> dual rows, in the same order and
+    with the same keys, each with its two values exchanged."""
+    box = Box.radius(3)
+    plain, dual = ModuleDescriptor(PG), ModuleDescriptor(PG, dual=True)
+    indices, to_dual = intertwiner_equations(plain, dual, box)
+    assert (indices, to_dual) == unfiltered_equations(plain, dual, box, drop_forced_zeros=False)
+    _, to_plain = intertwiner_equations(dual, plain, box)
+    assert len(to_plain) == len(to_dual) > 700
+    for forward, back in zip(to_dual, to_plain):
+        assert len(forward) == 2 and list(back) == list(forward)
+        assert list(back.values()) == list(forward.values())[::-1]
+
+
 def test_forced_zero_edges_are_not_assembled():
     """dual -> plain on lbar >= 0 at mu2 = 0 is forced to zero on lbar >= 1,
     so it assembles fewer rows than there are edges with a row; the generic
@@ -664,17 +681,22 @@ def test_the_w_and_eta_tables_list_the_same_offsets_in_the_same_order():
 
 
 def test_each_offset_is_one_entry_and_its_opposite_is_another():
-    """_edges keys the entries by offset and pairs each o > 0 with -o: five
-    edges per index, the axis steps (1, 0, 0), (0, 1, 0) and (0, 0, 1) among
-    them."""
+    """_edges keys the w-table's entries by offset and pairs each o > 0 with
+    -o and tau's sign: five edges per index, the axis steps (1, 0, 0),
+    (0, 1, 0) and (0, 0, 1) among them, and s = -1 only on f12/e12."""
     for basis in ("w", "eta"):  # the bases of a Hom problem
         offsets = [o for gen in OFF_DIAGONAL for o, _ in ACTION_TABLE[basis][gen]]
         assert len(offsets) == len(set(offsets)) == 10, basis
         assert {tuple(-d for d in o) for o in offsets} == set(offsets), basis
-    src, tgt = ModuleDescriptor(PG, dual=True), ModuleDescriptor(PG)
-    edges = hom._edges(src, tgt)
-    assert [gen for _, (gen, _, _), _ in edges] == ["e1", "e2", "f1", "f2", "f12"]
-    assert [o for o, _, _ in edges if sum(map(abs, o)) == 1] == [
+    edges = hom._edges()
+    assert [(x, y, s) for _, x, _, y, _, s in edges] == [
+        ("e1", "f1", 1), ("e2", "f2", 1), ("f1", "e1", 1), ("f2", "e2", 1),
+        ("f12", "e12", -1)]
+    w = ACTION_TABLE["w"]
+    for o, x, f, y, b, s in edges:
+        assert (o, f) in w[x] and (tuple(-d for d in o), b) in w[y]
+        assert liealg.tau(x) == {y: s}
+    assert [o for o, *_ in edges if sum(map(abs, o)) == 1] == [
         (1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 

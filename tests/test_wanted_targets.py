@@ -15,7 +15,8 @@ import unfiltered_oracle as oracle
 from gtsl3 import liealg, registry
 from gtsl3.errors import ObstructionAtIndex
 from gtsl3.explore import generate
-from gtsl3.hom import ModuleDescriptor, intertwiner_equations, solve_by_recurrence
+from gtsl3.hom import (ModuleDescriptor, intertwiner_equations, solve_by_recurrence,
+                       solve_intertwiner)
 from gtsl3.module import (ACTION_TABLE, AXIS_PAIRS, BASIS_ACTIONS, OFF_DIAGONAL, Box,
                           ModuleElement, Params)
 from gtsl3.scalars import MU1, RatFunc
@@ -176,22 +177,36 @@ EDGE_CASES = [(PG, "full", s, t) for s, t in PAIRINGS] + [
 @pytest.mark.parametrize("params,text,sdual,tdual", EDGE_CASES)
 def test_no_coefficient_is_evaluated_toward_an_edge_that_has_a_row(
         monkeypatch, params, text, sdual, tdual):
+    """Each edge's two w-coefficients, X's F at its lower end and then Y's B
+    at its upper end, are read once, while the lower end is visited in
+    window order; in a same-basis problem B only where F vanishes.  No eta
+    coefficient is read, none toward an index outside the window, and none
+    on an edge whose ends the rows already returned force to zero; an edge
+    read with a nonzero coefficient gives the next row."""
     src, tgt = _problem(params, text, sdual, tdual)
     log = _evaluations(monkeypatch, params)
     indices, rows = intertwiner_equations(src, tgt, src.window(3))
-    inside = set(indices)
-    # an edge has a row once the (index, generator) call that gave it a
-    # nonzero coefficient, in either module, is over
-    built, call, fresh = set(), None, set()
-    for _, gen, a, j, c in log:
-        if (a, gen) != call:
-            built |= fresh
-            call, fresh = (a, gen), set()
-        edge = (min(a, j), max(a, j))
-        assert j in inside and edge not in built, (gen, a, j)
-        if c != 0:
-            fresh.add(edge)
-    assert len(built | fresh) == len(rows)
+    inside, rank = set(indices), {a: n for n, a in enumerate(indices)}
+    visits = []  # [[(lower end, upper end), coefficient, ...], ...] in read order
+    for basis, gen, a, j, c in log:
+        assert basis == "w" and a in inside and j in inside, (basis, gen, a, j)
+        if a < j:  # F: a new edge
+            visits.append([(a, j), c])
+        else:  # B, right after its edge's F
+            assert visits[-1][0] == (j, a) and len(visits[-1]) == 2, (gen, a, j)
+            assert sdual != tdual or visits[-1][1] == 0, (gen, a, j)
+            visits[-1].append(c)
+    zeros, pending = oracle.ForcedZeros(), iter(rows)
+    for n, ((lo, hi), *coefficients) in enumerate(visits):
+        assert sdual == tdual or len(coefficients) == 2, (lo, hi)
+        assert n == 0 or rank[visits[n - 1][0][0]] <= rank[lo], (lo, hi)
+        assert not zeros.both(lo, hi), (lo, hi)
+        if any(coefficients):
+            row = next(pending)
+            assert set(row) <= {lo, hi}, (lo, hi, row)
+            zeros.keep(row)
+    assert next(pending, None) is None
+    assert len({edge for edge, *_ in visits}) == len(visits)
 
 
 SAME_BASIS_CASES = [case for case in EDGE_CASES if case[2] == case[3]]
@@ -241,6 +256,68 @@ def test_an_edge_whose_lower_end_coefficient_vanishes_gets_its_row_from_its_uppe
     assert all(lo[1] in (0, 1) and hi[1] == lo[1] + 1 for lo, hi in claimed)
     assert (_printed_rows((indices, rows))
             == _printed_rows(oracle.intertwiner_equations(src, tgt, box)))
+
+
+def _hom_answers(problems):
+    """The printed solve_intertwiner basis, where it finishes in well under a
+    second (exact, or over Q(mu1) at r = 1), and the recurrence outcome from
+    the window's middle index, of each problem."""
+    out = []
+    for params, text, sdual, tdual, r in problems:
+        src, tgt = _problem(params, text, sdual, tdual)
+        box = src.window(r)
+        indices = src.indices(box)
+        if not indices:
+            continue
+        solved = None
+        if not params.is_symbolic or (r == 1 and params.mu2_integral()):  # not Q(mu1, mu2)
+            solved = [[(i, str(v)) for i, v in sorted(sol.x.items())]
+                      for sol in solve_intertwiner(src, tgt, box)]
+        seed = indices[len(indices) // 2]
+        out.append((solved, _outcome(solve_by_recurrence, src, tgt, seed, Fraction(1), box)))
+    return out
+
+
+MODULE_DUAL_PROBLEMS = [case for cases in ROW_PROBLEMS.values() for case in cases
+                        if case[2] != case[3]]
+
+
+def test_hom_reads_no_eta_coefficient_and_sees_a_patched_w_entry(monkeypatch):
+    """Every eta-table coefficient patched to raise: each module-dual solve
+    and recurrence of ROW_PROBLEMS prints what it printed before.  Then the
+    w-table's f1 coefficient toward (k + 1, l, m) doubled: plain -> dual and
+    dual -> plain rows both carry it, on the F side of each such edge, and
+    the recurrence's step from (0, 0, 0) to (1, 0, 0) halves and doubles."""
+    want = _hom_answers(MODULE_DUAL_PROBLEMS)
+
+    def unread(q, m):
+        raise AssertionError("an eta coefficient was read")
+
+    eta = ACTION_TABLE["eta"]
+    for gen, entry in list(eta.items()):
+        monkeypatch.setitem(eta, gen, tuple((o, unread) for o, _ in entry))
+    assert _hom_answers(MODULE_DUAL_PROBLEMS) == want
+    before = {sdual: intertwiner_equations(*_problem(PG, "full", sdual, not sdual),
+                                           Box.radius(2))[1] for sdual in (False, True)}
+    steps = {sdual: solve_by_recurrence(*_problem(PG, "full", sdual, not sdual), (0, 0, 0),
+                                        Fraction(1), Box.radius(1)).value((1, 0, 0))
+             for sdual in (False, True)}
+    ((off, coeff), side) = ACTION_TABLE["w"]["f1"]
+    monkeypatch.setitem(ACTION_TABLE["w"], "f1", ((off, lambda q, m: 2 * coeff(q, m)), side))
+    for sdual in (False, True):
+        src, tgt = _problem(PG, "full", sdual, not sdual)
+        _, rows = intertwiner_equations(src, tgt, Box.radius(2))
+        assert len(rows) == len(before[sdual])
+        doubled = 0
+        for old, new in zip(before[sdual], rows):
+            lo, hi = min(old), max(old)
+            f_side = (lo if sdual else hi) if tuple(
+                j - i for i, j in zip(lo, hi)) == off else None
+            assert new == {c: 2 * v if c == f_side else v for c, v in old.items()}
+            doubled += f_side is not None
+        assert doubled > 10
+        new = solve_by_recurrence(src, tgt, (0, 0, 0), Fraction(1), Box.radius(1))
+        assert new.value((1, 0, 0)) == steps[sdual] * (2 if sdual else Fraction(1, 2))
 
 
 def test_the_window_alone_decides_which_targets_the_equations_read(monkeypatch):

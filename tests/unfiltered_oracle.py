@@ -83,8 +83,9 @@ def intertwiner_equations(source, target, box, drop_forced_zeros=True):
     edge's lower end, in window and then table order, and no row on an edge
     whose two ends the rows kept before it force to zero, unless
     drop_forced_zeros is False.  Between the module and its dual the row is
-    the first one on the edge; in a same-basis problem, where each row on an
-    edge is a multiple of x_j - x_a, it is {j: 1, a: -1}."""
+    the first one on the edge, {j: cs, a: -ct} from plain to dual and
+    {j: -cs, a: ct} from dual to plain; in a same-basis problem, where each
+    row on an edge is a multiple of x_j - x_a, it is {j: 1, a: -1}."""
     _check_problem(source, target)
     indices = source.indices(box)
     inside = set(indices)
@@ -104,6 +105,8 @@ def intertwiner_equations(source, target, box, drop_forced_zeros=True):
                 if same:
                     assert all(r[j] == -r[a] for r in found[a, j]), (a, j)
                     row = {j: Fraction(1), a: Fraction(-1)}
+                elif source.basis == "eta":
+                    row = {c: -v for c, v in found[a, j][0].items()}
                 else:
                     row = found[a, j][0]
                 if not (drop_forced_zeros and zeros.both(a, j)):
