@@ -69,7 +69,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import liealg
-from .errors import ObstructionAtIndex
+from .errors import NonGenericParameters, ObstructionAtIndex
 from .module import ACTION_TABLE, OFF_DIAGONAL, Box, Params
 from .scalars import RatFunc, raising_factorial
 from .solver import nullspace
@@ -337,8 +337,6 @@ def closed_form_xabc(idx, p: Params):
     """Coefficients of the isomorphism from the dual onto the full module
     at parameters with mu1, mu2, mu1+mu2 all non-integral; normalized so the
     value at (0, 0, 0) is 1."""
-    from .errors import NonGenericParameters
-
     if p.mu1_integral() or p.mu2_integral() or p.sum_integral():
         raise NonGenericParameters("family needs mu1, mu2, mu1+mu2 outside Z")
     k, l, m = idx

@@ -242,9 +242,7 @@ class ModuleElement:
             return NotImplemented
         if self.basis != other.basis or self.params != other.params:
             return False
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[idx] == other.terms[idx] for idx in self.terms)
+        return self.terms == other.terms
 
     __hash__ = None
 
