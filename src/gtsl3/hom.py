@@ -4,7 +4,7 @@ Each side of a Hom problem is a ``subquotient.ModuleDescriptor``, imported
 here as ``hom.ModuleDescriptor``.  The rows of either side read the w-part
 of ``module.ACTION_TABLE``, one edge of ``_edges`` at a time: the window,
 already cut to the index set, alone decides a target, before its
-coefficients are evaluated.
+coefficients are evaluated.  The eta action is read off that same w-table.
 
 Both sides of every Hom problem here decompose into one-dimensional
 simultaneous eigenspaces with matching eigenvalue triples, so an
@@ -15,9 +15,9 @@ window makes the system exactly solvable.
 
 Each edge {a, j = a + o}, o > 0, of the index graph can give a row at both
 ends, from X at a and from the opposite generator Y at j.  ``_edges`` lists
-X's w-coefficient F beside Y's, B, and the sign s of tau(X) = s Y: the
-eta-table, built by (X eta)(v) = -eta(tau(X) v), has eta_X(a -> j) =
--s B(j) and eta_Y(j -> a) = -s F(a), so no row needs an eta coefficient.
+X's w-coefficient F beside Y's, B, and the sign s of tau(X) = s Y from
+``module.TAU``: the eta action, (X eta)(v) = -eta(tau(X) v), has
+eta_X(a -> j) = -s B(j) and eta_Y(j -> a) = -s F(a), so no row needs it.
 Between the module and its dual the upper-end row is s times the lower-end
 row, so ``intertwiner_equations`` reads each edge once, at its lower end, in
 window order, and ``solve_by_recurrence`` each axis edge once a step.  In a
@@ -68,9 +68,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import liealg
 from .errors import NonGenericParameters, ObstructionAtIndex
-from .module import ACTION_TABLE, OFF_DIAGONAL, Box, Params
+from .module import ACTION_TABLE, OFF_DIAGONAL, TAU, Box, Params
 from .scalars import RatFunc, raising_factorial
 from .solver import nullspace
 from .subquotient import LBarSet, ModuleDescriptor, lbar_coordinates
@@ -107,11 +106,11 @@ def _check_problem(source: ModuleDescriptor, target: ModuleDescriptor):
 def _edges():
     """[(o, X, F, Y, B, s), ...]: each w-table entry (o, F) of X with o > 0,
     in OFF_DIAGONAL and table order, beside the entry (-o, B) of Y, where
-    tau(X) = s Y.  No two generators share an offset; the table and tau are
-    read at call time, so a patched entry is seen."""
-    entries = {o: (gen, c) for gen in OFF_DIAGONAL for o, c in ACTION_TABLE["w"][gen]}
-    return [(o, x, f, y, b, int(liealg.tau(x)[y])) for o, (x, f) in entries.items()
-            if o > (0, 0, 0) for y, b in [entries[tuple(-d for d in o)]]]
+    TAU[X] = (Y, s).  The table and TAU are read at call time, so a patched
+    entry is seen."""
+    w = ACTION_TABLE["w"]
+    return [(o, x, f, y, dict(w[y])[tuple(-d for d in o)], s)
+            for x in OFF_DIAGONAL for o, f in w[x] if o > (0, 0, 0) for y, s in [TAU[x]]]
 
 
 def intertwiner_equations(source, target, box: Box):

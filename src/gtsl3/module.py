@@ -3,19 +3,19 @@ Z^2 x Z_{>=0}, the sl3 action in the u- and w-bases and in the eta-basis of
 the dual, the pairing of the dual with the module, change of basis, and
 Gelfand-Tsetlin eigenvalue data.
 
-Indices are plain tuples (k, l, m).  The action in all three bases is one
-table, ACTION_TABLE, of index offsets and coefficients in m and a Line of
-kbar = k - mu1 and lbar = l - mu2, read by one rule; its eta-part is built
-from its w-part through tau.  No offset moves an index by more than one
-step, so finite support is preserved and the full module action is
-computed exactly -- finite windows enter only in the search and solve layers.
+Indices are plain tuples (k, l, m).  The action in the u- and w-bases is
+one table, ACTION_TABLE, of index offsets and coefficients in m and a Line
+of kbar = k - mu1 and lbar = l - mu2, read by one rule.  The eta action is
+read off the w-table at call time through tau, paired once in TAU.  No
+offset moves an index by more than one step, so finite support is
+preserved and the full module action is computed exactly -- finite windows
+enter only in the search and solve layers.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,7 +46,7 @@ class Params:
     with a window's area, not its volume.
     """
 
-    __slots__ = ("mu1", "mu2", "_sum_integral", "_mu2_int", "_lines", "__weakref__")
+    __slots__ = ("mu1", "mu2", "_sum_integral", "_mu2_int", "_lines")
 
     def __init__(self, mu1, mu2):
         self.mu1 = mu1 if isinstance(mu1, RatFunc) else Fraction(exact(mu1))
@@ -99,7 +99,7 @@ class Params:
     def line(self, k: int, l: int) -> "Line":
         q = self._lines.get((k, l))
         if q is None:
-            q = self._lines[k, l] = Line(self.kbar(k), self.lbar(l), (weakref.ref(self), k, l))
+            q = self._lines[k, l] = Line(self.kbar(k), self.lbar(l))
         return q
 
     def __eq__(self, other):
@@ -117,23 +117,14 @@ class Params:
 
 class Line:
     """What a table coefficient reads of (k, l): kb = kbar, lb = lbar, their
-    negatives nkb and nlb, their sum s, the w-table's `ratios` once worked
-    out, and shift(dk, dl), the line at (k + dk, l + dl): the cached one
-    while the Params that made it lives, else one by value.  The Params is
-    held weakly, at = (weak reference, k, l), so it and its lines form no
-    cycle for gc to find."""
+    negatives nkb and nlb, their sum s, and the w-table's `ratios` once
+    worked out.  A line refers to no Params, so the two form no cycle."""
 
-    __slots__ = ("kb", "lb", "nkb", "nlb", "s", "ratios", "_at")
+    __slots__ = ("kb", "lb", "nkb", "nlb", "s", "ratios")
 
-    def __init__(self, kb, lb, at=None):
+    def __init__(self, kb, lb):
         self.kb, self.lb, self.nkb, self.nlb = kb, lb, -kb, -lb
-        self.s, self.ratios, self._at = kb + lb, None, at
-
-    def shift(self, dk: int, dl: int) -> "Line":
-        p = self._at and self._at[0]()
-        if p is None:
-            return Line(self.kb + dk, self.lb + dl)
-        return p.line(self._at[1] + dk, self._at[2] + dl)
+        self.s, self.ratios = kb + lb, None
 
 
 @dataclass(frozen=True)
@@ -290,7 +281,8 @@ def _w_ratios(q: Line):
 
 # basis -> generator -> ((offset, coefficient(line, m)), ...): the generator
 # sends b_(k,l,m) to the sum of coefficient(line at (k, l), m) * b_((k,l,m) +
-# offset).  The u- and w-tables hold the paper's formulas; eta's is derived.
+# offset).  The u- and w-tables hold the paper's formulas; the eta action is
+# read off the w-table (_eta_action).
 ACTION_TABLE = {
     "u": {
         **_WEIGHT,
@@ -321,27 +313,8 @@ ACTION_TABLE = {
 }
 
 
-def _transposed(c, dk, dl, dm, s):
-    """-s c(line shifted by (-dk, -dl), m - dm), s = +-1: one call frame and
-    at most one negation, or c itself where neither is needed."""
-    if s < 0 and not (dk or dl or dm):
-        return c
-    if s > 0:
-        return lambda q, m: -c(q.shift(-dk, -dl), m - dm)
-    return lambda q, m: c(q.shift(-dk, -dl), m - dm)
-
-
-def _dual_table(w: dict) -> dict:
-    """The eta-table: eta_{k,l,m}(w_{k,l,m}) = 1 and (X eta)(v) =
-    -eta(tau(X) v), as ``pairing`` checks.  With tau(X) = s Y, each w-entry
-    (o, c) of Y gives eta[X] the entry (-o, -s c(. - o)), in Y's order (the
-    axis entry first); the w-coefficients are read once, here."""
-    return {x: tuple(((-dk, -dl, -dm), _transposed(c, dk, dl, dm, s))
-                     for (dk, dl, dm), c in w[y])
-            for x in w for (y, s), in [liealg.tau(x).items()]}
-
-
-ACTION_TABLE["eta"] = _dual_table(ACTION_TABLE["w"])
+# X -> (Y, s) with tau(X) = s Y, s = +-1: the one place the dual pairs X with Y
+TAU = {x: (y, int(s)) for x in liealg.GENERATORS for (y, s), in [liealg.tau(x).items()]}
 
 
 def table_action(table: dict):
@@ -349,9 +322,9 @@ def table_action(table: dict):
     read from a table shaped as ACTION_TABLE[basis], at call time.  A target
     with m < 0, or one that the optional predicate want(target) rejects, is
     dropped before its coefficient is evaluated, and a zero coefficient
-    after.  It checks no parameters: the w- and eta-tables are read for an
-    element or a descriptor, which refuse mu1 + mu2 in Z when they are
-    made, and by gt_eigenvalue, which is defined there too."""
+    after.  It checks no parameters: the w-table is read for an element or
+    a descriptor, which refuse mu1 + mu2 in Z when they are made, and by
+    gt_eigenvalue, which is defined there too."""
 
     def action(gen: str, p: Params, idx, want=None):
         entry = table.get(gen)
@@ -371,7 +344,26 @@ def table_action(table: dict):
     return action
 
 
-BASIS_ACTIONS = {basis: table_action(table) for basis, table in ACTION_TABLE.items()}
+def _eta_action(gen: str, p: Params, idx, want=None):
+    """The eta action, (X eta)(v) = -eta(tau(X) v) as ``pairing`` checks,
+    read off ACTION_TABLE["w"] and TAU at call time: with TAU[X] = (Y, s),
+    each w-entry (o, c) of Y, in Y's order, sends eta_idx to -s c(line of j,
+    m_j) eta_j, j = idx - o; targets are dropped as ``table_action`` does."""
+    if gen not in TAU:
+        raise ValueError(f"unknown generator {gen!r}")
+    (y, s), (k, l, m) = TAU[gen], idx
+    out = []
+    for (dk, dl, dm), coefficient in ACTION_TABLE["w"][y]:
+        jdx = (k - dk, l - dl, m - dm)
+        if m >= dm and (want is None or want(jdx)):
+            c = coefficient(p.line(k - dk, l - dl), m - dm)
+            if c:
+                out.append((jdx, -c if s > 0 else c))
+    return out
+
+
+BASIS_ACTIONS = {**{basis: table_action(table) for basis, table in ACTION_TABLE.items()},
+                 "eta": _eta_action}
 
 
 def accumulate(v: ModuleElement, expand, basis: str) -> ModuleElement:

@@ -18,7 +18,8 @@ on b_(k,l,m) is that on b_(0,0,m) under mu1 -> mu1 - k, mu2 -> mu2 - l,
 shifted by (k, l): they hold for every (k, l), off mu1 + mu2 in Z, where
 the w- and eta-bases are not defined.  For the actions this holds by
 construction: a ``module.ACTION_TABLE`` coefficient reads only m and the
-kbar and lbar of its ``Line`` and of that line's neighbours.
+kbar and lbar of its ``Line``, and the eta action, read off the w-table at
+call time, reads the w-coefficients on the lines next to its source.
 ``sections._twisted_derivative`` reads k and l only through k - mu1 and
 l - mu2, so the lemma covers the sections too; ``oracle-equivalence`` ties
 the u-table to their vector fields, derived from ``liealg``'s 3x3 matrices.
@@ -47,8 +48,8 @@ bracket, so the comparison could not fail; tau is X -> -D X^T D on the same
 matrices, so its part holds by construction too.  ``tests/test_liealg.py``
 keeps hand-typed brackets and tau against them.  ``brackets-eta`` cannot
 fail where ``brackets-w`` (every m) and ``structure-constants`` pass: X acts
-on eta as minus the transpose of tau(X) on w.  Both checks stay while
-``perfbench/answers.py`` lists them.
+on eta as minus the transpose of tau(X) on w, read off the w-table when
+called.  Both checks stay while ``perfbench/answers.py`` lists them.
 
 ``relaxed-verma`` generates the layers of cases 4 and 5 and solves their
 self-duality on radius 3 whatever the window; its report names that radius

@@ -14,11 +14,11 @@ dropped before their coefficient is evaluated.  A subquotient's action on
 elements, ``act_truncated``, is that action summed over the terms; the
 paper's displayed formulas for the lbar in {0,1} band are kept in the test
 suite as an oracle for it.  Generation (``explore.generate``) and closure
-walk ``steps``, the six raising and lowering generators read straight from
-``module.ACTION_TABLE``, where the caller's filter alone decides a target,
-before its coefficient is evaluated: generation's filter already lies
-inside J, and closure asks about the ambient module.  The Hom rows
-(``hom``) read the table the same way.
+walk ``steps``, the six raising and lowering generators read at call time
+from ``module.ACTION_TABLE["w"]``, or for the dual from the eta action read
+off it, where the caller's filter alone decides a target, before its
+coefficient is evaluated: generation's filter already lies inside J, and
+closure asks about the ambient module.  ``hom`` reads the w-table too.
 
 Closure of desc.J under the ambient action, desc without J, is checked
 exactly on a finite window by ``is_closed(desc, box)``.  The predicates
@@ -197,14 +197,21 @@ class ModuleDescriptor:
         return dict(BASIS_ACTIONS[self.basis](gen, self.params, idx, self.contains))
 
     def steps(self, idx, want):
-        """(generator, target) lazily, in OFF_DIAGONAL then ACTION_TABLE order,
-        for each target with m >= 0 that want(target) keeps, checked before
-        its coefficient is evaluated, and whose coefficient is nonzero.  J is
-        not read: want alone decides.  h1 and h2 reach nothing new."""
+        """(generator, target) lazily, in OFF_DIAGONAL then entry order, for
+        each target with m >= 0 that want(target) keeps, checked before its
+        coefficient is evaluated, and whose coefficient is nonzero.  J is
+        not read: want alone decides.  h1 and h2 reach nothing new.  The
+        dual reads BASIS_ACTIONS["eta"], as bound at the call."""
+        if self.dual:
+            eta = BASIS_ACTIONS["eta"]
+            for gen in OFF_DIAGONAL:
+                for jdx, _ in eta(gen, self.params, idx, want):
+                    yield gen, jdx
+            return
         k, l, m = idx
         q = self.params.line(k, l)
         for gen in OFF_DIAGONAL:
-            for (dk, dl, dm), coefficient in ACTION_TABLE[self.basis][gen]:
+            for (dk, dl, dm), coefficient in ACTION_TABLE["w"][gen]:
                 jdx = (k + dk, l + dl, m + dm)
                 if m + dm >= 0 and want(jdx) and coefficient(q, m):
                     yield gen, jdx

@@ -80,6 +80,13 @@ GOLDEN_CLI = {
         "--mu2 0 generate --set 'lbar in -1..2' --start 0,1,0 --window 4",
     "generate_band_dual_w4.json":
         "--mu2 0 generate --set 'lbar in -1..2' --start 0,1,0 --window 4 --dual",
+    # dual generation stuck at a wall where the eta action's coefficient
+    # vanishes, one on lbar = 0 and one on kbar = 0: they pin which targets
+    # the eta action drops as zero
+    "generate_dual_lbar_wall_w6.json":
+        "--mu2 0 generate --dual --start 0,1,0 --set 'lbar>=0' --window 6",
+    "generate_dual_kbar_wall_w5.json":
+        "--mu1 0 --mu2 1/5 generate --dual --start -1,0,0 --window 5",
     # a union of two runs, classified
     "classify_union_w7.json": "--mu2 0 classify --set 'lbar<=-1 | lbar>=2' --window 7",
     # weight multiplicities of a dual half-line, keys in "s,t" string order

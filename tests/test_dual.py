@@ -1,9 +1,10 @@
 """The eta-basis against the w-basis.
 
-``module.ACTION_TABLE["eta"]`` is built from the w-table through
-``liealg.tau``, so the duality contract below tests that transform with the
-derivation's own tau.  The independent evidence that the eta-action is the
-paper's is the two hand-typed oracles: the eta formulas in
+The eta action is read off ``module.ACTION_TABLE["w"]`` at call time
+through ``module.TAU``, tau as a map X -> (Y, s), so the duality contract
+below tests that reading with the action's own tau, and a patched w entry
+reaches every eta reader.  The independent evidence that the eta action is
+the paper's is the two hand-typed oracles: the eta formulas in
 ``tests/test_module.py`` and tau in ``tests/test_liealg.py``.
 """
 
@@ -12,9 +13,11 @@ from fractions import Fraction
 
 import pytest
 
-from gtsl3 import liealg
+from gtsl3 import liealg, registry
 from gtsl3.errors import BasisMismatch, NonGenericParameters
+from gtsl3.explore import generate
 from gtsl3.module import (
+    ACTION_TABLE,
     ModuleElement,
     Params,
     act,
@@ -25,6 +28,7 @@ from gtsl3.module import (
     pairing,
     w_vector,
 )
+from gtsl3.subquotient import LBarSet, ModuleDescriptor, is_closed
 
 P = Params(Fraction(1, 3), Fraction(1, 5))
 
@@ -69,7 +73,7 @@ def test_pairing_concrete_duality_instance():
 
 
 def test_duality_contract_all_generators_random():
-    # holds by construction of the eta-table, for whatever tau it was built with
+    # holds by construction of the eta action, for whatever tau it reads
     rnd = random.Random(77)
     for _ in range(15):
         d = rand_element(rnd, "eta")
@@ -97,6 +101,33 @@ def test_bracket_compatibility_eta_sampled():
             bxy = liealg.bracket({x: 1}, {y: 1})
             for v in elements:
                 assert act_lie(bxy, v) == act(x, act(y, v)) - act(y, act(x, v))
+
+
+def test_a_doubled_w_entry_reaches_every_eta_reader_at_call_time(monkeypatch):
+    """f2's w-coefficient toward (k, l + 1, m) doubled: e2 on an eta-vector
+    reads it at its target (k, l - 1, m) and doubles that term; dual
+    generation and closure read the doubled coefficient; brackets-eta
+    fails."""
+    before = act("e2", eta_vector(P, 0, 0, 1))
+    (offset, coeff), *rest = ACTION_TABLE["w"]["f2"]
+    assert offset == (0, 1, 0)
+    reads = []
+
+    def doubled(q, m):
+        reads.append(m)
+        return 2 * coeff(q, m)
+
+    monkeypatch.setitem(ACTION_TABLE["w"], "f2", ((offset, doubled), *rest))
+    after = act("e2", eta_vector(P, 0, 0, 1))
+    assert (0, -1, 1) in before.terms and after.terms == {
+        j: 2 * c if j == (0, -1, 1) else c for j, c in before.terms.items()}
+    dual = ModuleDescriptor(Params(Fraction(1, 3), 0), dual=True, J=LBarSet.ge(0))
+    for read in (lambda: generate([(0, 1, 0)], dual, dual.window(2)),
+                 lambda: is_closed(dual, dual.window(2))):
+        reads.clear()
+        read()
+        assert reads
+    assert registry.run_check("brackets-eta", window=2)["verdict"] == "fail"
 
 
 def test_eta_requires_generic_sum():

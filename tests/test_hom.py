@@ -25,7 +25,7 @@ from gtsl3.hom import (
     solve_intertwiner,
     verify_solution,
 )
-from gtsl3.module import ACTION_TABLE, OFF_DIAGONAL, Box, Params
+from gtsl3.module import ACTION_TABLE, OFF_DIAGONAL, TAU, Box, Params
 from gtsl3.registry import HOM_STATEMENTS
 from gtsl3.scalars import MU1, RatFunc
 from gtsl3.serialize import parse_set_expr
@@ -33,7 +33,7 @@ from gtsl3.solver import nullspace
 from gtsl3.subquotient import LBarSet
 from nullspace_oracle import nullspace_oracle
 from test_wanted_targets import ROW_PROBLEMS
-from unfiltered_oracle import ForcedZeros
+from unfiltered_oracle import ForcedZeros, entry_offsets
 from unfiltered_oracle import intertwiner_equations as unfiltered_equations
 
 P0 = Params(Fraction(1, 3), Fraction(0))
@@ -236,10 +236,10 @@ def test_descriptor_validation():
 # two-branch recurrence they replaced, kept here as oracles
 
 def _table_targets(source, target, gen, a):
-    """The targets of gen at a that either side's table lists, in table
+    """The targets of gen at a that either side's action lists, in entry
     order: the order in which the rows of one index and generator come."""
     offsets = dict.fromkeys(offset for basis in (source.basis, target.basis)
-                            for offset, _ in ACTION_TABLE[basis][gen])
+                            for offset in entry_offsets(basis, gen))
     return [tuple(i + d for i, d in zip(a, offset)) for offset in offsets]
 
 
@@ -501,7 +501,7 @@ def test_solve_intertwiner_eliminates_only_the_forest_rows(monkeypatch):
 def test_a_symbolic_forest_reaches_nullspace_in_assembly_order(monkeypatch):
     """RatFunc never reduces, so the order of elimination shows in the
     printed symbolic solutions: their forest rows keep assembly order, even
-    beside the Fraction f12 coefficients that the eta-table takes from the
+    beside the Fraction f12 coefficients that the rows read off the
     w-table."""
     calls = _spy_on_nullspace(monkeypatch)
     src, tgt, box = _problem(SYM0, parse_set_expr("lbar=0"), True, False, 1)
@@ -673,11 +673,12 @@ def test_symbolic_same_basis_problems_decide_in_seconds(params, text, dual, r):
 
 def test_the_w_and_eta_tables_list_the_same_offsets_in_the_same_order():
     """The Hom rows pair the source's and the target's entries of one
-    generator by position, so the two tables must agree entry by entry."""
-    w, eta = ACTION_TABLE["w"], ACTION_TABLE["eta"]
-    assert set(w) == set(eta)
-    for gen in w:
-        assert [o for o, _ in w[gen]] == [o for o, _ in eta[gen]], gen
+    generator by position, so the w- and eta-actions must agree entry by
+    entry: X's w-offsets are, in order, those of its tau partner Y negated,
+    which the eta action lists for X."""
+    assert set(ACTION_TABLE["w"]) == set(TAU) == set(liealg.GENERATORS)
+    for gen in liealg.GENERATORS:
+        assert entry_offsets("w", gen) == entry_offsets("eta", gen), gen
 
 
 def test_each_offset_is_one_entry_and_its_opposite_is_another():
@@ -685,7 +686,7 @@ def test_each_offset_is_one_entry_and_its_opposite_is_another():
     -o and tau's sign: five edges per index, the axis steps (1, 0, 0),
     (0, 1, 0) and (0, 0, 1) among them, and s = -1 only on f12/e12."""
     for basis in ("w", "eta"):  # the bases of a Hom problem
-        offsets = [o for gen in OFF_DIAGONAL for o, _ in ACTION_TABLE[basis][gen]]
+        offsets = [o for gen in OFF_DIAGONAL for o in entry_offsets(basis, gen)]
         assert len(offsets) == len(set(offsets)) == 10, basis
         assert {tuple(-d for d in o) for o in offsets} == set(offsets), basis
     edges = hom._edges()
@@ -695,7 +696,7 @@ def test_each_offset_is_one_entry_and_its_opposite_is_another():
     w = ACTION_TABLE["w"]
     for o, x, f, y, b, s in edges:
         assert (o, f) in w[x] and (tuple(-d for d in o), b) in w[y]
-        assert liealg.tau(x) == {y: s}
+        assert liealg.tau(x) == {y: s} and TAU[x] == (y, s)
     assert [o for o, *_ in edges if sum(map(abs, o)) == 1] == [
         (1, 0, 0), (0, 1, 0), (0, 0, 1)]
 

@@ -387,8 +387,11 @@ def test_every_table_coefficient_has_degree_at_most_one_in_m():
 
 
 def test_every_generator_is_in_the_table_and_moves_each_index_by_at_most_one():
-    for basis in ("u", "w", "eta"):
+    """The u- and w-tables list every generator, and so does TAU, through
+    which the eta action reads the w-table."""
+    for basis in ("u", "w"):
         assert set(module.ACTION_TABLE[basis]) == set(liealg.GENERATORS), basis
+    assert set(module.TAU) == set(liealg.GENERATORS)
     for (basis, gen, offset), _ in _table_terms():
         assert all(abs(d) <= 1 for d in offset), (basis, gen, offset)
 
@@ -406,7 +409,7 @@ def test_an_unknown_generator_is_refused_before_any_term_is_read():
 
 
 # ---------------------------------------------------------------------------
-# the eta-table is derived from the w-table through tau; the paper's eta
+# the eta action is read off the w-table through tau; the paper's eta
 # formulas, typed by hand, are the oracle of that derivation
 
 def _eta_den(kb, lb):
@@ -444,52 +447,50 @@ def _rational_points(seed, count=6):
     return points
 
 
-def _eta_mismatches(table):
-    """(generator, offset, where) for each way the eta-table differs from
-    HAND_ETA: the generators, the offsets in entry order, the values at
-    random rational (kbar, lbar) for m = 0..30, and the values over
-    Q(mu1, mu2) at b_(0,0,m), m <= 4."""
-    if set(table) != set(HAND_ETA):
-        return [("generators", sorted(table))]
-    points = [(kb, lb, m) for kb, lb in _rational_points(26) for m in range(31)]
-    points += [(-MU1, -MU2, m) for m in range(5)]
+def _eta_mismatches():
+    """(generator, point) for each generator whose eta action, looked up in
+    BASIS_ACTIONS at call time, differs from HAND_ETA's targets, in entry
+    order and with zeros dropped, at the first such point: b_(0,0,m) for
+    random rational (kbar, lbar) = (-mu1, -mu2) and m = 0..30, and over
+    Q(mu1, mu2) for m <= 4."""
+    assert set(HAND_ETA) == set(liealg.GENERATORS)
+    points = [(Params(-kb, -lb), m) for kb, lb in _rational_points(26) for m in range(31)]
+    points += [(Params.symbolic(), m) for m in range(5)]
     bad = []
     for gen, hand in HAND_ETA.items():
-        if [o for o, _ in table[gen]] != [o for o, _ in hand]:
-            bad.append((gen, [o for o, _ in table[gen]], "offsets"))
-            continue
-        for (offset, c), (_, h) in zip(table[gen], hand):
-            wrong = [(kb, lb, m) for kb, lb, m in points
-                     if c(Line(kb, lb), m) != h(kb, lb, m)]
-            if wrong:
-                bad.append((gen, offset, wrong[0]))
+        for p, m in points:
+            kb, lb = p.kbar(0), p.lbar(0)
+            want = [((dk, dl, m + dm), c) for (dk, dl, dm), h in hand if m + dm >= 0
+                    for c in [h(kb, lb, m)] if c]
+            if module.BASIS_ACTIONS["eta"](gen, p, (0, 0, m)) != want:
+                bad.append((gen, (kb, lb, m)))
+                break
     return bad
 
 
-def test_the_derived_eta_table_is_the_hand_typed_one():
-    assert _eta_mismatches(module.ACTION_TABLE["eta"]) == []
-    # the h entries are w's coefficients themselves, so no call is added
-    for h in ("h1", "h2"):
-        assert module.ACTION_TABLE["eta"][h] == module.ACTION_TABLE["w"][h]
+def test_the_eta_action_is_the_hand_typed_one():
+    assert _eta_mismatches() == []
 
 
 @pytest.mark.parametrize("mutate, broken", [
-    (lambda args: (*args[:4], 1), {"h1", "h2", "e12", "f12"}),  # s dropped: -c
-    (lambda args: (args[0], 0, 0, 0, args[4]), {"e1", "e2", "f1", "f2", "e12", "f12"}),
-], ids=["sign-dropped", "unshifted"])
+    # tau's sign dropped for every generator: -c where c was read
+    (lambda monkeypatch: [monkeypatch.setitem(module.TAU, x, (y, 1))
+                          for x, (y, _) in list(module.TAU.items())],
+     {"h1", "h2", "e12", "f12"}),
+    # every coefficient read at the source's line, that of b_(0,0,m), and
+    # not at its target's
+    (lambda monkeypatch: monkeypatch.setattr(
+        Params, "line", lambda self, k, l, line=Params.line: line(self, 0, 0)),
+     {"e1", "e2", "f1", "f2"}),
+], ids=["sign-dropped", "source-line"])
 def test_the_eta_oracle_fails_on_a_mutant_derivation(monkeypatch, mutate, broken):
-    """_transposed(c, dk, dl, dm, s) with its arguments mutated: the sign s
-    dropped, or the shift by the offset."""
-    transposed = module._transposed
-    monkeypatch.setattr(module, "_transposed", lambda *args: transposed(*mutate(args)))
-    mutated = module._dual_table(module.ACTION_TABLE["w"])
-    assert {gen for gen, *_ in _eta_mismatches(mutated)} == broken
+    mutate(monkeypatch)
+    assert {gen for gen, _ in _eta_mismatches()} == broken
 
 
 def test_the_eta_oracle_fails_when_one_sign_of_tau_is_dropped(monkeypatch):
-    monkeypatch.setitem(liealg._TAU, "e12", {"f12": Fraction(1)})
-    mutated = module._dual_table(module.ACTION_TABLE["w"])
-    assert [gen for gen, *_ in _eta_mismatches(mutated)] == ["e12"]
+    monkeypatch.setitem(module.TAU, "e12", ("f12", 1))
+    assert [gen for gen, _ in _eta_mismatches()] == ["e12"]
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +499,8 @@ def test_the_eta_oracle_fails_when_one_sign_of_tau_is_dropped(monkeypatch):
 
 def test_every_coefficient_reads_a_cached_line_as_a_line_of_the_same_values():
     """Random rational points and the symbolic orbit representative
-    (-mu1, -mu2): every table coefficient, eta's shifted ones included,
-    has one value on Params.line(k, l) and on Line(kbar, lbar)."""
+    (-mu1, -mu2): every table coefficient, those that the eta action reads
+    included, has one value on Params.line(k, l) and on Line(kbar, lbar)."""
     rnd = random.Random(32)
     lines = [(Params.symbolic(), 0, 0)]
     for mu1, mu2 in _rational_points(32):
@@ -507,7 +508,7 @@ def test_every_coefficient_reads_a_cached_line_as_a_line_of_the_same_values():
                   for _ in range(3)]
     for p, k, l in lines:
         cached, bare = p.line(k, l), Line(p.kbar(k), p.lbar(l))
-        assert cached is p.line(k, l) and cached.shift(1, -1) is p.line(k + 1, l - 1)
+        assert cached is p.line(k, l)
         for term, c in _table_terms():
             for m in range(4):
                 assert c(cached, m) == c(bare, m), (p, k, l, term, m)
@@ -524,24 +525,25 @@ def test_gt_eigenvalue_works_out_no_w_ratio_at_an_integral_sum():
 
 
 def test_a_params_and_its_lines_are_freed_without_the_cycle_collector():
-    """A line holds its Params weakly, so the two form no reference cycle;
-    a line that outlives its Params shifts by value."""
-    p = Params(Fraction(1, 3), Fraction(1, 5))
-    act("f1", eta_vector(p, 0, 0, 1))  # the eta entries read neighbouring lines
-    orphan, params = p.line(0, 0), weakref.ref(p)
+    """No line refers to a Params, so the two form no reference cycle, also
+    after the eta action has read the lines next to its source.  Params has
+    no weak reference slot, so a subclass that adds one is watched."""
+    class Watched(Params):
+        __slots__ = ("__weakref__",)
+
+    p = Watched(Fraction(1, 3), Fraction(1, 5))
+    act("f1", eta_vector(p, 0, 0, 1))  # the eta action reads neighbouring lines
+    assert len(p._lines) > 1
+    held = [r for q in p._lines.values() for r in gc.get_referents(q)]
+    held += [x for r in held if isinstance(r, tuple) for x in r]  # the ratios
+    assert not [r for r in held if isinstance(r, (Params, weakref.ref))]
+    params = weakref.ref(p)
     gc.disable()
     try:
         del p
         assert params() is None
     finally:
         gc.enable()
-    assert (orphan.shift(1, -1).kb, orphan.shift(1, -1).lb) == (orphan.kb + 1, orphan.lb - 1)
-
-
-def test_the_eta_oracle_fails_when_a_shift_ignores_its_steps(monkeypatch):
-    monkeypatch.setattr(Line, "shift", lambda self, dk, dl: self)
-    assert {gen for gen, *_ in _eta_mismatches(module.ACTION_TABLE["eta"])} == {
-        "e1", "e2", "f1", "f2"}
 
 
 # ---------------------------------------------------------------------------

@@ -177,13 +177,13 @@ def test_casimir_reports_no_scalar_when_a_vector_is_not_diagonal(monkeypatch):
     assert rep["scalar"] is None
 
 
-def _doubled_above_m3(basis, gen):
+def _doubled_above_m3(basis, gen, above=3):
     """The table entry of gen on basis with its first coefficient doubled
-    for m > 3, so b_(0,0,m), m <= 3, acts as before."""
+    for m > above, so b_(0,0,m), m <= above, acts as before."""
     (offset, coeff), *rest = ACTION_TABLE[basis][gen]
 
     def doubled(q, m):
-        return 2 * coeff(q, m) if m > 3 else coeff(q, m)
+        return 2 * coeff(q, m) if m > above else coeff(q, m)
 
     return ((offset, doubled), *rest)
 
@@ -201,12 +201,15 @@ def test_orbit_checks_fail_on_a_u_entry_broken_only_above_m3(monkeypatch):
 
 
 def test_brackets_eta_fails_on_a_broken_eta_entry(monkeypatch):
-    monkeypatch.setitem(ACTION_TABLE["eta"], "e12", _doubled_above_m3("eta", "e12"))
+    """e12 on eta_(k,l,m) reads f12's w-coefficient at m - 1, so f12 doubled
+    for m > 2 breaks e12 on eta for m > 3 only."""
+    monkeypatch.setitem(ACTION_TABLE["w"], "f12", _doubled_above_m3("w", "f12", 2))
     rep = registry.run_check("brackets-eta", window=4)
     assert rep["verdict"] == "fail"
     assert ("e1", "e12", [(0, 0, 4)]) in rep["witnesses"]
     assert registry.run_check("brackets-symbolic", window=4)["verdict"] == "fail"
     assert registry.run_check("oracle-equivalence", window=4)["verdict"] == "pass"
+    assert registry.run_check("brackets-w", window=4)["verdict"] == "fail"
 
 
 @pytest.mark.parametrize("name", ["brackets-u", "brackets-w", "brackets-eta",
@@ -222,7 +225,9 @@ def test_per_vector_checks_report_on_orbit_representatives(name):
 
 def _zeroed_at(basis, gen, idx):
     """The table entry of gen on basis with its first coefficient, the one
-    along the generator's axis, zero at idx when mu = (1/3, 1/5)."""
+    along the generator's axis, zero at idx when mu = (1/3, 1/5).  The dual
+    reads it too: e on eta at idx + o, f's axis offset o, and f on eta at
+    idx - o, e's axis offset -o."""
     (offset, coeff), *rest = ACTION_TABLE[basis][gen]
     mu1, mu2 = registry.GENERIC
 
@@ -234,12 +239,13 @@ def _zeroed_at(basis, gen, idx):
 
 def test_simplicity_generic_names_each_zeroed_axis_coefficient(monkeypatch):
     monkeypatch.setitem(ACTION_TABLE["w"], "f1", _zeroed_at("w", "f1", (1, 2, 1)))
-    monkeypatch.setitem(ACTION_TABLE["eta"], "e2",
-                        _zeroed_at("eta", "e2", (-2, 0, 3)))
+    monkeypatch.setitem(ACTION_TABLE["w"], "f2", _zeroed_at("w", "f2", (-2, -1, 3)))
     rep = registry.run_check("simplicity-generic", window=3)
     assert rep["verdict"] == "fail"
-    assert rep["witnesses"] == [("plain:full", (1, 2, 1), "f1"),
-                                ("dual:full", (-2, 0, 3), "e2")]
+    assert rep["witnesses"] == [("plain:full", (-2, -1, 3), "f2"),
+                                ("plain:full", (1, 2, 1), "f1"),
+                                ("dual:full", (-2, 0, 3), "e2"),
+                                ("dual:full", (2, 2, 1), "e1")]
     assert registry.run_check("simplicity-generic", window=3) == rep
 
 

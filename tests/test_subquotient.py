@@ -341,9 +341,9 @@ RAISING_LOWERING = ("e1", "e2", "f1", "f2", "e12", "f12")
 
 
 def test_classify_and_generate_read_the_action_table_directly(monkeypatch):
-    """Both read module.ACTION_TABLE at call time, so a patched entry
-    changes what they answer, and neither goes through BASIS_ACTIONS or
-    ModuleDescriptor.action."""
+    """On the module, both read module.ACTION_TABLE at call time, so a
+    patched entry changes what they answer, and neither goes through
+    BASIS_ACTIONS or ModuleDescriptor.action."""
     def refused(*args, **kwargs):
         raise AssertionError("the action was read through a wrapper")
 

@@ -3,7 +3,9 @@
 The equation assembly, the recurrence, generation and closure are compared
 with ``unfiltered_oracle``, which evaluates every coefficient and drops
 unread targets afterwards, and every ACTION_TABLE coefficient is logged to
-show which targets are evaluated at all.
+show which targets are evaluated at all.  The eta action is read off the
+w-table at call time, so an eta read of X at a toward j is logged as the
+w read of Y at j toward a, tau(X) = s Y, and ``_as_eta`` reads it back.
 """
 
 import random
@@ -17,7 +19,7 @@ from gtsl3.errors import ObstructionAtIndex
 from gtsl3.explore import generate
 from gtsl3.hom import (ModuleDescriptor, intertwiner_equations, solve_by_recurrence,
                        solve_intertwiner)
-from gtsl3.module import (ACTION_TABLE, AXIS_PAIRS, BASIS_ACTIONS, OFF_DIAGONAL, Box,
+from gtsl3.module import (ACTION_TABLE, AXIS_PAIRS, BASIS_ACTIONS, OFF_DIAGONAL, TAU, Box,
                           ModuleElement, Params)
 from gtsl3.scalars import MU1, RatFunc
 from gtsl3.serialize import parse_set_expr
@@ -170,6 +172,19 @@ def _evaluations(monkeypatch, p):
     return log
 
 
+def _as_eta(read):
+    """A logged w read of Y at j toward a as the eta read of X at a toward j
+    that it is, where TAU[X] = (Y, s): (basis, X, a, j, -s c)."""
+    _, y, j, a, c = read
+    (x, s), = [(x, s) for x, (z, s) in TAU.items() if z == y]
+    return "eta", x, a, j, -s * c
+
+
+def _reads(log, dual):
+    """The log's reads as the action of the module, or of its dual, made them."""
+    return [_as_eta(read) for read in log] if dual else list(log)
+
+
 EDGE_CASES = [(PG, "full", s, t) for s, t in PAIRINGS] + [
     (P0, text, s, t) for text in ("full", "l01", "lbar>=0") for s, t in PAIRINGS]
 
@@ -283,19 +298,17 @@ MODULE_DUAL_PROBLEMS = [case for cases in ROW_PROBLEMS.values() for case in case
 
 
 def test_hom_reads_no_eta_coefficient_and_sees_a_patched_w_entry(monkeypatch):
-    """Every eta-table coefficient patched to raise: each module-dual solve
-    and recurrence of ROW_PROBLEMS prints what it printed before.  Then the
+    """The eta action patched to raise: each module-dual solve and
+    recurrence of ROW_PROBLEMS prints what it printed before.  Then the
     w-table's f1 coefficient toward (k + 1, l, m) doubled: plain -> dual and
     dual -> plain rows both carry it, on the F side of each such edge, and
     the recurrence's step from (0, 0, 0) to (1, 0, 0) halves and doubles."""
     want = _hom_answers(MODULE_DUAL_PROBLEMS)
 
-    def unread(q, m):
-        raise AssertionError("an eta coefficient was read")
+    def unread(*args):
+        raise AssertionError("the eta action was read")
 
-    eta = ACTION_TABLE["eta"]
-    for gen, entry in list(eta.items()):
-        monkeypatch.setitem(eta, gen, tuple((o, unread) for o, _ in entry))
+    monkeypatch.setitem(BASIS_ACTIONS, "eta", unread)
     assert _hom_answers(MODULE_DUAL_PROBLEMS) == want
     before = {sdual: intertwiner_equations(*_problem(PG, "full", sdual, not sdual),
                                            Box.radius(2))[1] for sdual in (False, True)}
@@ -344,7 +357,7 @@ def test_no_coefficient_is_evaluated_toward_a_reached_index(monkeypatch, params,
         log.clear()
         cert = generate([start], desc, box)
         reached = {start}
-        for _, gen, idx, jdx, c in log:
+        for _, gen, idx, jdx, c in _reads(log, dual):
             assert jdx in allowed and jdx not in reached, (dual, gen, idx, jdx)
             if c != 0:
                 reached.add(jdx)
@@ -357,8 +370,9 @@ def test_no_coefficient_is_evaluated_toward_a_target_inside_the_set(monkeypatch,
     for J in CLOSURE_SETS + [J.complement() for J in CLOSURE_SETS]:
         log.clear()
         verdict = is_closed(ModuleDescriptor(P0, basis == "eta", J), Box.radius(3))
-        assert log and not any(J.contains(jdx[1]) for _, _, _, jdx, _ in log), repr(J)
-        assert verdict.witnesses == [(idx, gen, jdx) for _, gen, idx, jdx, c in log
+        reads = _reads(log, basis == "eta")
+        assert reads and not any(J.contains(jdx[1]) for _, _, _, jdx, _ in reads), repr(J)
+        assert verdict.witnesses == [(idx, gen, jdx) for _, gen, idx, jdx, c in reads
                                      if c != 0]
 
 
@@ -384,4 +398,5 @@ def test_truncated_action_evaluates_nothing_toward_a_target_outside_the_set(
         log.clear()
         for gen in liealg.GENERATORS:
             act_truncated(gen, v, J)
-        assert log and all(J.contains(jdx[1]) for _, _, _, jdx, _ in log), repr(J)
+        reads = _reads(log, basis == "eta")
+        assert reads and all(J.contains(jdx[1]) for _, _, _, jdx, _ in reads), repr(J)

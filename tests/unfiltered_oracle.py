@@ -11,6 +11,10 @@ value; the tests compare the two.
 The equations leave out an edge whose two ends the rows kept before it
 already force to zero.  ``ForcedZeros`` finds those ends by spreading zero
 along the kept rows, not by the engine's union-find.
+
+The eta action is read off the w-table: an eta read of X at a toward j is
+the w read of Y at j toward a, where tau(X) = s Y, so ``entry_offsets``
+lists X's eta offsets as Y's w-offsets negated, in Y's entry order.
 """
 
 from collections import deque
@@ -19,8 +23,15 @@ from fractions import Fraction
 from gtsl3.errors import ObstructionAtIndex
 from gtsl3.explore import GenerationCertificate
 from gtsl3.hom import HomSolution, _check_problem
-from gtsl3.module import ACTION_TABLE, AXIS_PAIRS, BASIS_ACTIONS, OFF_DIAGONAL
+from gtsl3.module import ACTION_TABLE, AXIS_PAIRS, BASIS_ACTIONS, OFF_DIAGONAL, TAU
 from gtsl3.subquotient import ClosureVerdict
+
+
+def entry_offsets(basis, gen) -> list:
+    """The offsets of gen's targets in the basis, in entry order."""
+    if basis == "eta":
+        return [tuple(-d for d in o) for o, _ in ACTION_TABLE["w"][TAU[gen][0]]]
+    return [o for o, _ in ACTION_TABLE[basis][gen]]
 
 
 def _action(desc, gen, idx) -> dict:
@@ -36,7 +47,7 @@ def _comparison_rows(source, target, gen, a, inside, box) -> dict:
     rows = {}
     # the targets either table lists, in table order
     offsets = dict.fromkeys(offset for desc in (source, target)
-                            for offset, _ in ACTION_TABLE[desc.basis][gen])
+                            for offset in entry_offsets(desc.basis, gen))
     for j in (tuple(i + d for i, d in zip(a, offset)) for offset in offsets):
         if j not in src and j not in tgt:
             continue
@@ -98,7 +109,7 @@ def intertwiner_equations(source, target, box, drop_forced_zeros=True):
     rows, zeros = [], ForcedZeros()
     for a in indices:
         for gen in OFF_DIAGONAL:
-            for offset, _ in ACTION_TABLE[source.basis][gen]:
+            for offset in entry_offsets(source.basis, gen):
                 j = tuple(i + d for i, d in zip(a, offset))
                 if j < a or (a, j) not in found:
                     continue
