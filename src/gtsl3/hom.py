@@ -46,11 +46,11 @@ the same basis: a cycle row reduces to zero or forces its tree to zero.  A
 row u x_c + v x_d = 0 is checked on one cross-product of the numerators and
 denominators that int, Fraction and RatFunc all have; over Q, ints only.
 Exact forest rows reach the eliminator in tree order, each tree breadth
-first from its first column: a row comes when the first of its columns is
-reached, so its reduction walks a few pivots, not a chain across the tree.
-Over Q the order cannot show: each tree gives one line, normalized at its
-first nonzero value.  A forest with a RatFunc keeps assembly order: RatFunc
-never reduces, so the printed symbolic solutions show the elimination order.
+first from its first column, and the columns in the reverse of that visit:
+each row joins a reached column to a new one, which leads it, so the row's
+pivot is its one ratio and the tree's first column stays free at 1, where
+``solve_intertwiner`` normalizes.  A forest with a RatFunc keeps assembly
+order and columns: the printed symbolic solutions show that order.
 The zero tree is dropped first: all its columns would be pivots, and no
 other tree's elimination reads them.
 
@@ -88,9 +88,12 @@ class HomSolution:
         return self.x.get(tuple(idx), Fraction(0))
 
     def normalized(self) -> "HomSolution":
+        """Divided by its first nonzero value, unless that is exactly Fraction(1)."""
         for idx in sorted(self.x):
             if self.x[idx]:
                 pivot = self.x[idx]
+                if type(pivot) is Fraction and pivot == 1:  # a RatFunc p/p divides
+                    return self
                 scaled = {i: v / pivot for i, v in self.x.items()}
                 return HomSolution(self.source, self.target, self.box, scaled)
         return self
@@ -187,38 +190,45 @@ def _fails(row: dict, x: dict) -> bool:
 
 
 def _tree_order(forest, columns):
-    """The forest rows, each tree breadth first from its first column; the
-    zero tree is dropped before, so every row joins two columns."""
+    """(rows, columns): the forest rows, each tree breadth first from its first
+    column, and the columns in reverse visit order.  The zero tree is dropped
+    before, so each row joins a reached column to a new one, which comes first."""
     at = {}
     for row in forest:
         for c in row:
             at.setdefault(c, []).append(row)
-    order, reached = [], set()
-    for queue in ([c] for c in columns if c in at and c not in reached):
+    order, visit, reached = [], [], set()
+    for queue in ([c] for c in columns if c not in reached):
         reached.add(queue[0])
         for c in queue:  # grows as it is read: breadth first
-            for row in at[c]:
+            for row in at.get(c, ()):
                 new = [d for d in row if d not in reached]
                 if new:  # a tree edge
                     order.append(row)
                     reached.update(new)
                     queue += new
-    return order
+        visit += queue
+    return order, visit[::-1]
 
 
 def _forest_nullspace(rows, columns):
-    """nullspace(rows, columns), for rows of one or two unknowns.  Forest rows
-    go in tree order unless one holds a RatFunc, which never reduces: the
-    printed values would show the order (module docstring)."""
+    """nullspace(rows, columns) for rows of one or two unknowns, in its basis
+    order.  Unless a forest row holds a RatFunc, whose printed values show the
+    order (module docstring), the rows and columns go in _tree_order: each
+    vector is then exactly 1 at its first column, and its keys come in
+    reverse visit order."""
     trees, forest, cycles = {}, [], []
     for row in rows:
         (forest if _join(trees, row) else cycles).append(row)
     if zero := trees.get(None):  # the zero tree
         forest = [row for row in forest if trees[next(iter(row))] is not zero]
         columns = [c for c in columns if trees.get(c) is not zero]
-    if not any(isinstance(v, RatFunc) for row in forest for v in row.values()):
-        forest = _tree_order(forest, columns)
-    basis = nullspace(forest, columns)
+    if any(isinstance(v, RatFunc) for row in forest for v in row.values()):
+        basis = nullspace(forest, columns)
+    else:
+        pos = {c: n for n, c in enumerate(columns)}
+        basis = sorted(nullspace(*_tree_order(forest, columns)),
+                       key=lambda vec: max(map(pos.get, vec)))
     home = {c: n for n, vec in enumerate(basis) for c in vec}
     broken = {home[c] for row in cycles if (c := next(iter(row))) in home
               and _fails(row, basis[home[c]])}

@@ -4,7 +4,9 @@ Rows are sparse {column: coefficient} dicts over a coefficient field
 (Fraction or RatFunc).  A pivot at column col is kept solved for its
 leading unknown, x_col = sum of piv[c] * x_c over its other columns, made by
 one division by -lead per entry; so an elimination step only multiplies and
-adds, and back-substitution reads each value as a plain sum.
+adds, and back-substitution reads each value as a plain sum.  A row that
+leads at a new column is its own pivot, as each exact Hom forest row is
+(hom._tree_order); back-substitution then multiplies one ratio per column.
 Values still swell over RatFunc, which never reduces: each is a product
 along a pivot chain, up to 5,870 terms from the 14 rows of the symbolic
 lbar = 0 Hom problem at r = 2.  Zero tests are exact in both fields.

@@ -72,6 +72,10 @@ GOLDEN_CLI = {
         "--mu2 0 hom --source dual:l01 --target dual:l01 --window 4",
     "hom_same_basis_ge1_w6.json":
         "--mu2 0 hom --source 'lbar>=1' --target 'lbar>=1' --window 6",
+    # two trees carry a line each: this pins the order of a basis of two
+    # exact vectors and the index at which each is normalized to 1
+    "hom_dimension2_full_plain_dual_w3.json":
+        "--mu2 0 hom --source full --target dual:full --window 3",
     # a generation certificate that covers the window, and a classification
     "generate_w8.json": "generate --start 0,0,0 --window 8",
     "classify_lbar1_w7.json": "--mu2 0 classify --set lbar=1 --window 7",

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gtsl3 import hom, liealg
+from gtsl3 import hom, liealg, solver
 from gtsl3.errors import ObstructionAtIndex
 from gtsl3.hom import (
     HomSolution,
@@ -29,7 +29,7 @@ from gtsl3.module import ACTION_TABLE, OFF_DIAGONAL, TAU, Box, Params
 from gtsl3.registry import HOM_STATEMENTS
 from gtsl3.scalars import MU1, RatFunc
 from gtsl3.serialize import parse_set_expr
-from gtsl3.solver import nullspace
+from gtsl3.solver import _reduce, nullspace
 from gtsl3.subquotient import LBarSet
 from nullspace_oracle import nullspace_oracle
 from test_wanted_targets import ROW_PROBLEMS
@@ -512,7 +512,7 @@ def test_a_symbolic_forest_reaches_nullspace_in_assembly_order(monkeypatch):
     assert (len(indices), len(rows), len(forest), kinds) == (6, 9, 5, {RatFunc, Fraction})
     edges = {frozenset(row) for row in forest}
     assert [row for row in rows if frozenset(row) in edges] == forest
-    assert hom._tree_order(forest, indices) != forest
+    assert hom._tree_order(forest, indices)[0] != forest
 
 
 def test_a_broken_cycle_drops_its_tree_as_elimination_of_every_row_does(monkeypatch):
@@ -534,6 +534,62 @@ def test_a_broken_cycle_drops_its_tree_as_elimination_of_every_row_does(monkeypa
     want = _printed([HomSolution(src, tgt, box, vec).normalized()
                      for vec in nullspace_oracle(rows, indices)])
     assert (len(forest_basis), len(got)) == (2, 1) and got == want
+
+
+# exact forests reach nullspace with their columns in reverse tree order
+
+EXACT_FORESTS = {
+    # (params, J, source dual, target dual, r, dimension)
+    "one tree": (PG, None, True, False, 3, 1),
+    "a zero tree": (P0, LBarSet.ge(0), False, True, 3, 1),
+    "a zero tree and dimension 2": (P0, None, False, True, 3, 2),
+    "same basis": (P0, None, False, False, 3, 1),
+}
+
+
+@pytest.mark.parametrize("case", EXACT_FORESTS.values(), ids=list(EXACT_FORESTS))
+def test_each_exact_forest_row_leads_at_its_new_column(monkeypatch, case):
+    """Each forest row joins a reached column to a new one, which has the
+    smaller position: no row's lead column is a pivot when nullspace reads
+    it, so the pivot is the row's one ratio.  Each tree's first column stays
+    free at exactly Fraction(1), so no value is divided again."""
+    leads = []
+
+    def spy(row, pivots):
+        leads.append(min(row) in pivots)
+        return _reduce(row, pivots)
+
+    monkeypatch.setattr(solver, "_reduce", spy)
+    *problem, dimension = case
+    sols = solve_intertwiner(*_problem(*problem))
+    assert len(sols) == dimension and leads and not any(leads)
+    for sol in sols:
+        first = sol.x[min(sol.x)]
+        assert type(first) is Fraction and first == 1
+        assert sol.normalized() is sol
+
+
+def test_tree_order_puts_each_tree_first_column_after_its_others():
+    """Trees breadth first from their first column in columns order, an
+    isolated column its own tree, and the columns in reverse visit order:
+    nullspace reads each tree's first column last."""
+    ac, ad = {"c": Fraction(1), "a": Fraction(2)}, {"a": Fraction(3), "d": Fraction(-1)}
+    assert hom._tree_order([ad, ac], list("abcde")) == ([ad, ac], list("ebcda"))
+
+
+def test_normalized_divides_unless_the_pivot_is_exactly_fraction_1():
+    """A RatFunc p/p equals 1 but prints otherwise, and dividing by it
+    changes the printed form, so it still divides."""
+    src, tgt, box = _problem(SYM0, None, False, True, 1)
+    sol = HomSolution(src, tgt, box, {(0, 0, 0): Fraction(1), (0, 0, 1): MU1})
+    assert sol.normalized() is sol
+    p = MU1 + 1
+    pivot = p / p
+    sol = HomSolution(src, tgt, box, {(0, 0, 0): pivot, (0, 0, 1): MU1})
+    assert pivot == 1 and str(pivot) != str(pivot / pivot)
+    got = sol.normalized()
+    assert got is not sol
+    assert [str(v) for v in got.x.values()] == [str(pivot / pivot), str(MU1 / pivot)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 import copy
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gtsl3 import hom
 from gtsl3.hom import _forest_nullspace
-from gtsl3.scalars import MU1, MU2
+from gtsl3.scalars import MU1, MU2, RatFunc
 from gtsl3.solver import nullspace
 from nullspace_oracle import nullspace_oracle
 
@@ -75,5 +77,20 @@ def test_nullspace_returns_exactly_the_oracle_basis(system):
 @SETTINGS
 @given(systems(two_unknowns=True))
 def test_forest_solve_prints_what_nullspace_prints_on_all_rows(system):
+    """Over RatFunc, which never reduces, exactly what nullspace on every row
+    prints.  Over Fraction, that once each vector is scaled to 1 at its
+    first column in columns order, where each returned vector holds exactly
+    Fraction(1): the line that solve_intertwiner prints."""
     rows, columns = system
-    assert printed(_forest_nullspace(rows, columns)) == printed(nullspace(rows, columns))
+    with mock.patch.object(hom, "nullspace", wraps=nullspace) as spy:
+        got = _forest_nullspace(rows, columns)
+    want = nullspace(rows, columns)
+    [((forest, _), _)] = spy.call_args_list
+    if not any(isinstance(v, RatFunc) for row in forest for v in row.values()):
+        def first(vec):
+            return vec[next(c for c in columns if c in vec)]
+
+        for vec in got:
+            assert type(first(vec)) is Fraction and first(vec) == 1
+        want = [{c: v / first(vec) for c, v in vec.items()} for vec in want]
+    assert printed(got) == printed(want)
