@@ -145,14 +145,18 @@ def character_table(desc: ModuleDescriptor, r: int) -> dict:
 def product_formula_character(shift, r: int) -> dict:
     """Truncated expansion of e^lambda * sum_n e^{(n+mu1) a1} /
     ((1 - e^{-a1-a2})(1 - e^{-a2})), with lambda given by its (s, t)
-    coordinates.  Geometric series are expanded term by term."""
+    coordinates, on the reliable range |s| <= r, -r <= t <= 0 that
+    characters_agree reads.  Geometric series are expanded term by term,
+    |n| <= 3r and a + b <= 3r; the term (n, a, b) lands on
+    (n - a + ds, dt - a - b), so only the (a, b) whose t is in range, and
+    for each the n whose s is, are expanded."""
     ds, dt = shift
     pad = 3 * r
     table = {}
-    for n in range(-pad, pad + 1):
-        for a in range(pad + 1):
-            for b in range(pad + 1 - a):
-                key = (n - a + ds, -(a + b) + dt)
+    for a in range(pad + 1):
+        for b in range(max(0, dt - a), min(pad - a, dt + r - a) + 1):
+            for s in range(max(-r, ds - a - pad), min(r, ds - a + pad) + 1):
+                key = (s, dt - a - b)
                 table[key] = table.get(key, 0) + 1
     return table
 

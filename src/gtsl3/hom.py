@@ -40,8 +40,9 @@ integer n, so one formula covers both signs of k and l.
 
 ``solve_intertwiner`` eliminates only the forest rows, those that join two
 trees of a union-find over the columns (a one-unknown row joins the zero
-tree), and checks each other row once, against the one basis vector on its
-tree, dropping that vector if the row fails.  Eliminating every row gives
+tree): the one assembly began, or, where no row had one unknown, one joined
+afterwards.  It checks each other row once, against the one basis vector on
+its tree, dropping that vector if the row fails.  Eliminating every row gives
 the same basis: a cycle row reduces to zero or forces its tree to zero.  A
 row u x_c + v x_d = 0 is checked on one cross-product of the numerators and
 denominators that int, Fraction and RatFunc all have; over Q, ints only.
@@ -116,7 +117,7 @@ def _edges():
             for x in OFF_DIAGONAL for o, f in w[x] if o > (0, 0, 0) for y, s in [TAU[x]]]
 
 
-def intertwiner_equations(source, target, box: Box):
+def intertwiner_equations(source, target, box: Box, split=None):
     """The in-window coefficient-matching equations as sparse rows, one per
     edge {a, j = a + o} with a row, read at its lower end a in window and then
     _edges order (module docstring), and none whose ends earlier rows force to
@@ -124,7 +125,9 @@ def intertwiner_equations(source, target, box: Box):
     -> dual row is {j: F(a), a: s B(j)} and a dual -> plain row
     {j: s B(j), a: F(a)}, each without its zero sides; a same-basis edge
     gives x_j - x_a where F(a) or B(j) is nonzero.  The window, already cut
-    to J, alone decides a target."""
+    to J, alone decides a target.  Where a union-find was begun, it joined
+    every row in row order, and a given list `split` receives it as
+    (trees, forest rows, cycle rows), _forest_nullspace's split."""
     _check_problem(source, target)
     p = source.params
     indices = source.indices(box)
@@ -132,6 +135,7 @@ def intertwiner_equations(source, target, box: Box):
     same, dual = source.basis == target.basis, source.basis == "eta"
     edges = [(*o, f, b, s) for o, _, f, _, b, s in _edges()]
     rows, trees = [], {}  # trees: column -> its tree, begun at the first one-unknown row
+    forest, cycles = [], []
     for a in indices:
         k, l, m = a
         q = p.line(k, l)
@@ -151,7 +155,9 @@ def intertwiner_equations(source, target, box: Box):
                 rows.append(row)
                 if trees or len(row) == 1:  # the first forced zero: replay rows
                     for row in rows if not trees else (row,):
-                        _join(trees, row)
+                        (forest if _join(trees, row) else cycles).append(row)
+    if split is not None and trees:
+        split += trees, forest, cycles
     return indices, rows
 
 
@@ -211,15 +217,21 @@ def _tree_order(forest, columns):
     return order, visit[::-1]
 
 
-def _forest_nullspace(rows, columns):
-    """nullspace(rows, columns) for rows of one or two unknowns, in its basis
-    order.  Unless a forest row holds a RatFunc, whose printed values show the
-    order (module docstring), the rows and columns go in _tree_order: each
-    vector is then exactly 1 at its first column, and its keys come in
-    reverse visit order."""
+def _split(rows):
+    """(trees, forest rows, cycle rows): every row joined in row order."""
     trees, forest, cycles = {}, [], []
     for row in rows:
         (forest if _join(trees, row) else cycles).append(row)
+    return trees, forest, cycles
+
+
+def _forest_nullspace(rows, columns, split=None):
+    """nullspace(rows, columns) for rows of one or two unknowns, in its basis
+    order, from the rows' split, _split(rows) unless given.  Unless a forest
+    row holds a RatFunc, whose printed values show the order (module
+    docstring), the rows and columns go in _tree_order: each vector is then
+    exactly 1 at its first column, and its keys come in reverse visit order."""
+    trees, forest, cycles = split or _split(rows)
     if zero := trees.get(None):  # the zero tree
         forest = [row for row in forest if trees[next(iter(row))] is not zero]
         columns = [c for c in columns if trees.get(c) is not zero]
@@ -239,11 +251,12 @@ def solve_intertwiner(source, target, box: Box):
     """Exact basis of diagonal intertwiners on the window, seed-normalized."""
     if box.kmax - box.kmin < 2 or box.mmax < 1:
         raise ValueError("window too small: need at least one step of margin")
-    indices, rows = intertwiner_equations(source, target, box)
+    split = []  # the union-find of assembly, where it began one
+    indices, rows = intertwiner_equations(source, target, box, split)
     if not indices:
         raise ValueError("window does not meet the index set")
     return [HomSolution(source, target, box, vec).normalized()
-            for vec in _forest_nullspace(rows, indices)]
+            for vec in _forest_nullspace(rows, indices, split)]
 
 
 def verify_solution(sol: HomSolution):

@@ -43,10 +43,11 @@ class Params:
     integral, the integer value of mu2 and the Line of each (k, l), is
     worked out on first use and then kept (not in __init__, which would add
     RatFunc operations to every symbolic Params made); the lines kept grow
-    with a window's area, not its volume.
+    with a window's area, not its volume.  A line is assembled from parts
+    kept per k (kbar), per l (lbar) and per k + l (s), each made once.
     """
 
-    __slots__ = ("mu1", "mu2", "_sum_integral", "_mu2_int", "_lines")
+    __slots__ = ("mu1", "mu2", "_sum_integral", "_mu2_int", "_lines", "_parts")
 
     def __init__(self, mu1, mu2):
         self.mu1 = mu1 if isinstance(mu1, RatFunc) else Fraction(exact(mu1))
@@ -54,6 +55,7 @@ class Params:
         self._sum_integral = _UNKNOWN
         self._mu2_int = _UNKNOWN
         self._lines = {}
+        self._parts = ({}, {}, {})  # k -> kbar, l -> lbar, k + l -> s, as _Parts
 
     @classmethod
     def symbolic(cls) -> "Params":
@@ -99,7 +101,11 @@ class Params:
     def line(self, k: int, l: int) -> "Line":
         q = self._lines.get((k, l))
         if q is None:
-            q = self._lines[k, l] = Line(self.kbar(k), self.lbar(l))
+            kparts, lparts, sparts = self._parts  # a _Part is never false
+            kp = kparts.get(k) or kparts.setdefault(k, _Part(self.kbar(k), True))
+            lp = lparts.get(l) or lparts.setdefault(l, _Part(self.lbar(l), True))
+            sp = sparts.get(k + l) or sparts.setdefault(k + l, _Part(kp.x + lp.x))
+            q = self._lines[k, l] = Line.__new__(Line)._fill(kp, lp, sp)
         return q
 
     def __eq__(self, other):
@@ -115,16 +121,37 @@ class Params:
         return f"Params(mu1={self.mu1}, mu2={self.mu2})"
 
 
+class _Part:
+    """One of kbar, lbar or s as x, shared by the lines of equal k, l or
+    k + l: with its negative if `signed`, as a table reads kbar's and
+    lbar's, and x(x - 1), worked out on first read."""
+
+    __slots__ = ("x", "neg", "_falling")
+
+    def __init__(self, x, signed=False):
+        self.x, self.neg, self._falling = x, -x if signed else None, None
+
+    def falling(self):
+        if self._falling is None:
+            self._falling = self.x * (self.x - 1)
+        return self._falling
+
+
 class Line:
     """What a table coefficient reads of (k, l): kb = kbar, lb = lbar, their
-    negatives nkb and nlb, their sum s, and the w-table's `ratios` once
-    worked out.  A line refers to no Params, so the two form no cycle."""
+    negatives nkb and nlb, their sum s, the parts they come from, and the
+    w-table's `ratios` once worked out.  A line refers to no Params, so the
+    two form no cycle."""
 
-    __slots__ = ("kb", "lb", "nkb", "nlb", "s", "ratios")
+    __slots__ = ("kb", "lb", "nkb", "nlb", "s", "parts", "ratios")
 
     def __init__(self, kb, lb):
-        self.kb, self.lb, self.nkb, self.nlb = kb, lb, -kb, -lb
-        self.s, self.ratios = kb + lb, None
+        self._fill(_Part(kb, True), _Part(lb, True), _Part(kb + lb))
+
+    def _fill(self, k: _Part, l: _Part, s: _Part) -> "Line":
+        self.kb, self.nkb, self.lb, self.nlb, self.s = k.x, k.neg, l.x, l.neg, s.x
+        self.parts, self.ratios = (k, l, s), None
+        return self
 
 
 @dataclass(frozen=True)
@@ -272,10 +299,12 @@ _WEIGHT = {
 
 def _w_ratios(q: Line):
     """(kbar(kbar - 1), lbar(lbar - 1)) / (s(s - 1)), kept from a line's first
-    read; gt_eigenvalue reads neither, so it is defined where s(s - 1) = 0."""
+    read, each product kept by its part; gt_eigenvalue reads neither, so it
+    is defined where s(s - 1) = 0."""
     if q.ratios is None:
-        den = q.s * (q.s - 1)
-        q.ratios = (q.kb * (q.kb - 1) / den, q.lb * (q.lb - 1) / den)
+        k, l, s = q.parts
+        den = s.falling()
+        q.ratios = (k.falling() / den, l.falling() / den)
     return q.ratios
 
 

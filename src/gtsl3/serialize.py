@@ -28,13 +28,12 @@ import dataclasses
 import re
 
 from .module import Box, ModuleElement, Params
-from .scalars import MU1, MU2, format_scalar, parse_scalar
+from .scalars import MU1, MU2, RatFunc, format_scalar, parse_scalar
 from .subquotient import RUN_FORMS, LBarSet, ModuleDescriptor
 
 
 def param_to_json(value, which: int) -> str:
-    sym = MU1 if which == 1 else MU2
-    if value == sym:
+    if isinstance(value, RatFunc) and value == (MU1 if which == 1 else MU2):
         return "symbolic"
     return format_scalar(value)
 

@@ -188,7 +188,10 @@ class ModuleDescriptor:
         return self.J is None or self.J.contains(lbar_coordinates(idx, self.params)[1])
 
     def indices(self, box: Box):
-        return [idx for idx in box if self.contains(idx)]
+        """The box's indices in J, in box order; J is read once per l level."""
+        ls = [l for l in range(box.lmin, box.lmax + 1) if self.contains((box.kmin, l, 0))]
+        ms = range(box.mmax + 1)
+        return [(k, l, m) for k in range(box.kmin, box.kmax + 1) for l in ls for m in ms]
 
     def action(self, gen: str, idx) -> dict:
         """{target index: coefficient} for the generator on one basis vector:

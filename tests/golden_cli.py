@@ -51,12 +51,20 @@ GOLDEN_CLI = {
     "act_symbolic_eta.json":
         """--symbolic act --basis eta --word f1,e1,f12 """
         """--element '{"terms":[{"k":0,"l":0,"m":1,"c":"1"}]}'""",
+    # a symbolic w-word from (1, 0, 1) that reads the w-ratios on the lines
+    # (1, 0) and (0, 1), whose kbar + lbar is one polynomial: the printed
+    # values pin the normal forms of a sum s that lines share
+    "act_symbolic_w_shared_sum.json":
+        """--symbolic act --basis w --word f2,e1,e1 """
+        """--element '{"terms":[{"k":1,"l":0,"m":1,"c":"1"}]}'""",
     # Hom between half-line subquotients and their duals, both ways: the
     # solved bases, images and kernels
     "hom_ge0_plain_dual.json":
         "--mu2 0 hom --source 'lbar>=0' --target 'dual:lbar>=0' --window 3",
     "hom_ge0_dual_plain.json":
         "--mu2 0 hom --source 'dual:lbar>=0' --target 'lbar>=0' --window 3",
+    "hom_ge1_plain_dual.json":
+        "--mu2 0 hom --source 'lbar>=1' --target 'dual:lbar>=1' --window 3",
     "hom_ge0_plain_dual_w6.json":
         "--mu2 0 hom --source 'lbar>=0' --target 'dual:lbar>=0' --window 6",
     "hom_ge0_dual_plain_w6.json":

@@ -162,6 +162,22 @@ class TestCharacters:
         assert characters_agree(character_table(desc, 6),
                                 product_formula_character((0, 0), 6), 6) == []
 
+    @pytest.mark.parametrize("shift", sorted({shift for *_, shift in explore._RV_CASES.values()}))
+    def test_product_formula_is_the_full_expansion_on_the_reliable_range(self, shift):
+        """Against the triple loop over every term (n, a, b), kept here as
+        the oracle and restricted to |s| <= r, -r <= t <= 0: the shifts of
+        the relaxed-Verma cases, (0, 0) among them, which character-formula
+        expands too."""
+        for r in range(9):
+            pad, full = 3 * r, {}
+            for n in range(-pad, pad + 1):
+                for a in range(pad + 1):
+                    for b in range(pad + 1 - a):
+                        key = (n - a + shift[0], -(a + b) + shift[1])
+                        full[key] = full.get(key, 0) + 1
+            want = {(s, t): v for (s, t), v in full.items() if abs(s) <= r and -r <= t <= 0}
+            assert product_formula_character(shift, r) == want, r
+
     def test_dual_and_plain_tables_agree(self):
         a = ModuleDescriptor(P0, dual=True, J=LBarSet.ge(0))
         b = ModuleDescriptor(P0, dual=False, J=LBarSet.ge(0))

@@ -536,6 +536,27 @@ def test_a_broken_cycle_drops_its_tree_as_elimination_of_every_row_does(monkeypa
     assert (len(forest_basis), len(got)) == (2, 1) and got == want
 
 
+@pytest.mark.parametrize("case,begun", [
+    ((P0, LBarSet.ge(0), False, True, 3), True),  # a forced zero begins it
+    ((PG, None, True, False, 3), False),  # no one-unknown row: joined after
+], ids=["forced zero", "generic full"])
+def test_each_row_is_joined_once_per_solve(monkeypatch, case, begun):
+    """solve_intertwiner takes the forest/cycle split of the union-find that
+    assembly began, so each row is joined once, in row order, and that split
+    is the one joining every row again gives; only where assembly began
+    none does the solve join the rows itself."""
+    src, tgt, box = _problem(*case)
+    split = []
+    indices, rows = intertwiner_equations(src, tgt, box, split)
+    assert bool(split) is begun
+    if begun:
+        assert split == list(hom._split(rows))
+    joined, join = [], hom._join
+    monkeypatch.setattr(hom, "_join", lambda trees, row: joined.append(row) or join(trees, row))
+    assert len(solve_intertwiner(src, tgt, box)) == 1
+    assert joined == rows
+
+
 # exact forests reach nullspace with their columns in reverse tree order
 
 EXACT_FORESTS = {

@@ -514,6 +514,24 @@ def test_every_coefficient_reads_a_cached_line_as_a_line_of_the_same_values():
                 assert c(cached, m) == c(bare, m), (p, k, l, term, m)
 
 
+@pytest.mark.parametrize("p", [Params.symbolic(), Params(MU1, RatFunc(0)), P,
+                               *(Params(-kb, -lb) for kb, lb in _rational_points(42, 3))],
+                         ids=str)
+def test_lines_share_parts_per_axis_and_print_as_bare_lines(p):
+    """A line's kbar, lbar and s parts are those of every line with the same
+    k, l or k + l, and s and the two w-ratios print, in normal form, as on a
+    bare Line(kbar, lbar): over Q(mu1, mu2) a shared s is the same
+    polynomial."""
+    for k, l in itertools.product(range(-2, 3), repeat=2):
+        q, bare = p.line(k, l), Line(p.kbar(k), p.lbar(l))
+        kpart, lpart, spart = q.parts
+        assert kpart is p.line(k, 0).parts[0] and lpart is p.line(0, l).parts[1]
+        assert spart is p.line(k + l, 0).parts[2] and q.s is spart.x
+        assert str(q.s) == str(bare.s)
+        assert [str(x) for x in module._w_ratios(q)] == [
+            str(x) for x in module._w_ratios(bare)], (k, l)
+
+
 def test_gt_eigenvalue_works_out_no_w_ratio_at_an_integral_sum():
     """At mu1 + mu2 = 1 the w-table's ratio factors divide by
     s(s - 1) = 0 on the lines k + l in {1, 2}; gt_eigenvalue reads only the

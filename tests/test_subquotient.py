@@ -340,6 +340,29 @@ NINE_SETS = (
 RAISING_LOWERING = ("e1", "e2", "f1", "f2", "e12", "f12")
 
 
+def _random_set(rnd):
+    """The union of up to three random runs, each end possibly unbounded."""
+    def end():
+        return None if rnd.random() < 0.2 else rnd.randint(-5, 5)
+    return LBarSet([(end(), end()) for _ in range(rnd.randint(0, 3))])
+
+
+@pytest.mark.parametrize("mu2", [0, -2])
+def test_indices_are_the_per_index_filter_in_box_order(mu2):
+    """indices(box) reads J once per l level; the list is the one that
+    testing J at every index of the box, in box order, gives."""
+    p = Params(Fraction(1, 3), Fraction(mu2))
+    rnd = random.Random(17 + mu2)
+    sets = [None, *NINE_SETS, *(_random_set(rnd) for _ in range(40))]
+    for J in sets:
+        desc = ModuleDescriptor(p, J=J)
+        for _ in range(4):
+            kmin, lmin = rnd.randint(-4, 2), mu2 + rnd.randint(-5, 3)
+            box = Box(kmin, kmin + rnd.randint(-1, 4), lmin, lmin + rnd.randint(-1, 6),
+                      rnd.randint(0, 3))
+            assert desc.indices(box) == [idx for idx in box if desc.contains(idx)], (J, box)
+
+
 def test_classify_and_generate_read_the_action_table_directly(monkeypatch):
     """On the module, both read module.ACTION_TABLE at call time, so a
     patched entry changes what they answer, and neither goes through

@@ -334,8 +334,9 @@ def test_hom_reads_no_eta_coefficient_and_sees_a_patched_w_entry(monkeypatch):
 
 
 def test_the_window_alone_decides_which_targets_the_equations_read(monkeypatch):
-    """J is tested once per window index, by indices(box), and never again
-    per target: the window set already holds only indices of J."""
+    """J is tested once per l level of the window, at its first index, by
+    indices(box), and never again per target: the window set already holds
+    only indices of J."""
     calls = []
     contains = ModuleDescriptor.contains
     monkeypatch.setattr(ModuleDescriptor, "contains",
@@ -343,7 +344,8 @@ def test_the_window_alone_decides_which_targets_the_equations_read(monkeypatch):
     src, tgt = _problem(P0, "lbar>=0", True, False)
     box = src.window(3)
     intertwiner_equations(src, tgt, box)
-    assert calls == list(box) and len(calls) == 196
+    assert calls == [(box.kmin, l, 0) for l in range(box.lmin, box.lmax + 1)]
+    assert len(calls) == 7
 
 
 @pytest.mark.parametrize("params,J", GENERATION_CASES)
