@@ -27,22 +27,23 @@ x_j - x_a, nonzero where F(a) or B(j) is: the row is {j: 1, a: -1}, whose
 the known value.  The kept rows span those of both ends, and
 ``verify_solution`` flags the same edges.
 
-An edge is also left out, before a coefficient is read, once earlier rows
-put both its ends in the zero tree of a union-find begun at the first
-one-unknown row.  Each column of the zero tree is linked to a one-unknown row
-by kept rows of two nonzero coefficients, so any x satisfying the kept rows
-vanishes there and each left-out row reads 0 = 0: ``verify_solution`` gives
-the same verdict, though it may list fewer violated rows.
+Assembly joins each row, as it is kept, into one union-find over the
+columns, whose zero tree begins at the first one-unknown row.  An edge is
+also left out, before a coefficient is read, once earlier rows put both its
+ends in the zero tree.  Each column of the zero tree is linked to a
+one-unknown row by kept rows of two nonzero coefficients, so any x
+satisfying the kept rows vanishes there and each left-out row reads 0 = 0:
+``verify_solution`` gives the same verdict, though it may list fewer
+violated rows.
 
 The closed-form families are products of Pochhammer symbols
 x^(n) = Gamma(x+n)/Gamma(x), which ``raising_factorial`` gives for every
 integer n, so one formula covers both signs of k and l.
 
 ``solve_intertwiner`` eliminates only the forest rows, those that join two
-trees of a union-find over the columns (a one-unknown row joins the zero
-tree): the one assembly began, or, where no row had one unknown, one joined
-afterwards.  It checks each other row once, against the one basis vector on
-its tree, dropping that vector if the row fails.  Eliminating every row gives
+trees of assembly's union-find (a one-unknown row joins the zero tree).  It
+checks each other row once, against the one basis vector on its tree,
+dropping that vector if the row fails.  Eliminating every row gives
 the same basis: a cycle row reduces to zero or forces its tree to zero.  A
 row u x_c + v x_d = 0 is checked on one cross-product of the numerators and
 denominators that int, Fraction and RatFunc all have; over Q, ints only.
@@ -125,17 +126,16 @@ def intertwiner_equations(source, target, box: Box, split=None):
     -> dual row is {j: F(a), a: s B(j)} and a dual -> plain row
     {j: s B(j), a: F(a)}, each without its zero sides; a same-basis edge
     gives x_j - x_a where F(a) or B(j) is nonzero.  The window, already cut
-    to J, alone decides a target.  Where a union-find was begun, it joined
-    every row in row order, and a given list `split` receives it as
-    (trees, forest rows, cycle rows), _forest_nullspace's split."""
+    to J, alone decides a target.  Each row is joined, as it is kept, into
+    one union-find over the columns, and a given list `split` receives it
+    as (trees, forest rows, cycle rows), _forest_nullspace's split."""
     _check_problem(source, target)
     p = source.params
     indices = source.indices(box)
     inside = set(indices)
     same, dual = source.basis == target.basis, source.basis == "eta"
     edges = [(*o, f, b, s) for o, _, f, _, b, s in _edges()]
-    rows, trees = [], {}  # trees: column -> its tree, begun at the first one-unknown row
-    forest, cycles = [], []
+    rows, trees, forest, cycles = [], {}, [], []  # trees: column -> its tree's columns
     for a in indices:
         k, l, m = a
         q = p.line(k, l)
@@ -153,10 +153,8 @@ def intertwiner_equations(source, target, box: Box, split=None):
                 row = _row(j, v, a, u) if dual else _row(j, u, a, v)
             if row:
                 rows.append(row)
-                if trees or len(row) == 1:  # the first forced zero: replay rows
-                    for row in rows if not trees else (row,):
-                        (forest if _join(trees, row) else cycles).append(row)
-    if split is not None and trees:
+                (forest if _join(trees, row) else cycles).append(row)
+    if split is not None:
         split += trees, forest, cycles
     return indices, rows
 
@@ -217,21 +215,15 @@ def _tree_order(forest, columns):
     return order, visit[::-1]
 
 
-def _split(rows):
-    """(trees, forest rows, cycle rows): every row joined in row order."""
-    trees, forest, cycles = {}, [], []
-    for row in rows:
-        (forest if _join(trees, row) else cycles).append(row)
-    return trees, forest, cycles
-
-
-def _forest_nullspace(rows, columns, split=None):
-    """nullspace(rows, columns) for rows of one or two unknowns, in its basis
-    order, from the rows' split, _split(rows) unless given.  Unless a forest
-    row holds a RatFunc, whose printed values show the order (module
-    docstring), the rows and columns go in _tree_order: each vector is then
-    exactly 1 at its first column, and its keys come in reverse visit order."""
-    trees, forest, cycles = split or _split(rows)
+def _forest_nullspace(columns, split):
+    """nullspace(rows, columns), in its basis order, for rows of one or two
+    unknowns given as their split (trees, forest rows, cycle rows): every
+    row joined in row order, as intertwiner_equations hands it over.
+    Unless a forest row holds a RatFunc, whose printed values show the order
+    (module docstring), the rows and columns go in _tree_order: each vector
+    is then exactly 1 at its first column, and its keys come in reverse
+    visit order."""
+    trees, forest, cycles = split
     if zero := trees.get(None):  # the zero tree
         forest = [row for row in forest if trees[next(iter(row))] is not zero]
         columns = [c for c in columns if trees.get(c) is not zero]
@@ -251,12 +243,12 @@ def solve_intertwiner(source, target, box: Box):
     """Exact basis of diagonal intertwiners on the window, seed-normalized."""
     if box.kmax - box.kmin < 2 or box.mmax < 1:
         raise ValueError("window too small: need at least one step of margin")
-    split = []  # the union-find of assembly, where it began one
-    indices, rows = intertwiner_equations(source, target, box, split)
+    split = []  # the union-find of assembly
+    indices, _ = intertwiner_equations(source, target, box, split)
     if not indices:
         raise ValueError("window does not meet the index set")
     return [HomSolution(source, target, box, vec).normalized()
-            for vec in _forest_nullspace(rows, indices, split)]
+            for vec in _forest_nullspace(indices, split)]
 
 
 def verify_solution(sol: HomSolution):

@@ -516,9 +516,8 @@ def scalar_is_integer(x) -> bool:
 
 
 def format_scalar(x) -> str:
-    if isinstance(x, RatFunc):
-        return str(x)
-    return str(Fraction(x))
+    """An int, Fraction or RatFunc already prints in the wire grammar."""
+    return str(x)
 
 
 _DIGITS = "[0-9]{1,4300}"

@@ -11,6 +11,7 @@ import pytest
 
 from gtsl3 import cli, registry
 from gtsl3.cli import MAX_WINDOW, main
+from gtsl3.hom import HomSolution
 from gtsl3.module import Params
 from gtsl3.serialize import MAX_M, parse_descriptor
 from gtsl3.subquotient import LBarSet, ModuleDescriptor
@@ -118,6 +119,18 @@ def test_hom_l01(capsys):
     assert res["dimension"] == 1
     assert res["image"] == {"lbar": {"eq": 0}}
     assert res["kernel"] == {"lbar": {"eq": 1}}
+
+
+def test_hom_prints_no_image_or_kernel_where_a_level_is_mixed(capsys, monkeypatch):
+    argv = ("--mu2", "0", "hom", "--source", "dual:lbar>=0", "--target", "lbar>=0",
+            "--window", "2")
+    _, [res] = run_cli(capsys, *argv)
+    assert (res["image"], res["kernel"]) == ({"lbar": {"eq": 0}}, {"lbar": {"ge": 1}})
+    monkeypatch.setattr(cli, "solve_intertwiner", lambda source, target, box: [
+        HomSolution(source, target, box, {(0, 0, 0): Fraction(1)})])  # lbar = 0 mixed
+    code, [res] = run_cli(capsys, *argv)
+    assert code == 0 and res["dimension"] == 1
+    assert "image" not in res and "kernel" not in res
 
 
 def test_hom_recurrence_obstruction(capsys):

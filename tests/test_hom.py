@@ -89,6 +89,16 @@ def test_hom_spaces_are_lines_with_the_stated_image_and_kernel(
     assert got_ker == ker
 
 
+def test_image_and_kernel_are_none_where_a_level_is_mixed():
+    """Nonzero at (0, 0, 0) and zero at (1, 0, 0), both on the level lbar = 0."""
+    J = LBarSet.ge(0)
+    src, tgt = ModuleDescriptor(P0, dual=True, J=J), ModuleDescriptor(P0, J=J)
+    box = src.window(2)
+    assert {(0, 0, 0), (1, 0, 0)} <= set(src.indices(box))
+    sol = HomSolution(src, tgt, box, {(0, 0, 0): Fraction(1)})
+    assert image_kernel(sol) == (None, None)
+
+
 def test_identity_problem_has_constant_solution():
     tgt = ModuleDescriptor(PG, dual=False)
     sols = solve_intertwiner(tgt, tgt, Box.radius(3))
@@ -536,25 +546,38 @@ def test_a_broken_cycle_drops_its_tree_as_elimination_of_every_row_does(monkeypa
     assert (len(forest_basis), len(got)) == (2, 1) and got == want
 
 
-@pytest.mark.parametrize("case,begun", [
-    ((P0, LBarSet.ge(0), False, True, 3), True),  # a forced zero begins it
-    ((PG, None, True, False, 3), False),  # no one-unknown row: joined after
-], ids=["forced zero", "generic full"])
-def test_each_row_is_joined_once_per_solve(monkeypatch, case, begun):
-    """solve_intertwiner takes the forest/cycle split of the union-find that
-    assembly began, so each row is joined once, in row order, and that split
-    is the one joining every row again gives; only where assembly began
-    none does the solve join the rows itself."""
+def _fresh_split(rows):
+    """[trees, forest rows, cycle rows]: every row joined again, in row order."""
+    trees, forest, cycles = {}, [], []
+    for row in rows:
+        (forest if hom._join(trees, row) else cycles).append(row)
+    return [trees, forest, cycles]
+
+
+@pytest.mark.parametrize("case", [
+    (P0, LBarSet.ge(0), False, True, 3),  # a forced zero begins the zero tree
+    (PG, None, True, False, 3),  # no one-unknown row
+    (P0, None, False, False, 3),  # same basis: no one-unknown row
+], ids=["forced zero", "generic full", "same basis"])
+def test_each_row_is_joined_once_per_solve(monkeypatch, case):
+    """Assembly joins each row into one union-find as it keeps it, from the
+    first row on, and hands over its split whole: solve_intertwiner and
+    verify_solution each join every row once, in row order, and the split
+    that reaches the forest solve is the one a fresh join of the rows gives."""
     src, tgt, box = _problem(*case)
     split = []
     indices, rows = intertwiner_equations(src, tgt, box, split)
-    assert bool(split) is begun
-    if begun:
-        assert split == list(hom._split(rows))
-    joined, join = [], hom._join
+    want = _fresh_split(rows)
+    assert split == want
+    joined, splits = [], []
+    join, forest_nullspace = hom._join, hom._forest_nullspace
     monkeypatch.setattr(hom, "_join", lambda trees, row: joined.append(row) or join(trees, row))
-    assert len(solve_intertwiner(src, tgt, box)) == 1
-    assert joined == rows
+    monkeypatch.setattr(hom, "_forest_nullspace", lambda columns, split: splits.append(split)
+                        or forest_nullspace(columns, split))
+    [sol] = solve_intertwiner(src, tgt, box)
+    assert joined == rows and splits == [want]
+    joined.clear()
+    assert verify_solution(sol) == [] and joined == rows
 
 
 # exact forests reach nullspace with their columns in reverse tree order

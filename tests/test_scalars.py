@@ -183,6 +183,18 @@ def test_malformed_scalars_are_refused(text):
         parse_scalar(text)
 
 
+@pytest.mark.parametrize("x", [
+    0, 7, -12, 10**50, Fraction(0), Fraction(5), Fraction(-1, 3), Fraction(-22, 7),
+    Fraction(10**4299 + 1, 3), Fraction(-(10**4299) - 7, 10**20 + 1),
+    RatFunc(0), MU1, MU1 / (MU2 + 1), (MU1 * MU1 - 1) / (MU1 - 1), RatFunc(Fraction(-2, 7)),
+], ids=lambda x: f"{type(x).__name__} {str(x)[:24]}")
+def test_format_scalar_prints_what_the_fraction_or_ratfunc_printed(x):
+    """An int or a Fraction prints as its Fraction, a RatFunc as itself, up
+    to a 4,300-digit numerator, as many digits as parse_scalar reads."""
+    assert format_scalar(x) == (str(x) if isinstance(x, RatFunc) else str(Fraction(x)))
+    assert parse_scalar(format_scalar(x)) == x
+
+
 def _golden_poly(terms):
     return BiPoly({(a, b): Fraction(c) for a, b, c in terms})
 

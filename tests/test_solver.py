@@ -82,8 +82,11 @@ def test_forest_solve_prints_what_nullspace_prints_on_all_rows(system):
     first column in columns order, where each returned vector holds exactly
     Fraction(1): the line that solve_intertwiner prints."""
     rows, columns = system
+    trees, tree_rows, cycle_rows = {}, [], []
+    for row in rows:
+        (tree_rows if hom._join(trees, row) else cycle_rows).append(row)
     with mock.patch.object(hom, "nullspace", wraps=nullspace) as spy:
-        got = _forest_nullspace(rows, columns)
+        got = _forest_nullspace(columns, (trees, tree_rows, cycle_rows))
     want = nullspace(rows, columns)
     [((forest, _), _)] = spy.call_args_list
     if not any(isinstance(v, RatFunc) for row in forest for v in row.values()):
